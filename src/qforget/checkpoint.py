@@ -15,6 +15,8 @@ import numpy as np
 
 from .errors import ChecksumError, ConfigError, SchemaError
 
+_DTYPE = "<f8"  # every stored tensor: little-endian float64
+
 
 @dataclass
 class ModelConfig:
@@ -103,16 +105,13 @@ class Checkpoint:
 
 
 def _write_container(stem: Path, tensors: dict, meta: dict) -> None:
-    # Integer tensors (quantization bin indices) are stored as signed bytes,
-    # everything else as little-endian float64.
     stem = Path(stem)
     blob = bytearray()
     entries = []
     for name, arr in tensors.items():
-        dtype = "<i1" if np.issubdtype(np.asarray(arr).dtype, np.integer) else "<f8"
-        raw = np.ascontiguousarray(arr, dtype=dtype).tobytes()
+        raw = np.ascontiguousarray(arr, dtype=_DTYPE).tobytes()
         entries.append({
-            "name": name, "shape": list(arr.shape), "dtype": dtype,
+            "name": name, "shape": list(arr.shape), "dtype": _DTYPE,
             "offset": len(blob), "length": len(raw),
         })
         blob.extend(raw)
@@ -132,13 +131,14 @@ def _read_container(stem: Path) -> tuple:
         raise ChecksumError(f"{stem}: blob CRC mismatch (corrupt or truncated file)")
     tensors = {}
     for entry in manifest["params"]:
+        if entry.get("dtype", _DTYPE) != _DTYPE:
+            raise SchemaError(f"{stem}: tensor {entry['name']} has dtype "
+                              f"{entry['dtype']!r}; only {_DTYPE!r} is stored")
         ofs, length = entry["offset"], entry["length"]
         if ofs + length > len(blob):
             raise ChecksumError(f"{stem}: blob shorter than manifest entry {entry['name']}")
-        dtype = np.dtype(entry.get("dtype", "<f8"))
-        flat = np.frombuffer(blob, dtype=dtype, count=length // dtype.itemsize, offset=ofs)
-        out_dtype = np.int64 if np.issubdtype(dtype, np.integer) else np.float64
-        tensors[entry["name"]] = flat.reshape(entry["shape"]).astype(out_dtype)
+        flat = np.frombuffer(blob, dtype=_DTYPE, count=length // 8, offset=ofs)
+        tensors[entry["name"]] = flat.reshape(entry["shape"]).astype(np.float64)
     return tensors, manifest
 
 

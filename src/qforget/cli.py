@@ -1,6 +1,7 @@
 """Command-line surface. See FORMATS.md for the artifact formats.
 
-Exit codes: 0 success, 2 config error, 3 training divergence, 4 gate failure.
+Exit codes: 0 success, 2 config error, 3 training divergence, 4 gate failure,
+5 invalid input (corrupt or mismatched checkpoint, bad shapes or token ids).
 """
 
 import argparse
@@ -10,12 +11,13 @@ from pathlib import Path
 
 from .checkpoint import load_checkpoint, save_checkpoint
 from .corpus import build_tokenizer
-from .errors import ConfigError, DivergenceError
+from .errors import (ChecksumError, ConfigError, DivergenceError, GateError,
+                     InputError, SchemaError, ShapeError)
 from .masking import analyze_pair
 from .metrics import evaluate_checkpoint
-from .pipeline import (ExperimentConfig, GateError, run_pipeline, run_sweep,
-                       stage_corpus, stage_pretrain, stage_report,
-                       stage_retrain, stage_unlearn)
+from .pipeline import (ExperimentConfig, run_pipeline, run_sweep, stage_corpus,
+                       stage_pretrain, stage_report, stage_retrain,
+                       stage_unlearn)
 from .quantizer import QuantSpec, quantize_model
 
 
@@ -124,6 +126,9 @@ def main(argv=None) -> int:
     except GateError as exc:
         print(f"gate failure: {exc}", file=sys.stderr)
         return 4
+    except (ChecksumError, SchemaError, ShapeError, InputError) as exc:
+        print(f"invalid input: {exc}", file=sys.stderr)
+        return 5
     return 0
 
 

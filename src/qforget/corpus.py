@@ -192,36 +192,28 @@ def conditional_frame(rec: FactRecord, tok: "Tokenizer") -> tuple:
     return ids, start
 
 
-def text_batches(texts: list, tok: Tokenizer, batch_size: int, seed: int) -> list:
-    """One epoch of padded token-id batches in a seeded shuffle order.
-
-    Each text is framed bos..eos and right-padded to its batch's longest
-    sequence; callers exclude pad positions from the loss via tok.pad_id.
-    """
+def _shuffled_batches(items: list, batch_size: int, seed: int) -> list:
+    """`items` in the seeded shuffle order of stream (seed, BATCH), chunked."""
     if batch_size < 1:
         raise ContractError("batch_size must be >= 1")
-    order = seeding.rng(seed, seeding.BATCH).permutation(len(texts))
-    framed = [tok.frame(texts[int(i)]) for i in order]
-    out = []
-    for ofs in range(0, len(framed), batch_size):
-        chunk = framed[ofs:ofs + batch_size]
-        width = max(len(s) for s in chunk)
-        out.append([s + [tok.pad_id] * (width - len(s)) for s in chunk])
-    return out
+    order = seeding.rng(seed, seeding.BATCH).permutation(len(items))
+    shuffled = [items[int(i)] for i in order]
+    return [shuffled[ofs:ofs + batch_size] for ofs in range(0, len(shuffled), batch_size)]
 
 
-def batches(records: list, tok: Tokenizer, batch_size: int, seed: int) -> list:
-    """text_batches over the records' sentences."""
-    return text_batches([r.sentence for r in records], tok, batch_size, seed)
+def text_batches(texts: list, tok: Tokenizer, batch_size: int, seed: int) -> list:
+    """One epoch of token-id batches in a seeded shuffle order.
+
+    Each text is framed bos..eos and keeps its own length: sequences in a
+    batch are not padded to a common width.
+    """
+    return _shuffled_batches([tok.frame(t) for t in texts], batch_size, seed)
 
 
 def conditional_batches(records: list, tok: Tokenizer, batch_size: int, seed: int) -> list:
-    """Like batches, but each element is (ids, y_start) per conditional_frame."""
-    if batch_size < 1:
-        raise ContractError("batch_size must be >= 1")
-    order = seeding.rng(seed, seeding.BATCH).permutation(len(records))
-    framed = [conditional_frame(records[int(i)], tok) for i in order]
-    return [framed[ofs:ofs + batch_size] for ofs in range(0, len(framed), batch_size)]
+    """Like text_batches over the records' sentences, but each element is
+    (ids, y_start) per conditional_frame."""
+    return _shuffled_batches([conditional_frame(r, tok) for r in records], batch_size, seed)
 
 
 def save_corpus(split: CorpusSplit, path) -> None:

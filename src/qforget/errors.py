@@ -44,3 +44,7 @@ class DivergenceError(RuntimeError):
 
 class MetricError(ValueError):
     """A metric is undefined for the given inputs (e.g. zero baseline AUC)."""
+
+
+class GateError(RuntimeError):
+    """A pretraining acceptance gate did not pass."""

@@ -3,8 +3,10 @@
 Each adapter holds trainable factors A (r, k) and B (d, r) for a frozen base
 weight W (d, k); its contribution is the additive update (alpha/r) * B @ A.
 A starts gaussian and B starts at zero, so a freshly attached adapter changes
-nothing. Merging folds the update into the base matrix, after which the plain
-forward pass reproduces the adapter forward exactly.
+nothing. An adapter is only a parametrisation of its target weight: `fold`
+puts W + (alpha/r) * B @ A into the graph's parameter map in place of W, so
+the model's forward pass never knows about adapters, and `merge` computes the
+same sum on plain arrays before quantization.
 """
 
 from dataclasses import dataclass
@@ -12,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import seeding
+from .autodiff import Var, add, matmul, scale
 from .checkpoint import ATTN_ROLES, Checkpoint, MLP_ROLES
 from .errors import ConfigError, SchemaError
 
@@ -83,6 +86,22 @@ def attach(ck: Checkpoint, cfg: LoraConfig) -> dict:
             rank=cfg.rank, alpha=cfg.alpha,
         )
     return adapters
+
+
+def fold(pv: dict, adapters: dict) -> tuple:
+    """Reparametrise each targeted weight Var as W + (alpha/r) * B @ A.
+
+    Returns (a copy of the parameter map with every targeted name bound to
+    that graph node, the new factor leaves keyed "<name>.A" / "<name>.B"),
+    so a backward pass leaves the factor gradients on the returned leaves.
+    """
+    out = dict(pv)
+    leaves = {}
+    for name, ad in adapters.items():
+        a, b = Var(ad.A), Var(ad.B)
+        out[name] = add(pv[name], scale(matmul(b, a), ad.scaling))
+        leaves[name + ".A"], leaves[name + ".B"] = a, b
+    return out, leaves
 
 
 def merge(ck: Checkpoint, adapters: dict) -> Checkpoint:

@@ -22,10 +22,6 @@ from .corpus import Tokenizer
 from .errors import ContractError, MetricError
 from .model import greedy_decode, token_log_probs
 
-REPORT_COLUMNS = ("Method", "Precision", "Adapter", "VerMem", "KnowMem",
-                  "PrivLeak", "UtilityPres")
-
-
 @dataclass(frozen=True)
 class MetricProtocol:
     k_percent: float = 20.0          # min-k% fraction

@@ -7,8 +7,9 @@ checkpoint.param_schema), which is what the quantizer and the adapter
 machinery target.
 
 The forward pass is built from autodiff primitives, so the same code path
-serves training (gradients) and evaluation (read .value). Adapters, when
-present, add the scaled low-rank path to their target projection.
+serves training (gradients) and evaluation (read .value). It reads every
+weight from one parameter map; LoRA enters only by rebinding its target
+weights in that map (lora.fold).
 """
 
 import math
@@ -21,6 +22,7 @@ from .autodiff import (Var, add, concat_cols, cross_entropy, embed, gelu,
                        slice_rows, softmax_rows)
 from .checkpoint import Checkpoint, ModelConfig, param_schema
 from .errors import ContractError, InputError
+from .lora import fold
 
 _MASK_FILL = -1e30
 _mask_cache: dict = {}
@@ -66,20 +68,8 @@ def _check_tokens(cfg: ModelConfig, tokens) -> np.ndarray:
     return ids
 
 
-def _project(x: Var, name: str, pv: dict, adapters) -> Var:
-    """x @ W.T for the named weight, plus the adapter path if one targets it."""
-    y = linear(x, pv[name])
-    if adapters and name in adapters:
-        a_var, b_var, scaling = adapters[name]
-        y = add(y, scale(linear(linear(x, a_var), b_var), scaling))
-    return y
-
-
-def forward_graph(pv: dict, cfg: ModelConfig, tokens, adapters=None) -> Var:
-    """Logits (T, V) as a graph over the given parameter Vars.
-
-    adapters: optional {weight name: (A Var (r,k), B Var (d,r), scaling)}.
-    """
+def forward_graph(pv: dict, cfg: ModelConfig, tokens) -> Var:
+    """Logits (T, V) as a graph over the given parameter Vars."""
     ids = _check_tokens(cfg, tokens)
     t = ids.size
     dh = cfg.d_model // cfg.n_heads
@@ -90,9 +80,9 @@ def forward_graph(pv: dict, cfg: ModelConfig, tokens, adapters=None) -> Var:
     for i in range(cfg.n_layers):
         b = f"block{i}."
         h = layer_norm(x, pv[b + "ln1.g"], pv[b + "ln1.b"])
-        q = _project(h, b + "attn_q", pv, adapters)
-        k = _project(h, b + "attn_k", pv, adapters)
-        v = _project(h, b + "attn_v", pv, adapters)
+        q = linear(h, pv[b + "attn_q"])
+        k = linear(h, pv[b + "attn_k"])
+        v = linear(h, pv[b + "attn_v"])
         heads = []
         for hd in range(cfg.n_heads):
             lo, hi = hd * dh, (hd + 1) * dh
@@ -101,44 +91,31 @@ def forward_graph(pv: dict, cfg: ModelConfig, tokens, adapters=None) -> Var:
             vh = slice_cols(v, lo, hi)
             scores = add(scale(linear(qh, kh), inv_sqrt_dh), mask)
             heads.append(matmul(softmax_rows(scores), vh))
-        attn_out = _project(concat_cols(heads), b + "attn_o", pv, adapters)
+        attn_out = linear(concat_cols(heads), pv[b + "attn_o"])
         x = add(x, attn_out)
         h2 = layer_norm(x, pv[b + "ln2.g"], pv[b + "ln2.b"])
-        up = gelu(_project(h2, b + "mlp_up", pv, adapters))
-        x = add(x, _project(up, b + "mlp_down", pv, adapters))
+        up = gelu(linear(h2, pv[b + "mlp_up"]))
+        x = add(x, linear(up, pv[b + "mlp_down"]))
     hf = layer_norm(x, pv["ln_f.g"], pv["ln_f.b"])
-    return _project(hf, "lm_head", pv, adapters)
-
-
-def _adapter_vars(adapters) -> dict | None:
-    """Wrap numpy-backed adapters ({name: LoraAdapter}) as Var triples."""
-    if adapters is None:
-        return None
-    out = {}
-    for name, ad in adapters.items():
-        out[name] = (Var(ad.A), Var(ad.B), ad.scaling)
-    return out
+    return linear(hf, pv["lm_head"])
 
 
 def forward_logits(ck: Checkpoint, tokens, adapters=None) -> np.ndarray:
-    """Causal logits (T, V) for one sequence; position t sees tokens <= t."""
-    return forward_graph(make_param_vars(ck), ck.config, tokens, _adapter_vars(adapters)).value
+    """Causal logits (T, V) for one sequence; position t sees tokens <= t.
+
+    adapters ({name: LoraAdapter}), when given, are folded into their target
+    weights first.
+    """
+    pv = make_param_vars(ck)
+    if adapters:
+        pv, _ = fold(pv, adapters)
+    return forward_graph(pv, ck.config, tokens).value
 
 
-def strip_padding(seq, pad_id) -> list:
-    """Drop trailing pad ids; padding only ever appears at the end."""
-    out = list(seq)
-    while out and out[-1] == pad_id:
-        out.pop()
-    return out
-
-
-def nll_graph(pv: dict, cfg: ModelConfig, batch, adapters=None, pad_id=None,
-              loss_starts=None):
+def nll_graph(pv: dict, cfg: ModelConfig, batch, loss_starts=None):
     """Mean next-token cross-entropy over the predicted positions of a batch.
 
-    Returns (scalar Var, number of predicted positions). Pad ids, when given,
-    are stripped so padded positions never contribute. loss_starts, when
+    Returns (scalar Var, number of predicted positions). loss_starts, when
     given, restricts sequence i's loss to prediction rows >= loss_starts[i]
     (conditional likelihood of a continuation given its prompt).
     """
@@ -147,10 +124,10 @@ def nll_graph(pv: dict, cfg: ModelConfig, batch, adapters=None, pad_id=None,
     total = None
     positions = 0
     for i, seq in enumerate(batch):
-        toks = strip_padding(seq, pad_id) if pad_id is not None else list(seq)
+        toks = list(seq)
         if len(toks) < 2:
             raise ContractError("nll: sequence needs at least 2 tokens")
-        logits = forward_graph(pv, cfg, toks, adapters)
+        logits = forward_graph(pv, cfg, toks)
         m = len(toks) - 1
         start = 0 if loss_starts is None else loss_starts[i]
         if not 0 <= start < m:
@@ -162,24 +139,18 @@ def nll_graph(pv: dict, cfg: ModelConfig, batch, adapters=None, pad_id=None,
     return scale(total, 1.0 / positions), positions
 
 
-def nll_loss(ck: Checkpoint, batch, adapters=None, pad_id=None) -> Var:
-    """Batch NLL as a differentiable scalar (use float(result.value) to read)."""
-    loss, _ = nll_graph(make_param_vars(ck), ck.config, batch, _adapter_vars(adapters), pad_id)
-    return loss
-
-
-def token_log_probs(ck: Checkpoint, tokens, adapters=None) -> np.ndarray:
+def token_log_probs(ck: Checkpoint, tokens) -> np.ndarray:
     """log P(tokens[t+1] | tokens[:t+1]) for t = 0..len-2, shape (len-1,)."""
     toks = list(tokens)
     if len(toks) < 2:
         raise ContractError("token_log_probs: sequence needs at least 2 tokens")
-    z = forward_logits(ck, toks, adapters)[:-1]
+    z = forward_logits(ck, toks)[:-1]
     mx = z.max(axis=1, keepdims=True)
     logp = z - (mx + np.log(np.exp(z - mx).sum(axis=1, keepdims=True)))
     return logp[np.arange(len(toks) - 1), np.asarray(toks[1:], dtype=np.int64)]
 
 
-def greedy_decode(ck: Checkpoint, prompt, n_new: int, adapters=None) -> list:
+def greedy_decode(ck: Checkpoint, prompt, n_new: int) -> list:
     """Argmax continuation of length n_new appended to the prompt.
 
     Ties break toward the lowest token id; same inputs always give the same
@@ -195,9 +166,8 @@ def greedy_decode(ck: Checkpoint, prompt, n_new: int, adapters=None) -> list:
             f"decode: {len(prompt)} prompt + {n_new} new tokens exceeds "
             f"context_len {ck.config.context_len}")
     pv = make_param_vars(ck)
-    av = _adapter_vars(adapters)
     seq = prompt
     for _ in range(n_new):
-        logits = forward_graph(pv, ck.config, seq, av).value
+        logits = forward_graph(pv, ck.config, seq).value
         seq = seq + [int(np.argmax(logits[-1]))]
     return seq

@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .checkpoint import Checkpoint, ModelConfig, load_checkpoint, save_checkpoint
 from .corpus import CorpusSplit, build_tokenizer, generate_corpus, load_corpus, save_corpus
-from .errors import ConfigError
+from .errors import ConfigError, GateError
 from .lora import LoraConfig, save_adapters
 from .masking import analyze_pair
 from .metrics import MetricProtocol, evaluate_checkpoint
@@ -24,10 +24,6 @@ from .training import train_lm
 from .unlearn import UnlearnConfig, unlearn_run
 
 PRECISIONS = ("full", "int8", "int4")
-
-
-class GateError(RuntimeError):
-    """A pretraining acceptance gate did not pass."""
 
 
 @dataclass
@@ -64,8 +60,13 @@ class ExperimentConfig:
         cfg = cls(**raw)
         if not isinstance(cfg.runs, list):
             raise ConfigError("runs must be a list of run descriptions")
+        tags = set()
         for r in cfg.runs:
-            cfg.unlearn_config(r)  # validates
+            tag = run_tag(cfg.unlearn_config(r))  # validates
+            if tag in tags:
+                # runs/<tag> and eval/<tag>_* are keyed by tag alone
+                raise ConfigError(f"two runs share the run tag {tag!r}")
+            tags.add(tag)
         for q in cfg.quant:
             QuantSpec(**q)
         return cfg

@@ -134,46 +134,3 @@ def quantize_model(ck: Checkpoint, spec: QuantSpec) -> Checkpoint:
         out.params[name] = fake_quant(out.params[name], spec)
     out.provenance = f"{ck.provenance}:int{spec.bits}"
     return out
-
-
-def save_quantized_model(ck: Checkpoint, spec: QuantSpec, stem) -> None:
-    """Serialize the quantized representation: per linear layer the signed-byte
-    bin indices plus float64 group scales, other parameters as-is."""
-    from .checkpoint import _write_container
-    tensors = {}
-    lin = set(linear_param_names(ck.config))
-    for name, arr in ck.params.items():
-        if name in lin:
-            q = quantize(arr, spec)
-            tensors[name + ".idx"] = q.indices
-            tensors[name + ".scales"] = q.scales
-        else:
-            tensors[name] = arr
-    _write_container(stem, tensors, {
-        "kind": "quantized_checkpoint",
-        "config": ck.config.to_dict(),
-        "provenance": f"{ck.provenance}:int{spec.bits}",
-        "quant_spec": {"bits": spec.bits, "group_size": spec.group_size},
-    })
-
-
-def load_quantized_model(stem) -> Checkpoint:
-    """Reconstruct the fake-quant checkpoint from a quantized container."""
-    from .checkpoint import Checkpoint as _Ck
-    from .checkpoint import ModelConfig, _read_container, param_schema
-    tensors, manifest = _read_container(stem)
-    cfg = ModelConfig.from_dict(manifest["config"])
-    spec = QuantSpec(**manifest["quant_spec"])
-    lin = set(linear_param_names(cfg))
-    params = {}
-    for name, shape in param_schema(cfg).items():
-        if name in lin:
-            q = QuantizedTensor(indices=tensors[name + ".idx"],
-                                scales=tensors[name + ".scales"],
-                                spec=spec, source_shape=tuple(shape))
-            params[name] = dequantize(q)
-        else:
-            params[name] = tensors[name]
-    ck = _Ck(params, cfg, manifest.get("provenance", ""))
-    ck.validate()
-    return ck

@@ -15,7 +15,6 @@ INIT = 1
 CORPUS = 2
 BATCH = 3
 LORA = 4
-RETRAIN = 5
 
 
 def rng(seed: int, *tags: int) -> np.random.Generator:

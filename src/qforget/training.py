@@ -54,7 +54,7 @@ def train_lm(ck: Checkpoint, texts: list, tok: Tokenizer, lr: float,
     for epoch in range(epochs):
         for batch in text_batches(texts, tok, batch_size, seed + epoch):
             pv = {name: Var(arr) for name, arr in out.params.items()}
-            loss, _ = nll_graph(pv, out.config, batch, pad_id=tok.pad_id)
+            loss, _ = nll_graph(pv, out.config, batch)
             value = float(loss.value)
             if not math.isfinite(value):
                 raise DivergenceError("pretraining loss is not finite",

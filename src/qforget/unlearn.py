@@ -23,8 +23,8 @@ from .autodiff import (Var, add, kl_divergence_rows, log_sigmoid,
 from .checkpoint import Checkpoint
 from .corpus import CorpusSplit, Tokenizer, build_tokenizer, conditional_batches
 from .errors import ConfigError, ContractError, DivergenceError
-from .lora import LoraConfig, attach
-from .model import (forward_graph, forward_logits, nll_graph, strip_padding,
+from .lora import LoraConfig, attach, fold, merge
+from .model import (forward_graph, forward_logits, make_param_vars, nll_graph,
                     token_log_probs)
 from .training import Adam, grad_norm
 
@@ -76,7 +76,6 @@ class UnlearnResult:
     log: list = field(default_factory=list)
 
     def merged(self) -> Checkpoint:
-        from .lora import merge
         if self.adapters is None:
             return self.checkpoint
         return merge(self.checkpoint, self.adapters)
@@ -87,7 +86,7 @@ class UnlearnResult:
 # ---------------------------------------------------------------------------
 
 
-def split_pairs(batch, pad_id=None):
+def split_pairs(batch):
     """Normalize a batch of sequences or (ids, y_start) pairs.
 
     Returns (sequences, loss starts). Plain sequences score every prediction
@@ -99,21 +98,19 @@ def split_pairs(batch, pad_id=None):
             seq, start = item
         else:
             seq, start = item, 0
-        toks = strip_padding(seq, pad_id) if pad_id is not None else list(seq)
-        seqs.append(toks)
+        seqs.append(list(seq))
         starts.append(start)
     return seqs, starts
 
 
-def loss_ga(pv: dict, cfg, forget_batch, adapters=None, pad_id=None) -> Var:
+def loss_ga(pv: dict, cfg, forget_batch) -> Var:
     """Negated NLL on the forget set: minimizing it maximizes cross-entropy."""
-    seqs, starts = split_pairs(forget_batch, pad_id)
-    nll, _ = nll_graph(pv, cfg, seqs, adapters, None, starts)
+    seqs, starts = split_pairs(forget_batch)
+    nll, _ = nll_graph(pv, cfg, seqs, starts)
     return scale(nll, -1.0)
 
 
-def loss_npo(pv: dict, cfg, forget_batch, ref: Checkpoint, beta: float,
-             adapters=None, pad_id=None) -> Var:
+def loss_npo(pv: dict, cfg, forget_batch, ref: Checkpoint, beta: float) -> Var:
     """-(2/beta) * mean over sequences of log sigma(-beta * log-likelihood ratio).
 
     The ratio is the continuation's summed log-prob difference against the
@@ -122,11 +119,11 @@ def loss_npo(pv: dict, cfg, forget_batch, ref: Checkpoint, beta: float,
     """
     if not forget_batch:
         raise ContractError("npo: empty batch")
-    seqs, starts = split_pairs(forget_batch, pad_id)
+    seqs, starts = split_pairs(forget_batch)
     total = None
     for toks, start in zip(seqs, starts):
         m = len(toks) - 1
-        logits = forward_graph(pv, cfg, toks, adapters)
+        logits = forward_graph(pv, cfg, toks)
         lp = vsum(target_log_probs(slice_rows(logits, start, m), toks[start + 1:]))
         ref_lp = float(token_log_probs(ref, toks)[start:].sum())
         ratio = add(lp, Var(-ref_lp))
@@ -135,24 +132,23 @@ def loss_npo(pv: dict, cfg, forget_batch, ref: Checkpoint, beta: float,
     return scale(total, 1.0 / len(seqs))
 
 
-def loss_gdr(pv: dict, cfg, retain_batch, adapters=None, pad_id=None) -> Var:
+def loss_gdr(pv: dict, cfg, retain_batch) -> Var:
     """Plain NLL on the retain set (identical to the training loss)."""
-    seqs, starts = split_pairs(retain_batch, pad_id)
-    nll, _ = nll_graph(pv, cfg, seqs, adapters, None, starts)
+    seqs, starts = split_pairs(retain_batch)
+    nll, _ = nll_graph(pv, cfg, seqs, starts)
     return nll
 
 
-def loss_klr(pv: dict, cfg, retain_batch, ref: Checkpoint,
-             adapters=None, pad_id=None) -> Var:
+def loss_klr(pv: dict, cfg, retain_batch, ref: Checkpoint) -> Var:
     """Mean over retain positions of KL(reference || current)."""
     if not retain_batch:
         raise ContractError("klr: empty batch")
-    seqs, starts = split_pairs(retain_batch, pad_id)
+    seqs, starts = split_pairs(retain_batch)
     total = None
     positions = 0
     for toks, start in zip(seqs, starts):
         m = len(toks) - 1
-        log_q = log_softmax_rows(slice_rows(forward_graph(pv, cfg, toks, adapters), start, m))
+        log_q = log_softmax_rows(slice_rows(forward_graph(pv, cfg, toks), start, m))
         z = forward_logits(ref, toks)[start:m]
         z = z - z.max(axis=1, keepdims=True)
         p_ref = np.exp(z)
@@ -163,32 +159,23 @@ def loss_klr(pv: dict, cfg, retain_batch, ref: Checkpoint,
     return scale(total, 1.0 / positions)
 
 
-def objective_parts(ucfg: UnlearnConfig, pv: dict, cfg, forget_batch,
-                    retain_batch, ref: Checkpoint, adapters=None, pad_id=None):
-    """(forget term, retain term or None) for the configured method."""
+def objective(ucfg: UnlearnConfig, pv: dict, cfg, forget_batch, retain_batch,
+              ref: Checkpoint) -> tuple:
+    """(L_forget + lam * L_retain, forget term, retain term or None) for the
+    configured method."""
     if ucfg.method.startswith("NPO"):
-        forget = loss_npo(pv, cfg, forget_batch, ref, ucfg.beta, adapters, pad_id)
+        forget = loss_npo(pv, cfg, forget_batch, ref, ucfg.beta)
     else:
-        forget = loss_ga(pv, cfg, forget_batch, adapters, pad_id)
+        forget = loss_ga(pv, cfg, forget_batch)
     if ucfg.lam == 0.0:
-        return forget, None
+        return forget, forget, None
     if retain_batch is None:
         raise ContractError(f"{ucfg.method} with lam > 0 needs a retain batch")
     if ucfg.method.endswith("GDR"):
-        retain = loss_gdr(pv, cfg, retain_batch, adapters, pad_id)
+        retain = loss_gdr(pv, cfg, retain_batch)
     else:
-        retain = loss_klr(pv, cfg, retain_batch, ref, adapters, pad_id)
-    return forget, retain
-
-
-def total_loss(ucfg: UnlearnConfig, pv: dict, cfg, forget_batch, retain_batch,
-               ref: Checkpoint, adapters=None, pad_id=None) -> Var:
-    """L_forget + lam * L_retain."""
-    forget, retain = objective_parts(ucfg, pv, cfg, forget_batch, retain_batch,
-                                     ref, adapters, pad_id)
-    if retain is None:
-        return forget
-    return add(forget, scale(retain, ucfg.lam))
+        retain = loss_klr(pv, cfg, retain_batch, ref)
+    return add(forget, scale(retain, ucfg.lam)), forget, retain
 
 
 # ---------------------------------------------------------------------------
@@ -237,26 +224,17 @@ def unlearn_run(f_target: Checkpoint, split: CorpusSplit, ucfg: UnlearnConfig,
                                     ucfg.seed + _RETAIN_SEED_OFFSET + epoch))
         for fb in forget_batches:
             rb = next(retain_cycle) if retain_cycle is not None else None
-            pv = {name: Var(arr) for name, arr in work.params.items()}
-            av = None
+            pv = leaves = make_param_vars(work)
             if adapters is not None:
-                av = {name: (Var(ad.A), Var(ad.B), ad.scaling)
-                      for name, ad in adapters.items()}
-            forget, retain = objective_parts(ucfg, pv, cfg, fb, rb, ref, av)
-            total = forget if retain is None else add(forget, scale(retain, ucfg.lam))
+                pv, leaves = fold(pv, adapters)
+            total, forget, retain = objective(ucfg, pv, cfg, fb, rb, ref)
             value = float(total.value)
             if not math.isfinite(value):
                 raise DivergenceError(
                     f"{ucfg.method} loss became non-finite", step,
                     [e["total"] for e in log[-5:]])
             total.backward()
-            if adapters is not None:
-                grads = {}
-                for name in adapters:
-                    grads[name + ".A"] = av[name][0].grad
-                    grads[name + ".B"] = av[name][1].grad
-            else:
-                grads = {name: pv[name].grad for name in work.params}
+            grads = {name: leaves[name].grad for name in trainable}
             opt.step(grads)
             log.append({
                 "epoch": epoch, "step": step,
@@ -266,8 +244,9 @@ def unlearn_run(f_target: Checkpoint, split: CorpusSplit, ucfg: UnlearnConfig,
             })
             step += 1
 
-    if adapters is not None:
-        for name in work.params:  # freeze contract: base untouched
-            assert work.params[name] is not trainable.get(name) and \
-                np.array_equal(work.params[name], ref.params[name])
+    if adapters is not None:  # freeze contract: the base stays byte-identical
+        changed = [name for name in work.params
+                   if not np.array_equal(work.params[name], ref.params[name])]
+        if changed:
+            raise ContractError(f"lora run changed frozen base weights: {changed}")
     return UnlearnResult(work, adapters, log)

@@ -77,6 +77,14 @@ class TestCorruption:
         with pytest.raises(SchemaError):
             load_checkpoint(stem)
 
+    def test_non_float64_dtype_is_schema_error(self, tmp_path):
+        _, stem = make(tmp_path)
+        manifest = json.loads(stem.with_suffix(".json").read_text())
+        manifest["params"][0]["dtype"] = "<i1"
+        stem.with_suffix(".json").write_text(json.dumps(manifest))
+        with pytest.raises(SchemaError, match="tok_emb"):
+            load_checkpoint(stem)
+
     def test_manifest_is_valid_json_with_crc(self, tmp_path):
         _, stem = make(tmp_path)
         manifest = json.loads(stem.with_suffix(".json").read_text())

@@ -3,7 +3,7 @@
 import pytest
 
 from qforget.corpus import (ATTRIBUTE_POOL, ENTITY_POOL, VALUE_POOL,
-                            build_tokenizer, batches, conditional_batches,
+                            build_tokenizer, conditional_batches,
                             conditional_frame, fact_prompt, generate_corpus,
                             load_corpus, qa_text, save_corpus, text_batches)
 from qforget.errors import CapacityError, ContractError
@@ -85,32 +85,32 @@ class TestBatches:
         self.split = generate_corpus(5, 7, 9, 2)
         self.tok = build_tokenizer(self.split)
 
+    def sentences(self):
+        return [r.sentence for r in self.split.retain]
+
     def test_token_conservation(self):
-        framed = [self.tok.frame(r.sentence) for r in self.split.retain]
+        framed = [self.tok.frame(t) for t in self.sentences()]
         expected = sum(len(f) for f in framed)
         got = 0
-        for batch in batches(self.split.retain, self.tok, 4, seed=3):
+        for batch in text_batches(self.sentences(), self.tok, 4, seed=3):
             for seq in batch:
-                got += sum(1 for t in seq if t != self.tok.pad_id)
+                got += len(seq)
         assert got == expected
 
     def test_same_seed_same_order(self):
-        a = batches(self.split.retain, self.tok, 4, seed=3)
-        b = batches(self.split.retain, self.tok, 4, seed=3)
+        a = text_batches(self.sentences(), self.tok, 4, seed=3)
+        b = text_batches(self.sentences(), self.tok, 4, seed=3)
         assert a == b
 
     def test_batch_size_one(self):
-        out = batches(self.split.retain, self.tok, 1, seed=0)
+        out = text_batches(self.sentences(), self.tok, 1, seed=0)
         assert len(out) == len(self.split.retain)
 
-    def test_padding_is_trailing_and_rectangular(self):
-        for batch in text_batches([r.sentence for r in self.split.retain] + ["the"],
-                                  self.tok, 4, seed=1):
-            width = len(batch[0])
-            for seq in batch:
-                assert len(seq) == width
-                body = [t for t in seq if t != self.tok.pad_id]
-                assert seq[:len(body)] == body  # pads only at the end
+    def test_batches_hold_unpadded_frames(self):
+        texts = self.sentences() + ["the"]
+        got = [seq for batch in text_batches(texts, self.tok, 4, seed=1) for seq in batch]
+        assert sorted(got) == sorted(self.tok.frame(t) for t in texts)
+        assert all(self.tok.pad_id not in seq for seq in got)
 
     def test_conditional_frames(self):
         rec = self.split.forget[0]

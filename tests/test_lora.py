@@ -3,12 +3,11 @@
 import numpy as np
 import pytest
 
-from qforget.autodiff import Var, grad_check
 from qforget.checkpoint import ModelConfig
 from qforget.errors import ConfigError
-from qforget.lora import (LoraAdapter, LoraConfig, attach, load_adapters,
+from qforget.lora import (LoraAdapter, LoraConfig, attach, fold, load_adapters,
                           merge, save_adapters, target_names)
-from qforget.model import forward_logits, init_model, nll_graph
+from qforget.model import forward_logits, init_model, make_param_vars, nll_graph
 
 CFG = ModelConfig(vocab_size=32, d_model=16, n_layers=2, n_heads=2, d_ff=32,
                   context_len=16, seed=1)
@@ -110,40 +109,56 @@ class TestMerge:
         assert merge(ck, {}).provenance.endswith(":merged")
 
 
+def folded_nll(ck, ads, batch):
+    """(batch NLL over the folded parameter map, the fold's factor leaves)."""
+    pv, leaves = fold(make_param_vars(ck), ads)
+    return nll_graph(pv, ck.config, batch)[0], leaves
+
+
 class TestAdapterGradients:
     def test_finite_differences_with_frozen_base(self):
         ck = init_model(ModelConfig(vocab_size=11, d_model=8, n_layers=1,
                                     n_heads=2, d_ff=16, context_len=8, seed=3))
         ads = randomized(attach(ck, LoraConfig(rank=2, alpha=4.0, seed=9)), std=0.2)
         batch = [[1, 4, 7, 2, 9]]
-        name = "block0.attn_q"
+        name, step = "block0.attn_q", 1e-5
 
-        def loss_wrt(kind):
-            def f(v):
-                pv = {n: Var(a) for n, a in ck.params.items()}
-                av = {}
-                for k, ad in ads.items():
-                    a_var = v if (k == name and kind == "A") else Var(ad.A)
-                    b_var = v if (k == name and kind == "B") else Var(ad.B)
-                    av[k] = (a_var, b_var, ad.scaling)
-                return nll_graph(pv, ck.config, batch, av)[0]
-            return f
-
-        assert grad_check(loss_wrt("A"), ads[name].A, 1e-5) < 1e-4
-        assert grad_check(loss_wrt("B"), ads[name].B, 1e-5) < 1e-4
+        loss, leaves = folded_nll(ck, ads, batch)
+        loss.backward()
+        for kind in ("A", "B"):
+            analytic = leaves[f"{name}.{kind}"].grad
+            x = getattr(ads[name], kind)  # perturbed in place, then restored
+            numeric = np.zeros_like(x)
+            for i in np.ndindex(x.shape):
+                orig = x[i]
+                x[i] = orig + step
+                fp = float(folded_nll(ck, ads, batch)[0].value)
+                x[i] = orig - step
+                fm = float(folded_nll(ck, ads, batch)[0].value)
+                x[i] = orig
+                numeric[i] = (fp - fm) / (2.0 * step)
+            denom = np.maximum(1e-8, np.abs(analytic) + np.abs(numeric))
+            assert np.max(np.abs(analytic - numeric) / denom) < 1e-4, kind
 
     def test_base_receives_zero_gradient_when_only_adapters_train(self):
         # structural freeze: the optimizer in lora mode never sees base
         # parameters, so their bytes cannot change (asserted in unlearn tests);
-        # here we check the adapter path contributes gradient only to A and B
+        # here we check the fold hands back one gradient-carrying leaf per factor
         ck = init_model(ModelConfig(vocab_size=11, d_model=8, n_layers=1,
                                     n_heads=2, d_ff=16, context_len=8, seed=3))
         ads = randomized(attach(ck, LoraConfig(rank=2, alpha=4.0, seed=9)))
-        pv = {n: Var(a) for n, a in ck.params.items()}
-        av = {k: (Var(ad.A), Var(ad.B), ad.scaling) for k, ad in ads.items()}
-        loss, _ = nll_graph(pv, ck.config, [[1, 4, 7, 2]], av)
+        loss, leaves = folded_nll(ck, ads, [[1, 4, 7, 2]])
         loss.backward()
-        assert all(av[k][0].grad is not None for k in av)
+        assert set(leaves) == {f"{n}.{k}" for n in ads for k in ("A", "B")}
+        assert all(leaf.grad is not None and leaf.grad.shape == leaf.value.shape
+                   for leaf in leaves.values())
+
+    def test_fold_leaves_original_map_untouched(self):
+        ck = init_model(CFG)
+        pv = make_param_vars(ck)
+        folded, _ = fold(pv, randomized(attach(ck, LoraConfig(rank=2))))
+        assert all(pv[n].op == "leaf" for n in pv)
+        assert folded["block0.attn_q"].op == "add" and folded["lm_head"] is pv["lm_head"]
 
 
 class TestSerialization:

@@ -9,7 +9,7 @@ from qforget.autodiff import Var, grad_check
 from qforget.checkpoint import ModelConfig, param_schema
 from qforget.errors import ConfigError, ContractError, InputError
 from qforget.model import (forward_logits, greedy_decode, init_model,
-                           nll_graph, nll_loss, token_log_probs)
+                           make_param_vars, nll_graph, token_log_probs)
 
 TINY = ModelConfig(vocab_size=11, d_model=8, n_layers=1, n_heads=2, d_ff=16,
                    context_len=8, seed=3)
@@ -86,7 +86,9 @@ class TestForward:
 class TestNll:
     def test_init_loss_near_uniform(self):
         ck = init_model(small_config())
-        loss = float(nll_loss(ck, [[1, 5, 9, 3, 2, 7, 8], [4, 6, 2, 9]]).value)
+        loss, _ = nll_graph(make_param_vars(ck), ck.config,
+                            [[1, 5, 9, 3, 2, 7, 8], [4, 6, 2, 9]])
+        loss = float(loss.value)
         assert abs(loss - math.log(64)) < 0.3
 
     def test_memorization_run(self):
@@ -108,13 +110,22 @@ class TestNll:
 
     def test_empty_batch(self):
         with pytest.raises(ContractError):
-            nll_loss(init_model(TINY), [])
+            nll_graph(make_param_vars(init_model(TINY)), TINY, [])
 
-    def test_padding_excluded(self):
+    def test_ragged_batch_is_position_weighted_mean(self):
+        # sequences of different lengths share a batch unpadded; each
+        # contributes its own predicted positions and nothing else
         ck = init_model(TINY)
-        with_pad = float(nll_loss(ck, [[1, 4, 7, 0, 0]], pad_id=0).value)
-        without = float(nll_loss(ck, [[1, 4, 7]]).value)
-        assert with_pad == without
+        short, long = [1, 4, 7], [2, 5, 3, 8, 6]
+
+        def nll(batch):
+            loss, n = nll_graph(make_param_vars(ck), ck.config, batch)
+            return float(loss.value), n
+
+        both, n = nll([short, long])
+        (a, na), (b, nb) = nll([short]), nll([long])
+        assert (n, na, nb) == (6, 2, 4)
+        assert math.isclose(both, (na * a + nb * b) / n, rel_tol=1e-12)
 
     def test_whole_model_gradient(self):
         # d_model=8, V=11, 1 layer: full NLL against central differences

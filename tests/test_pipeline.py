@@ -59,6 +59,16 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig.from_file(path)
 
+    def test_duplicate_run_tag_rejected(self):
+        # two GA_GDR lora runs differing only in rank would share
+        # runs/GA_GDR_lora and its eval cells
+        raw = json.loads(json.dumps(MINI))
+        lora_run = raw["runs"][1]
+        raw["runs"].append(dict(lora_run, lora=dict(lora_run["lora"], rank=8)))
+        lora_run["lora"]["rank"] = 2
+        with pytest.raises(ConfigError, match="GA_GDR_lora"):
+            ExperimentConfig.from_dict(raw)
+
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "config.json"
         path.write_text("{nope")
@@ -66,14 +76,15 @@ class TestConfig:
             ExperimentConfig.from_file(path)
 
 
-class TestEndToEnd:
-    @pytest.fixture(scope="class")
-    def run_dir(self, tmp_path_factory):
-        out = tmp_path_factory.mktemp("mini_run")
-        cfg = ExperimentConfig.from_dict(json.loads(json.dumps(MINI)))
-        run_pipeline(cfg, out)
-        return out
+@pytest.fixture(scope="module")
+def run_dir(tmp_path_factory):
+    out = tmp_path_factory.mktemp("mini_run")
+    cfg = ExperimentConfig.from_dict(json.loads(json.dumps(MINI)))
+    run_pipeline(cfg, out)
+    return out
 
+
+class TestEndToEnd:
     def test_report_structure(self, run_dir):
         report = json.loads((run_dir / "report.json").read_text())
         assert report["missing"] == []
@@ -160,6 +171,21 @@ class TestCli:
             code = cli_main(["--config", str(cfg_path), "--out", str(out),
                              "unlearn", "GA", "full_ft"])
         assert code == 3
+
+    def test_truncated_checkpoint_exit_code(self, tmp_path, capsys):
+        from qforget.checkpoint import ModelConfig, save_checkpoint
+        from qforget.model import init_model
+        cfg_path = write_config(tmp_path)
+        stem = tmp_path / "ck"
+        save_checkpoint(init_model(ModelConfig(vocab_size=8, d_model=8, n_layers=1,
+                                               n_heads=2, d_ff=16, context_len=4)), stem)
+        blob = stem.with_suffix(".bin").read_bytes()
+        stem.with_suffix(".bin").write_bytes(blob[:-16])
+        code = cli_main(["--config", str(cfg_path), "--out", str(tmp_path / "o"),
+                         "analyze", str(stem), str(stem)])
+        assert code == 5
+        err = capsys.readouterr().err
+        assert err.startswith("invalid input:") and len(err.splitlines()) == 1
 
     def test_quantize_refuses_unmerged_adapters(self, tmp_path):
         from qforget.checkpoint import ModelConfig, save_checkpoint

@@ -12,7 +12,7 @@ from qforget.errors import ConfigError, ContractError, DivergenceError
 from qforget.lora import LoraConfig
 from qforget.model import init_model, make_param_vars, nll_graph
 from qforget.unlearn import (UnlearnConfig, loss_ga, loss_gdr, loss_klr,
-                             loss_npo, total_loss, unlearn_run)
+                             loss_npo, objective, unlearn_run)
 
 TINY = ModelConfig(vocab_size=11, d_model=8, n_layers=1, n_heads=2, d_ff=16,
                    context_len=8, seed=3)
@@ -166,21 +166,22 @@ class TestTotalLoss:
     def test_lam_zero_is_bare_forgetting_loss(self):
         ck = generic_model()
         ucfg = UnlearnConfig(method="GA", lr=1e-4, epochs=1, lam=0.0)
-        total = total_loss(ucfg, make_param_vars(ck), ck.config, FB, None, ck)
+        total, forget, retain = objective(ucfg, make_param_vars(ck), ck.config, FB, None, ck)
         bare = loss_ga(make_param_vars(ck), ck.config, FB)
         assert float(total.value) == float(bare.value)
+        assert total is forget and retain is None
 
     def test_cancellation_at_uniform_logits(self):
         ck = uniform_model()
         ucfg = UnlearnConfig(method="GA_GDR", lr=1e-4, epochs=1, lam=1.0)
-        total = total_loss(ucfg, make_param_vars(ck), ck.config, FB, RB, ck)
+        total, _, _ = objective(ucfg, make_param_vars(ck), ck.config, FB, RB, ck)
         assert float(total.value) == 0.0
 
     def test_missing_retain_batch(self):
         ck = generic_model()
         ucfg = UnlearnConfig(method="GA_GDR", lr=1e-4, epochs=1, lam=1.0)
         with pytest.raises(ContractError):
-            total_loss(ucfg, make_param_vars(ck), ck.config, FB, None, ck)
+            objective(ucfg, make_param_vars(ck), ck.config, FB, None, ck)
 
     def test_gradient_linearity(self):
         ck = generic_model()
@@ -192,7 +193,7 @@ class TestTotalLoss:
             return np.concatenate([pv[n].grad.ravel() for n in ck.params])
 
         ucfg = UnlearnConfig(method="GA_GDR", lr=1e-4, epochs=1, lam=lam)
-        g_total = flat(lambda pv: total_loss(ucfg, pv, ck.config, FB, RB, ck))
+        g_total = flat(lambda pv: objective(ucfg, pv, ck.config, FB, RB, ck)[0])
         g_f = flat(lambda pv: loss_ga(pv, ck.config, FB))
         g_r = flat(lambda pv: loss_gdr(pv, ck.config, RB))
         np.testing.assert_allclose(g_total, g_f + lam * g_r, rtol=1e-12, atol=1e-15)
@@ -249,6 +250,24 @@ class TestUnlearnRun:
         assert any(not np.array_equal(merged.params[n], self.target.params[n])
                    for n in self.target.params)
 
+    def test_lora_base_change_raises_contract_error(self, monkeypatch):
+        # an adapter factor that aliases a base weight lets the optimizer
+        # write through to the frozen base; the run must refuse the result
+        from qforget import unlearn
+        from qforget.lora import attach
+
+        def aliasing_attach(ck, cfg):
+            ads = attach(ck, cfg)
+            ad = ads["block0.mlp_up"]
+            ad.A = ck.params["block0.mlp_up"][:ad.rank]
+            return ads
+
+        monkeypatch.setattr(unlearn, "attach", aliasing_attach)
+        ucfg = UnlearnConfig(method="GA", lr=1e-2, epochs=2, mode="lora",
+                             lora=LoraConfig(rank=2, alpha=4.0), batch_size=2, seed=0)
+        with pytest.raises(ContractError, match="block0.mlp_up"):
+            unlearn_run(self.target, self.split, ucfg, self.tok)
+
     def test_deterministic(self):
         ucfg = UnlearnConfig(method="NPO_GDR", lr=1e-3, epochs=2, lam=1.0, seed=4)
         a = unlearn_run(self.target, self.split, ucfg, self.tok)
@@ -301,7 +320,7 @@ class TestUnlearnRun:
             seqs = [p[0] for p in pairs]
             starts = [p[1] for p in pairs]
             pv = make_param_vars(ck)
-            return float(nll_graph(pv, ck.config, seqs, None, None, starts)[0].value)
+            return float(nll_graph(pv, ck.config, seqs, starts)[0].value)
 
         f0 = conditional_ce(trained, self.split.forget)
         r0 = conditional_ce(trained, self.split.retain)
