@@ -123,9 +123,21 @@ def _write_container(stem: Path, tensors: dict, meta: dict) -> None:
     stem.with_suffix(".json").write_text(json.dumps(manifest, indent=1, sort_keys=True))
 
 
+_ENTRY_FIELDS = ("name", "shape", "offset", "length")
+
+
 def _read_container(stem: Path) -> tuple:
     stem = Path(stem)
-    manifest = json.loads(stem.with_suffix(".json").read_text())
+    try:
+        manifest = json.loads(stem.with_suffix(".json").read_text())
+    except ValueError as exc:  # undecodable bytes or malformed JSON
+        raise SchemaError(f"{stem}: manifest is not valid JSON ({exc})") from exc
+    if not isinstance(manifest, dict) or "crc32" not in manifest \
+            or not isinstance(manifest.get("params"), list):
+        raise SchemaError(f"{stem}: manifest lacks crc32 or a params list")
+    if any(not isinstance(e, dict) or any(f not in e for f in _ENTRY_FIELDS)
+           for e in manifest["params"]):
+        raise SchemaError(f"{stem}: manifest entry lacks one of {_ENTRY_FIELDS}")
     blob = stem.with_suffix(".bin").read_bytes()
     if zlib.crc32(blob) != manifest["crc32"]:
         raise ChecksumError(f"{stem}: blob CRC mismatch (corrupt or truncated file)")
@@ -154,7 +166,10 @@ def save_checkpoint(ck: Checkpoint, stem) -> None:
 
 def load_checkpoint(stem) -> Checkpoint:
     tensors, manifest = _read_container(Path(stem))
-    cfg = ModelConfig.from_dict(manifest["config"])
+    try:
+        cfg = ModelConfig.from_dict(manifest["config"])
+    except (KeyError, TypeError) as exc:
+        raise SchemaError(f"{stem}: manifest config missing or malformed ({exc})") from exc
     schema = param_schema(cfg)
     if list(tensors.keys()) != list(schema.keys()):
         raise SchemaError(f"{stem}: parameter list does not match config schema")

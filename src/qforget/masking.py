@@ -37,9 +37,14 @@ def crossing_fraction(w0: np.ndarray, wu: np.ndarray, spec: QuantSpec) -> float:
     wu = np.asarray(wu, dtype=np.float64)
     if w0.shape != wu.shape:
         raise ShapeError(f"crossing_fraction: shape mismatch {w0.shape} vs {wu.shape}")
+    return _grid_crossing(w0, wu, spec)[1]
+
+
+def _grid_crossing(w0: np.ndarray, wu: np.ndarray, spec: QuantSpec) -> tuple:
+    """(w0 quantized, fraction of elements whose bin index differs on w0's grid)."""
     q0 = quantize(w0, spec)
     qu = quantize(wu, spec, scales=q0.scales)
-    return float(np.mean(q0.indices != qu.indices))
+    return q0, float(np.mean(q0.indices != qu.indices))
 
 
 @dataclass
@@ -79,9 +84,7 @@ def analyze_pair(ck0: Checkpoint, cku: Checkpoint, specs: list) -> MaskingReport
             if w0.shape != wu.shape:
                 raise ShapeError(f"{name}: shape mismatch {w0.shape} vs {wu.shape}")
             delta = wu - w0
-            q0 = quantize(w0, spec)
-            qu = quantize(wu, spec, scales=q0.scales)
-            crossed = float(np.mean(q0.indices != qu.indices))
+            q0, crossed = _grid_crossing(w0, wu, spec)
             qu_own = quantize(wu, spec)
             rows.append({
                 "layer": name,

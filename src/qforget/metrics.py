@@ -20,7 +20,8 @@ import numpy as np
 from .checkpoint import Checkpoint
 from .corpus import Tokenizer
 from .errors import ContractError, MetricError
-from .model import greedy_decode, token_log_probs
+from .model import greedy_decode_batch, token_log_probs_batch
+
 
 @dataclass(frozen=True)
 class MetricProtocol:
@@ -75,7 +76,7 @@ def vermem(ck: Checkpoint, records, tok: Tokenizer,
     bos + prefix and generates exactly the suffix length. Sentences not
     longer than the prefix are skipped with a warning.
     """
-    scores = []
+    prompts, suffixes = [], []
     skipped = 0
     for rec in records:
         ids = tok.encode(rec.sentence)
@@ -83,27 +84,29 @@ def vermem(ck: Checkpoint, records, tok: Tokenizer,
         if len(ids) <= l:
             skipped += 1
             continue
-        prompt = [tok.bos_id] + ids[:l]
-        out = greedy_decode(ck, prompt, len(ids) - l)
-        scores.append(rouge_l_f1(out[len(prompt):], ids[l:]))
+        prompts.append([tok.bos_id] + ids[:l])
+        suffixes.append(ids[l:])
     if skipped:
         warnings.warn(f"vermem: skipped {skipped} sentence(s) shorter than the prefix")
-    if not scores:
+    if not prompts:
         raise ContractError("vermem: no sentence was long enough to score")
-    return 100.0 * float(np.mean(scores))
+    return _continuation_rouge(ck, prompts, suffixes)
 
 
 def knowmem(ck: Checkpoint, records, tok: Tokenizer) -> float:
     """Mean ROUGE-L F1 (x100) of greedy answers against ground truth."""
     if not records:
         raise ContractError("knowmem: empty record list")
-    scores = []
-    for rec in records:
-        prompt = [tok.bos_id] + tok.encode(rec.question)
-        answer = tok.encode(rec.answer)
-        out = greedy_decode(ck, prompt, len(answer))
-        scores.append(rouge_l_f1(out[len(prompt):], answer))
-    return 100.0 * float(np.mean(scores))
+    prompts = [[tok.bos_id] + tok.encode(rec.question) for rec in records]
+    return _continuation_rouge(ck, prompts, [tok.encode(rec.answer) for rec in records])
+
+
+def _continuation_rouge(ck: Checkpoint, prompts: list, references: list) -> float:
+    """Mean ROUGE-L F1 (x100) of each prompt's greedy continuation, as long
+    as its reference, against that reference."""
+    outs = greedy_decode_batch(ck, prompts, [len(r) for r in references])
+    return 100.0 * float(np.mean([rouge_l_f1(out[len(p):], r)
+                                  for p, out, r in zip(prompts, outs, references)]))
 
 
 def utilitypres(ck: Checkpoint, retain_records, tok: Tokenizer) -> float:
@@ -113,14 +116,19 @@ def utilitypres(ck: Checkpoint, retain_records, tok: Tokenizer) -> float:
 
 def min_k_prob(ck: Checkpoint, sequence, k_percent: float) -> float:
     """Mean of the lowest ceil(k% * n) per-token log-probs (member-likeness)."""
+    return min_k_scores(ck, [sequence], k_percent)[0]
+
+
+def min_k_scores(ck: Checkpoint, sequences, k_percent: float) -> list:
+    """min_k_prob of every sequence, in input order, from batched forwards."""
     if not 0.0 < k_percent <= 100.0:
         raise ContractError("k_percent must be in (0, 100]")
-    seq = list(sequence)
-    if len(seq) < 2:
-        raise ContractError("min_k_prob: sequence needs at least 2 tokens")
-    lp = np.sort(token_log_probs(ck, seq))
-    m = int(np.ceil(k_percent / 100.0 * lp.size))
-    return float(lp[:m].mean())
+    scores = []
+    for lp in token_log_probs_batch(ck, sequences):
+        lp = np.sort(lp)
+        m = int(np.ceil(k_percent / 100.0 * lp.size))
+        scores.append(float(lp[:m].mean()))
+    return scores
 
 
 def auc_roc(member_scores, nonmember_scores) -> float:
@@ -135,7 +143,7 @@ def auc_roc(member_scores, nonmember_scores) -> float:
 
 
 def _membership_scores(ck: Checkpoint, records, tok: Tokenizer, k_percent: float) -> list:
-    return [min_k_prob(ck, tok.frame(rec.sentence), k_percent) for rec in records]
+    return min_k_scores(ck, [tok.frame(rec.sentence) for rec in records], k_percent)
 
 
 def privleak(f_unlearn: Checkpoint, f_retrain: Checkpoint, forget_records,

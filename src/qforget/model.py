@@ -6,10 +6,13 @@ linear projections. Every weight matrix is reachable by name (see
 checkpoint.param_schema), which is what the quantizer and the adapter
 machinery target.
 
-The forward pass is built from autodiff primitives, so the same code path
-serves training (gradients) and evaluation (read .value). It reads every
-weight from one parameter map; LoRA enters only by rebinding its target
-weights in that map (lora.fold).
+Two forwards share one architecture. `forward_graph` builds the model from
+autodiff primitives, one sequence at a time: it is the training forward and
+the reference that tests hold `infer` to. `infer` is the grad-free inference
+forward on plain arrays, batched over a block of equal-length sequences, and
+every evaluation entry point (`forward_logits`, `token_log_probs`, greedy
+decoding) runs on it. Both read every weight from one parameter map; LoRA
+enters only by rebinding its target weights in that map (lora.fold).
 """
 
 import math
@@ -17,14 +20,17 @@ import math
 import numpy as np
 
 from . import seeding
-from .autodiff import (Var, add, concat_cols, cross_entropy, embed, gelu,
-                       layer_norm, linear, matmul, scale, slice_cols,
-                       slice_rows, softmax_rows)
+from .autodiff import (_GELU_C, _GELU_K, _LN_EPS, Var, add, concat_cols,
+                       cross_entropy, embed, gelu, layer_norm, linear, matmul,
+                       scale, slice_cols, slice_rows, softmax_rows)
 from .checkpoint import Checkpoint, ModelConfig, param_schema
 from .errors import ContractError, InputError
 from .lora import fold
 
 _MASK_FILL = -1e30
+# Token rows in one inference forward. Batched evaluation cuts its blocks to
+# this size, which bounds the activations and decode cache held at once.
+MAX_ROWS = 512
 _mask_cache: dict = {}
 
 
@@ -100,16 +106,112 @@ def forward_graph(pv: dict, cfg: ModelConfig, tokens) -> Var:
     return linear(hf, pv["lm_head"])
 
 
+def _layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    h = x - x.mean(axis=1, keepdims=True)
+    h *= 1.0 / np.sqrt(x.var(axis=1, keepdims=True) + _LN_EPS)
+    h *= gain
+    h += bias
+    return h
+
+
+def _gelu_(x: np.ndarray) -> None:
+    """autodiff.gelu in place: 0.5x(1 + tanh(c(x + k x^3)))."""
+    u = x * x
+    u *= x
+    u *= _GELU_K
+    u += x
+    u *= _GELU_C
+    np.tanh(u, out=u)
+    u += 1.0
+    x *= u
+    x *= 0.5
+
+
+def _softmax_(s: np.ndarray) -> None:
+    """autodiff.softmax_rows in place, over the last axis."""
+    s -= s.max(axis=-1, keepdims=True)
+    np.exp(s, out=s)
+    s /= s.sum(axis=-1, keepdims=True)
+
+
+def infer(params: dict, cfg: ModelConfig, ids, cache: list | None = None) -> np.ndarray:
+    """Logits (B, T, V) for a (B, T) block of equal-length sequences, no graph.
+
+    The arithmetic of forward_graph on plain arrays (params: name ->
+    ndarray), batched over the block's rows. cache, when given, is a list
+    that the call fills with each layer's (keys, values), shaped (B, H, T,
+    d_head); a later call with the same list continues those B sequences
+    from position T, attending to the cached positions and appending its own.
+    """
+    ids = np.asarray(ids, dtype=np.int64)
+    if ids.ndim != 2 or ids.shape[0] == 0:
+        raise InputError("inference input must be a (sequences, positions) block of ids")
+    for row in ids:
+        _check_tokens(cfg, row)
+    n, t = ids.shape
+    past = cache[0][0].shape[2] if cache else 0
+    if past + t > cfg.context_len:
+        raise InputError(f"sequence length {past + t} exceeds context_len {cfg.context_len}")
+    d, nh = cfg.d_model, cfg.n_heads
+    dh = d // nh
+    inv_sqrt_dh = 1.0 / math.sqrt(dh)
+
+    def heads(m):  # (n*t, d) -> (n, H, t, dh)
+        return m.reshape(n, t, nh, dh).transpose(0, 2, 1, 3)
+
+    x = (params["tok_emb"][ids] + params["pos_emb"][past:past + t]).reshape(n * t, d)
+    # a single new row may attend to every earlier position
+    mask = _causal_mask(past + t)[past:] if t > 1 else None
+    for i in range(cfg.n_layers):
+        b = f"block{i}."
+        h = _layer_norm(x, params[b + "ln1.g"], params[b + "ln1.b"])
+        q = heads(h @ params[b + "attn_q"].T)
+        k = heads(h @ params[b + "attn_k"].T)
+        v = heads(h @ params[b + "attn_v"].T)
+        if cache is not None:
+            if i < len(cache):
+                k = np.concatenate([cache[i][0], k], axis=2)
+                v = np.concatenate([cache[i][1], v], axis=2)
+                cache[i] = (k, v)
+            else:
+                cache.append((k, v))
+        s = q @ k.transpose(0, 1, 3, 2)
+        s *= inv_sqrt_dh
+        if mask is not None:
+            s += mask
+        _softmax_(s)
+        attn = (s @ v).transpose(0, 2, 1, 3).reshape(n * t, d)
+        x += attn @ params[b + "attn_o"].T
+        up = _layer_norm(x, params[b + "ln2.g"], params[b + "ln2.b"]) @ params[b + "mlp_up"].T
+        _gelu_(up)
+        x += up @ params[b + "mlp_down"].T
+    hf = _layer_norm(x, params["ln_f.g"], params["ln_f.b"])
+    return (hf @ params["lm_head"].T).reshape(n, t, cfg.vocab_size)
+
+
+def _batches(shapes: list):
+    """Index lists of the items whose shape (prompt length, new tokens) is
+    equal, input order kept inside each, cut to at most MAX_ROWS token rows."""
+    groups: dict = {}
+    for i, shape in enumerate(shapes):
+        groups.setdefault(shape, []).append(i)
+    for shape, idx in groups.items():
+        per = max(1, MAX_ROWS // sum(shape))
+        for lo in range(0, len(idx), per):
+            yield idx[lo:lo + per]
+
+
 def forward_logits(ck: Checkpoint, tokens, adapters=None) -> np.ndarray:
     """Causal logits (T, V) for one sequence; position t sees tokens <= t.
 
     adapters ({name: LoraAdapter}), when given, are folded into their target
     weights first.
     """
-    pv = make_param_vars(ck)
+    params = ck.params
     if adapters:
-        pv, _ = fold(pv, adapters)
-    return forward_graph(pv, ck.config, tokens).value
+        folded, _ = fold(make_param_vars(ck), adapters)
+        params = {name: var.value for name, var in folded.items()}
+    return infer(params, ck.config, [tokens])[0]
 
 
 def nll_graph(pv: dict, cfg: ModelConfig, batch, loss_starts=None):
@@ -141,13 +243,24 @@ def nll_graph(pv: dict, cfg: ModelConfig, batch, loss_starts=None):
 
 def token_log_probs(ck: Checkpoint, tokens) -> np.ndarray:
     """log P(tokens[t+1] | tokens[:t+1]) for t = 0..len-2, shape (len-1,)."""
-    toks = list(tokens)
-    if len(toks) < 2:
+    return token_log_probs_batch(ck, [tokens])[0]
+
+
+def token_log_probs_batch(ck: Checkpoint, sequences) -> list:
+    """token_log_probs of every sequence, in input order, from batched forwards."""
+    seqs = [list(s) for s in sequences]
+    if any(len(s) < 2 for s in seqs):
         raise ContractError("token_log_probs: sequence needs at least 2 tokens")
-    z = forward_logits(ck, toks)[:-1]
-    mx = z.max(axis=1, keepdims=True)
-    logp = z - (mx + np.log(np.exp(z - mx).sum(axis=1, keepdims=True)))
-    return logp[np.arange(len(toks) - 1), np.asarray(toks[1:], dtype=np.int64)]
+    out = [None] * len(seqs)
+    for idx in _batches([(len(s), 0) for s in seqs]):
+        block = np.array([seqs[i] for i in idx], dtype=np.int64)
+        z = infer(ck.params, ck.config, block)[:, :-1]
+        mx = z.max(axis=2, keepdims=True)
+        lse = mx + np.log(np.exp(z - mx).sum(axis=2, keepdims=True))
+        lp = (np.take_along_axis(z, block[:, 1:, None], axis=2) - lse)[:, :, 0]
+        for row, i in enumerate(idx):
+            out[i] = lp[row]
+    return out
 
 
 def greedy_decode(ck: Checkpoint, prompt, n_new: int) -> list:
@@ -156,18 +269,38 @@ def greedy_decode(ck: Checkpoint, prompt, n_new: int) -> list:
     Ties break toward the lowest token id; same inputs always give the same
     output.
     """
-    prompt = list(prompt)
-    if not prompt:
-        raise InputError("decode: prompt must be nonempty")
-    if n_new < 0:
-        raise InputError("decode: n_new must be >= 0")
-    if len(prompt) + n_new > ck.config.context_len:
-        raise InputError(
-            f"decode: {len(prompt)} prompt + {n_new} new tokens exceeds "
-            f"context_len {ck.config.context_len}")
-    pv = make_param_vars(ck)
-    seq = prompt
-    for _ in range(n_new):
-        logits = forward_graph(pv, ck.config, seq).value
-        seq = seq + [int(np.argmax(logits[-1]))]
-    return seq
+    return greedy_decode_batch(ck, [prompt], [n_new])[0]
+
+
+def greedy_decode_batch(ck: Checkpoint, prompts, n_new) -> list:
+    """greedy_decode of each prompt for its entry of n_new, in input order.
+
+    Prompts of one length that ask for the same number of tokens decode as
+    one block: the prompts run once, and each later step runs one row per
+    sequence against the cached keys and values.
+    """
+    prompts = [list(p) for p in prompts]
+    n_new = [int(n) for n in n_new]
+    if len(prompts) != len(n_new):
+        raise ContractError(f"decode: {len(prompts)} prompts but {len(n_new)} lengths")
+    for prompt, n in zip(prompts, n_new):
+        if not prompt:
+            raise InputError("decode: prompt must be nonempty")
+        if n < 0:
+            raise InputError("decode: n_new must be >= 0")
+        if len(prompt) + n > ck.config.context_len:
+            raise InputError(
+                f"decode: {len(prompt)} prompt + {n} new tokens exceeds "
+                f"context_len {ck.config.context_len}")
+    out = [None] * len(prompts)
+    for idx in _batches([(len(p), n) for p, n in zip(prompts, n_new)]):
+        seqs = np.array([prompts[i] for i in idx], dtype=np.int64)
+        cache: list = []
+        step = seqs
+        for _ in range(n_new[idx[0]]):
+            logits = infer(ck.params, ck.config, step, cache)[:, -1]
+            step = np.argmax(logits, axis=1)[:, None]
+            seqs = np.concatenate([seqs, step], axis=1)
+        for row, i in enumerate(idx):
+            out[i] = seqs[row].tolist()
+    return out

@@ -85,6 +85,25 @@ class TestCorruption:
         with pytest.raises(SchemaError, match="tok_emb"):
             load_checkpoint(stem)
 
+    def test_truncated_manifest_is_schema_error(self, tmp_path):
+        _, stem = make(tmp_path)
+        text = stem.with_suffix(".json").read_bytes()
+        stem.with_suffix(".json").write_bytes(text[:50])
+        with pytest.raises(SchemaError, match="not valid JSON"):
+            load_checkpoint(stem)
+
+    @pytest.mark.parametrize("cut", ["crc32", "params", "entry.offset", "config"])
+    def test_manifest_missing_field_is_schema_error(self, tmp_path, cut):
+        _, stem = make(tmp_path)
+        manifest = json.loads(stem.with_suffix(".json").read_text())
+        if cut == "entry.offset":
+            del manifest["params"][3]["offset"]
+        else:
+            del manifest[cut]
+        stem.with_suffix(".json").write_text(json.dumps(manifest))
+        with pytest.raises(SchemaError):
+            load_checkpoint(stem)
+
     def test_manifest_is_valid_json_with_crc(self, tmp_path):
         _, stem = make(tmp_path)
         manifest = json.loads(stem.with_suffix(".json").read_text())

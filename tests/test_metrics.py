@@ -11,8 +11,8 @@ from qforget.checkpoint import ModelConfig
 from qforget.corpus import build_tokenizer, generate_corpus
 from qforget.errors import ContractError, MetricError
 from qforget.metrics import (MetricProtocol, auc_roc, knowmem, lcs_length,
-                             min_k_prob, privleak, rouge_l_f1, utilitypres,
-                             vermem)
+                             min_k_prob, min_k_scores, privleak, rouge_l_f1,
+                             utilitypres, vermem)
 from qforget.model import init_model
 
 
@@ -125,6 +125,14 @@ class TestMinK:
         lp = np.sort(token_log_probs(ck, seq))
         m = int(np.ceil(0.4 * lp.size))
         assert min_k_prob(ck, seq, 40.0) == pytest.approx(float(lp[:m].mean()))
+
+    def test_ragged_list_scores_in_input_order(self):
+        ck = init_model(TINY)
+        seqs = [[1, 4, 7, 2, 9], [3, 5, 2], [6, 1, 8, 8, 2], [2, 2, 9], [5, 3, 3, 1, 4]]
+        got = min_k_scores(ck, seqs, 40.0)
+        assert len(got) == len(seqs)
+        for seq, score in zip(seqs, got):
+            assert score == pytest.approx(min_k_prob(ck, seq, 40.0), rel=1e-12)
 
     def test_contract_errors(self):
         ck = init_model(TINY)

@@ -8,8 +8,10 @@ import pytest
 from qforget.autodiff import Var, grad_check
 from qforget.checkpoint import ModelConfig, param_schema
 from qforget.errors import ConfigError, ContractError, InputError
-from qforget.model import (forward_logits, greedy_decode, init_model,
-                           make_param_vars, nll_graph, token_log_probs)
+from qforget.model import (MAX_ROWS, forward_graph, forward_logits,
+                           greedy_decode, greedy_decode_batch, infer,
+                           init_model, make_param_vars, nll_graph,
+                           token_log_probs, token_log_probs_batch)
 
 TINY = ModelConfig(vocab_size=11, d_model=8, n_layers=1, n_heads=2, d_ff=16,
                    context_len=8, seed=3)
@@ -81,6 +83,113 @@ class TestForward:
             forward_logits(ck, [1, 11])     # bad id
         with pytest.raises(InputError):
             forward_logits(ck, [])
+
+
+def perturbed(cfg, seed=0):
+    """An init moved to a generic point, so no logit sits at a symmetric tie."""
+    ck = init_model(cfg)
+    gen = np.random.default_rng(seed)
+    for name in ck.params:
+        ck.params[name] = ck.params[name] + gen.normal(0, 0.3, ck.params[name].shape)
+    return ck
+
+
+def assert_close(got, ref):
+    """Equal to 1e-12 of the largest |value|: the inference forward computes
+    the GELU cube and batched matmuls in a different rounding order."""
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+class TestInfer:
+    """The grad-free batched forward against the training graph."""
+
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_matches_forward_graph(self, rows):
+        ck = perturbed(small_config())
+        block = np.random.default_rng(rows).integers(0, 64, (rows, 12))
+        got = infer(ck.params, ck.config, block)
+        assert got.shape == (rows, 12, 64)
+        pv = make_param_vars(ck)
+        for row in range(rows):
+            assert_close(got[row], forward_graph(pv, ck.config, block[row]).value)
+
+    def test_cache_continues_sequences(self):
+        ck = perturbed(small_config())
+        block = np.random.default_rng(4).integers(0, 64, (3, 9))
+        cache = []
+        head = infer(ck.params, ck.config, block[:, :6], cache)
+        steps = [infer(ck.params, ck.config, block[:, t:t + 1], cache)[:, 0]
+                 for t in range(6, 9)]
+        full = infer(ck.params, ck.config, block)
+        assert_close(head, full[:, :6])
+        assert_close(np.stack(steps, axis=1), full[:, 6:])
+
+    def test_bad_id_in_third_row(self):
+        ck = init_model(TINY)
+        block = np.array([[1, 2, 3], [4, 5, 6], [7, 11, 8], [1, 1, 1]])
+        infer(ck.params, ck.config, np.delete(block, 2, axis=0))
+        with pytest.raises(InputError, match="out of range"):
+            infer(ck.params, ck.config, block)
+        block[2, 1] = -1
+        with pytest.raises(InputError, match="out of range"):
+            infer(ck.params, ck.config, block)
+
+    def test_cache_bounded_by_context(self):
+        ck = init_model(TINY)
+        cache = []
+        infer(ck.params, ck.config, np.ones((2, 8), dtype=np.int64), cache)
+        with pytest.raises(InputError, match="context_len"):
+            infer(ck.params, ck.config, np.ones((2, 1), dtype=np.int64), cache)
+
+
+def reference_decode(ck, prompt, n_new):
+    """Greedy decode that reruns the whole sequence through forward_graph."""
+    pv = make_param_vars(ck)
+    seq = list(prompt)
+    for _ in range(n_new):
+        seq.append(int(np.argmax(forward_graph(pv, ck.config, seq).value[-1])))
+    return seq
+
+
+class TestBatchedEval:
+    """Ragged batches come back in input order and match per-item calls."""
+
+    def test_cached_decode_matches_recompute(self):
+        ck = perturbed(small_config(), seed=1)
+        gen = np.random.default_rng(2)
+        prompts = [list(gen.integers(0, 64, 6)) for _ in range(5)]
+        got = greedy_decode_batch(ck, prompts, [7] * 5)
+        assert got == [reference_decode(ck, p, 7) for p in prompts]
+
+    def test_ragged_interleaved_order(self):
+        ck = perturbed(small_config(), seed=2)
+        gen = np.random.default_rng(3)
+        # two prompt lengths (and decode lengths) alternating through the list
+        prompts = [list(gen.integers(0, 64, 4 + 3 * (i % 2))) for i in range(6)]
+        n_new = [3 + (i % 2) for i in range(6)]
+        got = greedy_decode_batch(ck, prompts, n_new)
+        assert got == [reference_decode(ck, p, n) for p, n in zip(prompts, n_new)]
+        seqs = [p + [1, 2] for p in prompts]
+        lps = token_log_probs_batch(ck, seqs)
+        for seq, lp in zip(seqs, lps):
+            assert lp.shape == (len(seq) - 1,)
+            assert_close(lp, token_log_probs(ck, seq))
+
+    def test_beyond_row_cap_matches_one_at_a_time(self):
+        ck = perturbed(TINY)
+        gen = np.random.default_rng(5)
+        count = MAX_ROWS // 8 + 7   # 8-token rows: more than one forward's worth
+        seqs = [list(gen.integers(0, 11, 8)) for _ in range(count)]
+        lps = token_log_probs_batch(ck, seqs)
+        for seq, lp in zip(seqs, lps):
+            assert_close(lp, token_log_probs(ck, seq))
+        prompts = [s[:5] for s in seqs]
+        got = greedy_decode_batch(ck, prompts, [3] * count)
+        assert got == [greedy_decode(ck, p, 3) for p in prompts]
+
+    def test_length_mismatch(self):
+        with pytest.raises(ContractError):
+            greedy_decode_batch(init_model(TINY), [[1, 2]], [1, 2])
 
 
 class TestNll:

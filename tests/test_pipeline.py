@@ -187,6 +187,24 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("invalid input:") and len(err.splitlines()) == 1
 
+    def test_truncated_manifest_exit_code(self, tmp_path, capsys):
+        from qforget.checkpoint import ModelConfig, load_checkpoint, save_checkpoint
+        from qforget.errors import SchemaError
+        from qforget.model import init_model
+        cfg_path = write_config(tmp_path)
+        stem = tmp_path / "ck"
+        save_checkpoint(init_model(ModelConfig(vocab_size=8, d_model=8, n_layers=1,
+                                               n_heads=2, d_ff=16, context_len=4)), stem)
+        text = stem.with_suffix(".json").read_bytes()
+        stem.with_suffix(".json").write_bytes(text[:50])
+        with pytest.raises(SchemaError):
+            load_checkpoint(stem)
+        code = cli_main(["--config", str(cfg_path), "--out", str(tmp_path / "o"),
+                         "analyze", str(stem), str(stem)])
+        assert code == 5
+        err = capsys.readouterr().err
+        assert err.startswith("invalid input:") and len(err.splitlines()) == 1
+
     def test_quantize_refuses_unmerged_adapters(self, tmp_path):
         from qforget.checkpoint import ModelConfig, save_checkpoint
         from qforget.model import init_model
