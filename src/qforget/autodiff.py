@@ -83,11 +83,6 @@ def _toposort(root: Var) -> list:
     return order
 
 
-def leaf(x) -> Var:
-    """Wrap an array as a graph leaf (parameter or constant)."""
-    return Var(x)
-
-
 # ---------------------------------------------------------------------------
 # Primitives
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from .corpus import build_tokenizer
 from .errors import (ChecksumError, ConfigError, DivergenceError, GateError,
                      InputError, SchemaError, ShapeError)
 from .masking import analyze_pair
-from .metrics import evaluate_checkpoint
+from .metrics import evaluate_checkpoint, membership_aucs
 from .pipeline import (ExperimentConfig, run_pipeline, run_sweep, stage_corpus,
                        stage_pretrain, stage_report, stage_retrain,
                        stage_unlearn)
@@ -98,9 +98,12 @@ def _dispatch(ns) -> None:
         split = stage_corpus(cfg, out)
         tok = build_tokenizer(split)
         ck = load_checkpoint(stem)
-        retrain = load_checkpoint(out / "retrain") \
-            if (out / "retrain.json").exists() else None
-        cell = evaluate_checkpoint(ck, split, tok, retrain, cfg.protocol())
+        proto = cfg.protocol()
+        baseline = None
+        if (out / "retrain.json").exists():
+            baseline = membership_aucs(load_checkpoint(out / "retrain"), split, tok,
+                                       proto.k_percent)
+        cell = evaluate_checkpoint(ck, split, tok, baseline, proto)
         print(json.dumps(cell, indent=1, sort_keys=True))
     elif ns.command == "report":
         report = stage_report(cfg, out)

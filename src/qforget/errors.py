@@ -42,9 +42,5 @@ class DivergenceError(RuntimeError):
         self.last_losses = last_losses
 
 
-class MetricError(ValueError):
-    """A metric is undefined for the given inputs (e.g. zero baseline AUC)."""
-
-
 class GateError(RuntimeError):
     """A pretraining acceptance gate did not pass."""

@@ -4,8 +4,10 @@ Four headline numbers per model, following the usual unlearning-benchmark
 protocol: verbatim memorization (vermem) scores greedy continuations of
 forget-set sentences, knowledge memorization (knowmem) scores answers to
 forget-set questions, utility preservation is knowmem on the retain set, and
-privacy leakage compares a min-k% membership-inference AUC against the
-retrained-from-scratch baseline. ROUGE-derived scores are reported x100.
+privacy leakage compares a min-k% membership-inference AUC against that of
+the retrained-from-scratch baseline, which a caller scores once
+(membership_aucs) and passes to every cell. ROUGE-derived scores are
+reported x100.
 
 Protocol constants live in MetricProtocol so a report records exactly how it
 was produced; everything here is a deterministic function of (checkpoint,
@@ -19,7 +21,7 @@ import numpy as np
 
 from .checkpoint import Checkpoint
 from .corpus import Tokenizer
-from .errors import ContractError, MetricError
+from .errors import ContractError
 from .model import greedy_decode_batch, token_log_probs_batch
 
 
@@ -146,31 +148,36 @@ def _membership_scores(ck: Checkpoint, records, tok: Tokenizer, k_percent: float
     return min_k_scores(ck, [tok.frame(rec.sentence) for rec in records], k_percent)
 
 
-def privleak(f_unlearn: Checkpoint, f_retrain: Checkpoint, forget_records,
-             retain_records, tok: Tokenizer, k_percent: float = 20.0) -> float:
-    """100 * (AUC_unlearn - AUC_retrain) / AUC_retrain over min-k% scores.
-
-    Members are forget records, nonmembers retain records; the retrain model
-    sets the baseline. Negative values mean the attack separates the sets
-    less well than on the baseline.
+def membership_aucs(ck: Checkpoint, split, tok: Tokenizer, k_percent: float = 20.0) -> dict:
+    """Min-k% membership-inference AUC of one model, keyed by the privleak
+    field it feeds: forget records are the members, retain records
+    ("privleak") or holdout records ("privleak_holdout") the nonmembers.
+    Each record list is scored once.
     """
-    members_u = _membership_scores(f_unlearn, forget_records, tok, k_percent)
-    nonmembers_u = _membership_scores(f_unlearn, retain_records, tok, k_percent)
-    members_r = _membership_scores(f_retrain, forget_records, tok, k_percent)
-    nonmembers_r = _membership_scores(f_retrain, retain_records, tok, k_percent)
-    auc_u = auc_roc(members_u, nonmembers_u)
-    auc_r = auc_roc(members_r, nonmembers_r)
-    if auc_r == 0.0:
-        raise MetricError("privleak undefined: retrain AUC is zero")
-    return 100.0 * (auc_u - auc_r) / auc_r
+    members = _membership_scores(ck, split.forget, tok, k_percent)
+    nonmembers = {"privleak": split.retain, "privleak_holdout": split.holdout}
+    return {key: auc_roc(members, _membership_scores(ck, records, tok, k_percent))
+            for key, records in nonmembers.items()}
 
 
-def evaluate_checkpoint(ck: Checkpoint, split, tok: Tokenizer,
-                        f_retrain: Checkpoint | None,
+def privleak(auc_unlearn: float, auc_retrain: float) -> float | None:
+    """100 * (AUC_unlearn - AUC_retrain) / AUC_retrain.
+
+    The retrain model sets the baseline. Negative values mean the attack
+    separates the sets less well than on the baseline. A fully separable
+    baseline (AUC_retrain 0) leaves the ratio undefined: None.
+    """
+    if auc_retrain == 0.0:
+        return None
+    return 100.0 * (auc_unlearn - auc_retrain) / auc_retrain
+
+
+def evaluate_checkpoint(ck: Checkpoint, split, tok: Tokenizer, baseline: dict | None,
                         protocol: MetricProtocol = MetricProtocol()) -> dict:
     """All four metrics for one checkpoint (plus the holdout privleak variant).
 
-    privleak needs the retrain baseline; without one those fields are None.
+    baseline: the retrain model's membership_aucs. Without one the privleak
+    fields are None.
     """
     cell = {
         "vermem": vermem(ck, split.forget, tok, protocol),
@@ -179,17 +186,8 @@ def evaluate_checkpoint(ck: Checkpoint, split, tok: Tokenizer,
         "privleak": None,
         "privleak_holdout": None,
     }
-    if f_retrain is not None:
-        # A fully separable baseline (retrain AUC 0) leaves the ratio
-        # undefined; the cell records the gap instead of failing the run.
-        try:
-            cell["privleak"] = privleak(ck, f_retrain, split.forget,
-                                        split.retain, tok, protocol.k_percent)
-        except MetricError:
-            cell["privleak"] = None
-        try:
-            cell["privleak_holdout"] = privleak(ck, f_retrain, split.forget,
-                                                split.holdout, tok, protocol.k_percent)
-        except MetricError:
-            cell["privleak_holdout"] = None
+    if baseline is not None:
+        aucs = membership_aucs(ck, split, tok, protocol.k_percent)
+        for key, auc_retrain in baseline.items():
+            cell[key] = privleak(aucs[key], auc_retrain)
     return cell

@@ -17,7 +17,8 @@ from .corpus import CorpusSplit, build_tokenizer, generate_corpus, load_corpus, 
 from .errors import ConfigError, GateError
 from .lora import LoraConfig, save_adapters
 from .masking import analyze_pair
-from .metrics import MetricProtocol, evaluate_checkpoint
+from .metrics import (MetricProtocol, evaluate_checkpoint, membership_aucs,
+                      utilitypres, vermem)
 from .model import init_model
 from .quantizer import QuantSpec, quantize_model
 from .training import train_lm
@@ -148,7 +149,6 @@ def pretrain_texts(cfg: ExperimentConfig, split: CorpusSplit) -> list:
 
 def stage_pretrain(cfg: ExperimentConfig, out: Path, split: CorpusSplit) -> Checkpoint:
     """Train f_target and enforce the memorization/utility gate."""
-    from .metrics import utilitypres, vermem
     stem = out / "target"
     if stem.with_suffix(".json").exists():
         return load_checkpoint(stem)
@@ -214,12 +214,6 @@ def stage_unlearn(cfg: ExperimentConfig, out: Path, split: CorpusSplit,
     return final
 
 
-def quantized_variant(ck: Checkpoint, precision: str, specs_by_precision: dict) -> Checkpoint:
-    if precision == "full":
-        return ck
-    return quantize_model(ck, specs_by_precision[precision])
-
-
 def specs_by_precision(cfg: ExperimentConfig) -> dict:
     table = {}
     for spec in cfg.quant_specs():
@@ -230,18 +224,25 @@ def specs_by_precision(cfg: ExperimentConfig) -> dict:
 def stage_eval(cfg: ExperimentConfig, out: Path, split: CorpusSplit, tok,
                retrain: Checkpoint, name: str, method: str, adapter: str,
                ck: Checkpoint) -> dict:
-    """Metric cells for one checkpoint at every precision, cached as JSON."""
-    cells = {}
+    """Metric cells for one checkpoint at every precision, cached as JSON.
+
+    The retrain model's membership AUCs, PrivLeak's baseline, are scored
+    once per call, and only when some cell is missing.
+    """
     table = specs_by_precision(cfg)
-    for precision in PRECISIONS:
-        if precision != "full" and precision not in table:
-            continue
-        path = out / "eval" / f"{name}_{precision}.json"
+    paths = {p: out / "eval" / f"{name}_{p}.json"
+             for p in PRECISIONS if p == "full" or p in table}
+    proto = cfg.protocol()
+    baseline = None
+    if not all(path.exists() for path in paths.values()):
+        baseline = membership_aucs(retrain, split, tok, proto.k_percent)
+    cells = {}
+    for precision, path in paths.items():
         if path.exists():
             cells[precision] = json.loads(path.read_text())
             continue
-        variant = quantized_variant(ck, precision, table)
-        cell = evaluate_checkpoint(variant, split, tok, retrain, cfg.protocol())
+        variant = ck if precision == "full" else quantize_model(ck, table[precision])
+        cell = evaluate_checkpoint(variant, split, tok, baseline, proto)
         cell.update({"method": method, "precision": precision, "adapter": adapter})
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(json.dumps(cell, indent=1, sort_keys=True))
@@ -361,25 +362,20 @@ def sweep_grid(cfg: ExperimentConfig) -> list:
 
 
 def _sweep_cell(args):
+    """Full and int4 VerMem/UtilityPres of one grid point, the only metrics
+    the selection reads (so no retrain baseline is needed)."""
     cfg, out, run, index = args
     out = Path(out)
     split = stage_corpus(cfg, out)
     tok = build_tokenizer(split)
     target = load_checkpoint(out / "target")
-    retrain = load_checkpoint(out / "retrain")
-    ucfg = cfg.unlearn_config(run)
-    result = unlearn_run(target, split, ucfg, tok)
-    final = result.merged()
-    table = specs_by_precision(cfg)
-    proto = cfg.protocol()
-    full_cell = evaluate_checkpoint(final, split, tok, retrain, proto)
-    int4_cell = evaluate_checkpoint(quantize_model(final, table["int4"]), split,
-                                    tok, retrain, proto)
-    return {
-        "index": index, "run": run,
-        "vermem_full": full_cell["vermem"], "utilitypres_full": full_cell["utilitypres"],
-        "vermem_int4": int4_cell["vermem"], "utilitypres_int4": int4_cell["utilitypres"],
-    }
+    final = unlearn_run(target, split, cfg.unlearn_config(run), tok).merged()
+    row = {"index": index, "run": run}
+    int4 = quantize_model(final, specs_by_precision(cfg)["int4"])
+    for precision, ck in (("full", final), ("int4", int4)):
+        row[f"vermem_{precision}"] = vermem(ck, split.forget, tok, cfg.protocol())
+        row[f"utilitypres_{precision}"] = utilitypres(ck, split.retain, tok)
+    return row
 
 
 def run_sweep(cfg: ExperimentConfig, out: Path, jobs: int = 1) -> dict:
@@ -392,7 +388,6 @@ def run_sweep(cfg: ExperimentConfig, out: Path, jobs: int = 1) -> dict:
     out = Path(out)
     split = stage_corpus(cfg, out)
     stage_pretrain(cfg, out, split)
-    stage_retrain(cfg, out, split)
     grid = sweep_grid(cfg)
     tasks = [(cfg, str(out), run, i) for i, run in enumerate(grid)]
     if jobs > 1:

@@ -24,8 +24,6 @@ import numpy as np
 from .checkpoint import Checkpoint, linear_param_names
 from .errors import ConfigError, ShapeError
 
-PRECISION_BITS = {"int4": 4, "int8": 8}
-
 
 @dataclass(frozen=True)
 class QuantSpec:
@@ -63,14 +61,6 @@ class QuantizedTensor:
 
 def _round_half_away(x: np.ndarray) -> np.ndarray:
     return np.sign(x) * np.floor(np.abs(x) + 0.5)
-
-
-def step_size(group: np.ndarray, bits: int) -> float:
-    """s = max(|w|) / 2^(bits-1); 1.0 for an all-zero group."""
-    m = float(np.max(np.abs(group))) if np.asarray(group).size else 0.0
-    if m == 0.0:
-        return 1.0
-    return m / float(2 ** (bits - 1))
 
 
 def bin_index(w, s, bits: int):

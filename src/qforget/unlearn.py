@@ -64,10 +64,6 @@ class UnlearnConfig:
         if self.epochs < 0 or self.lr <= 0 or self.batch_size < 1:
             raise ConfigError("epochs must be >= 0, lr > 0, batch_size >= 1")
 
-    @property
-    def uses_reference(self) -> bool:
-        return self.method.startswith("NPO") or self.method.endswith("KLR")
-
 
 @dataclass
 class UnlearnResult:

@@ -19,8 +19,9 @@ from qforget.checkpoint import ModelConfig, linear_param_names
 from qforget.corpus import build_tokenizer, generate_corpus
 from qforget.lora import LoraConfig, attach, merge
 from qforget.masking import analyze_pair, masking_margin
-from qforget.metrics import (MetricProtocol, auc_roc, knowmem, min_k_prob,
-                             privleak, rouge_l_f1, utilitypres, vermem)
+from qforget.metrics import (MetricProtocol, auc_roc, knowmem, membership_aucs,
+                             min_k_prob, privleak, rouge_l_f1, utilitypres,
+                             vermem)
 from qforget.model import (forward_logits, init_model, make_param_vars,
                            nll_graph)
 from qforget.pipeline import ExperimentConfig, run_pipeline
@@ -284,7 +285,8 @@ def test_criterion_06_metric_anchors():
     cfg = ModelConfig(vocab_size=len(tok), d_model=16, n_layers=1, n_heads=2,
                       d_ff=32, context_len=24, seed=0)
     ck = init_model(cfg)
-    assert privleak(ck, ck, split.forget, split.retain, tok) == 0.0
+    baseline = membership_aucs(ck, split, tok)
+    assert privleak(membership_aucs(ck, split, tok)["privleak"], baseline["privleak"]) == 0.0
     report_pass(6, "metric anchors: ROUGE 2/3, AUC 0.75, min-k -3.5, privleak(f,f)=0")
 
 

@@ -1,0 +1,57 @@
+"""The benchmark's workloads still run against the package.
+
+bench/ binds to package names (pipeline.stage_eval, pipeline.evaluate_checkpoint,
+the metrics it clocks, forward_logits with adapters, ...). This builds each
+workload from a tiny spec and plays one set-up, round and judgement, so a
+rename or signature change that would break the benchmark fails here.
+"""
+
+import importlib
+from pathlib import Path
+
+import pytest
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+TINY_SPEC = {
+    "experiment": {
+        "seed": 3,
+        "corpus": {"n_forget": 4, "n_retain": 8, "n_holdout": 3,
+                   "forget_duplication": 1, "retain_duplication": 2},
+        "model": {"d_model": 32, "n_layers": 1, "n_heads": 2, "d_ff": 64,
+                  "context_len": 24},
+        "pretrain": {"lr": 2e-3, "epochs": 2, "batch_size": 8,
+                     "gate_vermem": 60.0, "gate_utility": 40.0},
+        "runs": [
+            {"method": "GA_GDR", "mode": "full_ft", "lr": 1e-4, "epochs": 2,
+             "lam": 1.0, "batch_size": 4},
+            {"method": "GA_GDR", "mode": "lora", "lr": 3e-3, "epochs": 2,
+             "lam": 1.0, "batch_size": 4,
+             "lora": {"rank": 2, "alpha": 4.0, "targets": "all_linear", "seed": 0}},
+        ],
+        "quant": [{"bits": 8, "group_size": None}, {"bits": 4, "group_size": None}],
+        "metrics": {"k_percent": 20.0, "prefix_len": 4},
+    },
+    "bench": {"setup_repeats": 1, "setup_epochs": 1, "setup_retain_records": 4,
+              "pretrain_epochs": 2, "unlearn_epochs": 1,
+              "eval_runs": [["GA_GDR", "full_ft"], ["GA_GDR", "lora"]]},
+}
+
+
+@pytest.fixture
+def workloads(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    return importlib.import_module("workloads")
+
+
+@pytest.mark.parametrize("name", ["pretrain", "unlearn", "eval"])
+def test_workload_round_passes_its_checks(workloads, name, tmp_path):
+    wl = workloads.WORKLOADS[name](TINY_SPEC, 3)
+    (tmp_path / "setup").mkdir()
+    env = wl.setup(tmp_path / "setup")
+    (tmp_path / "round").mkdir()
+    rnd = wl.round(env, tmp_path / "round")
+    verdict = wl.judge(env, rnd.output)
+    assert verdict.failed == set(), verdict.problems
+    assert wl.ops(env) and wl.tokens(env) > 0
+    assert rnd.wall_s > 0 and rnd.step_s and rnd.task_s

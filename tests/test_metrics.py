@@ -9,10 +9,11 @@ import pytest
 
 from qforget.checkpoint import ModelConfig
 from qforget.corpus import build_tokenizer, generate_corpus
-from qforget.errors import ContractError, MetricError
-from qforget.metrics import (MetricProtocol, auc_roc, knowmem, lcs_length,
-                             min_k_prob, min_k_scores, privleak, rouge_l_f1,
-                             utilitypres, vermem)
+from qforget.errors import ContractError
+from qforget.metrics import (MetricProtocol, auc_roc, evaluate_checkpoint,
+                             knowmem, lcs_length, membership_aucs, min_k_prob,
+                             min_k_scores, privleak, rouge_l_f1, utilitypres,
+                             vermem)
 from qforget.model import init_model
 
 
@@ -151,35 +152,51 @@ class TestPrivleak:
 
     def test_same_model_is_zero(self):
         ck = init_model(self.cfg)
-        got = privleak(ck, ck, self.split.forget, self.split.retain, self.tok)
-        assert got == 0.0
+        baseline = membership_aucs(ck, self.split, self.tok)
+        aucs = membership_aucs(ck, self.split, self.tok)
+        for key in ("privleak", "privleak_holdout"):
+            assert privleak(aucs[key], baseline[key]) == 0.0
 
     def test_direct_formula(self):
         # AUC_u = 0.6, AUC_r = 0.5 -> +20.0
-        assert 100.0 * (0.6 - 0.5) / 0.5 == pytest.approx(20.0)
+        assert privleak(0.6, 0.5) == pytest.approx(20.0)
+
+    def test_membership_aucs_oracle(self):
+        ck = init_model(self.cfg)
+        from qforget.metrics import _membership_scores
+        members = _membership_scores(ck, self.split.forget, self.tok, 20.0)
+        got = membership_aucs(ck, self.split, self.tok)
+        assert got == {
+            "privleak": auc_roc(members, _membership_scores(ck, self.split.retain,
+                                                            self.tok, 20.0)),
+            "privleak_holdout": auc_roc(members, _membership_scores(ck, self.split.holdout,
+                                                                    self.tok, 20.0)),
+        }
 
     def test_sign_convention(self):
         a = init_model(self.cfg)
         cfg2 = ModelConfig(vocab_size=len(self.tok), d_model=16, n_layers=1,
                            n_heads=2, d_ff=32, context_len=24, seed=1)
         b = init_model(cfg2)
-        got = privleak(a, b, self.split.forget, self.split.retain, self.tok)
-        from qforget.metrics import _membership_scores
-        auc_u = auc_roc(_membership_scores(a, self.split.forget, self.tok, 20.0),
-                        _membership_scores(a, self.split.retain, self.tok, 20.0))
-        auc_r = auc_roc(_membership_scores(b, self.split.forget, self.tok, 20.0),
-                        _membership_scores(b, self.split.retain, self.tok, 20.0))
+        auc_u = membership_aucs(a, self.split, self.tok)["privleak"]
+        auc_r = membership_aucs(b, self.split, self.tok)["privleak"]
+        got = privleak(auc_u, auc_r)
         assert (got < 0) == (auc_u < auc_r)
         assert got == pytest.approx(100.0 * (auc_u - auc_r) / auc_r)
 
-    def test_zero_baseline_raises(self, monkeypatch):
-        import qforget.metrics as metrics_mod
-        # a fully separable baseline: every member below every nonmember
-        monkeypatch.setattr(metrics_mod, "_membership_scores",
-                            lambda ck, recs, tok, k: [0.0] if recs is self.split.forget else [1.0])
+    def test_zero_baseline_is_none(self):
+        assert privleak(0.7, 0.0) is None
+        assert privleak(0.0, 0.0) is None
+
+    def test_cell_with_zero_baseline_auc(self):
+        # a fully separable forget-vs-retain baseline leaves only that ratio
+        # undefined; the holdout variant is still a number
         ck = init_model(self.cfg)
-        with pytest.raises(MetricError):
-            privleak(ck, ck, self.split.forget, self.split.retain, self.tok)
+        auc_holdout = membership_aucs(ck, self.split, self.tok)["privleak_holdout"]
+        cell = evaluate_checkpoint(ck, self.split, self.tok,
+                                   {"privleak": 0.0, "privleak_holdout": auc_holdout})
+        assert cell["privleak"] is None
+        assert cell["privleak_holdout"] == 0.0
 
 
 class TestGenerationMetrics:

@@ -140,6 +140,69 @@ class TestEndToEnd:
         assert first == second
 
 
+def _tiny_models(cfg, split):
+    """Untrained (target, retrain) pair sized for `split`'s tokenizer."""
+    from qforget.corpus import build_tokenizer
+    from qforget.model import init_model
+    mcfg = cfg.model_config(len(build_tokenizer(split)))
+    retrain_cfg = cfg.model_config(mcfg.vocab_size)
+    retrain_cfg.seed = cfg.seed + 1
+    return init_model(mcfg), init_model(retrain_cfg)
+
+
+class TestStageEval:
+    """stage_eval scores each model's membership lists once."""
+
+    @pytest.fixture
+    def scored(self, monkeypatch):
+        import qforget.metrics as metrics_mod
+        calls = []
+        real = metrics_mod._membership_scores
+
+        def counting(ck, records, tok, k_percent):
+            calls.append((ck, records))
+            return real(ck, records, tok, k_percent)
+
+        monkeypatch.setattr(metrics_mod, "_membership_scores", counting)
+        return calls
+
+    def _stage(self, out):
+        from qforget.corpus import build_tokenizer
+        from qforget.pipeline import stage_corpus, stage_eval
+        cfg = ExperimentConfig.from_dict(json.loads(json.dumps(MINI)))
+        split = stage_corpus(cfg, out)
+        ck, retrain = _tiny_models(cfg, split)
+        cells = stage_eval(cfg, out, split, build_tokenizer(split), retrain,
+                           "m", "m", "none", ck)
+        return split, retrain, cells
+
+    def test_retrain_lists_scored_once_per_stage(self, tmp_path, scored):
+        split, retrain, cells = self._stage(tmp_path)
+        assert set(cells) == {"full", "int8", "int4"}
+        on_retrain = [records for ck, records in scored if ck is retrain]
+        assert len(on_retrain) == 3
+        assert {id(r) for r in on_retrain} == {id(split.forget), id(split.retain),
+                                               id(split.holdout)}
+
+    def test_each_cell_scores_its_model_lists_once(self, tmp_path, scored):
+        split, retrain, _ = self._stage(tmp_path)
+        by_model = {}
+        for ck, records in scored:
+            if ck is not retrain:
+                by_model.setdefault(id(ck), []).append(id(records))
+        assert len(by_model) == 3  # full, int8, int4
+        for lists in by_model.values():
+            assert sorted(lists) == sorted([id(split.forget), id(split.retain),
+                                            id(split.holdout)])
+
+    def test_cached_cells_score_nothing(self, tmp_path, scored):
+        _, _, first = self._stage(tmp_path)
+        scored.clear()
+        _, _, second = self._stage(tmp_path)
+        assert scored == []
+        assert second == first
+
+
 class TestCli:
     def test_full_run_and_exit_codes(self, tmp_path):
         cfg_path = write_config(tmp_path)
@@ -204,6 +267,34 @@ class TestCli:
         assert code == 5
         err = capsys.readouterr().err
         assert err.startswith("invalid input:") and len(err.splitlines()) == 1
+
+    def test_eval_uses_retrain_baseline_when_present(self, tmp_path, capsys):
+        from qforget.checkpoint import save_checkpoint
+        from qforget.corpus import build_tokenizer
+        from qforget.metrics import membership_aucs, privleak
+        from qforget.pipeline import stage_corpus
+        cfg_path = write_config(tmp_path)
+        cfg = ExperimentConfig.from_file(cfg_path)
+        out = tmp_path / "out"
+        split = stage_corpus(cfg, out)
+        tok = build_tokenizer(split)
+        ck, retrain = _tiny_models(cfg, split)
+        save_checkpoint(ck, tmp_path / "ck")
+        argv = ["--config", str(cfg_path), "--out", str(out), "eval", str(tmp_path / "ck")]
+
+        assert cli_main(argv) == 0
+        cell = json.loads(capsys.readouterr().out)
+        assert cell["privleak"] is None and cell["privleak_holdout"] is None
+
+        save_checkpoint(retrain, out / "retrain")
+        assert cli_main(argv) == 0
+        with_baseline = json.loads(capsys.readouterr().out)
+        aucs, baseline = membership_aucs(ck, split, tok), membership_aucs(retrain, split, tok)
+        for key in ("privleak", "privleak_holdout"):
+            assert with_baseline[key] is not None
+            assert with_baseline[key] == privleak(aucs[key], baseline[key])
+        for key in ("vermem", "knowmem", "utilitypres"):
+            assert with_baseline[key] == cell[key]
 
     def test_quantize_refuses_unmerged_adapters(self, tmp_path):
         from qforget.checkpoint import ModelConfig, save_checkpoint

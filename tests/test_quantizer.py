@@ -9,21 +9,24 @@ from qforget.errors import ConfigError
 from qforget.model import init_model
 from qforget.quantizer import (QuantSpec, QuantizedTensor, bin_index,
                                dequantize, fake_quant, quantize,
-                               quantize_model, step_size)
+                               quantize_model)
 
 
 class TestStepSize:
     def test_formula_int4(self):
-        assert step_size(np.array([1.0, -0.3, 0.2]), 4) == 0.125
+        q = quantize(np.array([1.0, -0.3, 0.2]), QuantSpec(4))
+        assert q.scales.tolist() == [[0.125]]
 
     def test_int4_int8_ratio_is_16(self):
-        s4 = step_size(np.array([1.0]), 4)
-        s8 = step_size(np.array([1.0]), 8)
+        s4 = quantize(np.array([1.0]), QuantSpec(4)).scales[0, 0]
+        s8 = quantize(np.array([1.0]), QuantSpec(8)).scales[0, 0]
         assert s8 == 1.0 / 128
         assert s4 / s8 == 16.0
 
     def test_all_zero_group_convention(self):
-        assert step_size(np.zeros(7), 4) == 1.0
+        # the zero group gets scale 1, its neighbour max|w| / 2^(bits-1)
+        q = quantize(np.array([[0.0, 0.0, 0.5, -1.0]]), QuantSpec(4, group_size=2))
+        assert q.scales.tolist() == [[1.0, 0.125]]
         q = quantize(np.zeros((2, 8)), QuantSpec(4))
         assert np.all(q.scales == 1.0)
         assert np.all(q.indices == 0)
