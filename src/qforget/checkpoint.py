@@ -3,10 +3,12 @@
 A checkpoint stem `foo` is stored as `foo.json` (config, provenance, and one
 entry per parameter with name/shape/offset/length, plus a CRC-32 of the blob)
 and `foo.bin` (parameters concatenated in manifest order). Round-trips are
-bit-exact. The same two-file scheme stores adapter tensors.
+bit-exact. The same two-file scheme stores adapter tensors. write_atomic,
+which writes the container, writes every other run-directory artifact too.
 """
 
 import json
+import os
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
@@ -104,6 +106,30 @@ class Checkpoint:
                 raise SchemaError(f"parameter {name}: shape {self.params[name].shape}, expected {shape}")
 
 
+def write_atomic(path, data) -> None:
+    """Write data (str or bytes) to path through a temp file in the same
+    directory and os.replace: a reader finds the previous file, or none,
+    never a torn one. Every run-directory artifact is written this way."""
+    path = Path(path)
+    raw = data.encode() if isinstance(data, str) else data
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_bytes(raw)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def blob_crc32(tensors: dict) -> int:
+    """CRC-32 of the float64 blob that _write_container stores for tensors,
+    the `crc32` its manifest records."""
+    crc = 0
+    for arr in tensors.values():
+        crc = zlib.crc32(np.ascontiguousarray(arr, dtype=_DTYPE), crc)
+    return crc
+
+
 def _write_container(stem: Path, tensors: dict, meta: dict) -> None:
     stem = Path(stem)
     blob = bytearray()
@@ -117,10 +143,11 @@ def _write_container(stem: Path, tensors: dict, meta: dict) -> None:
         blob.extend(raw)
     manifest = dict(meta)
     manifest["params"] = entries
-    manifest["crc32"] = zlib.crc32(bytes(blob))
+    manifest["crc32"] = blob_crc32(tensors)
     stem.parent.mkdir(parents=True, exist_ok=True)
-    stem.with_suffix(".bin").write_bytes(bytes(blob))
-    stem.with_suffix(".json").write_text(json.dumps(manifest, indent=1, sort_keys=True))
+    # the manifest goes last: loads and stage caches key on it
+    write_atomic(stem.with_suffix(".bin"), blob)
+    write_atomic(stem.with_suffix(".json"), json.dumps(manifest, indent=1, sort_keys=True))
 
 
 _ENTRY_FIELDS = ("name", "shape", "offset", "length")

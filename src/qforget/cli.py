@@ -9,14 +9,14 @@ import json
 import sys
 from pathlib import Path
 
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import load_checkpoint, save_checkpoint, write_atomic
 from .corpus import build_tokenizer
 from .errors import (ChecksumError, ConfigError, DivergenceError, GateError,
                      InputError, SchemaError, ShapeError)
 from .masking import analyze_pair
-from .metrics import evaluate_checkpoint, membership_aucs
-from .pipeline import (ExperimentConfig, run_pipeline, run_sweep, stage_corpus,
-                       stage_pretrain, stage_report, stage_retrain,
+from .metrics import evaluate_checkpoint
+from .pipeline import (ExperimentConfig, retrain_baseline, run_pipeline, run_sweep,
+                       stage_corpus, stage_pretrain, stage_report, stage_retrain,
                        stage_unlearn)
 from .quantizer import QuantSpec, quantize_model
 
@@ -88,8 +88,8 @@ def _dispatch(ns) -> None:
         cku = load_checkpoint(ns.args[1])
         report = analyze_pair(ck0, cku, cfg.quant_specs())
         out.mkdir(parents=True, exist_ok=True)
-        (out / "masking.csv").write_text(report.to_csv())
-        (out / "masking.json").write_text(report.to_json())
+        write_atomic(out / "masking.csv", report.to_csv())
+        write_atomic(out / "masking.json", report.to_json())
         print(f"masking report written under {out}")
     elif ns.command == "eval":
         if not ns.args:
@@ -101,8 +101,8 @@ def _dispatch(ns) -> None:
         proto = cfg.protocol()
         baseline = None
         if (out / "retrain.json").exists():
-            baseline = membership_aucs(load_checkpoint(out / "retrain"), split, tok,
-                                       proto.k_percent)
+            baseline = retrain_baseline(out, load_checkpoint(out / "retrain"), split, tok,
+                                        proto.k_percent)
         cell = evaluate_checkpoint(ck, split, tok, baseline, proto)
         print(json.dumps(cell, indent=1, sort_keys=True))
     elif ns.command == "report":

@@ -18,6 +18,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from . import seeding
+from .checkpoint import write_atomic
 from .errors import CapacityError, ContractError
 
 _STARTS = [
@@ -224,7 +225,7 @@ def save_corpus(split: CorpusSplit, path) -> None:
             row = {"split": tag}
             row.update(asdict(rec))
             lines.append(json.dumps(row, sort_keys=True))
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_atomic(path, "\n".join(lines) + "\n")
 
 
 def load_corpus(path) -> CorpusSplit:

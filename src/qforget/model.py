@@ -11,8 +11,9 @@ autodiff primitives, one sequence at a time: it is the training forward and
 the reference that tests hold `infer` to. `infer` is the grad-free inference
 forward on plain arrays, batched over a block of equal-length sequences, and
 every evaluation entry point (`forward_logits`, `token_log_probs`, greedy
-decoding) runs on it. Both read every weight from one parameter map; LoRA
-enters only by rebinding its target weights in that map (lora.fold).
+decoding) runs on it; batched scoring and decoding run each block's shared
+prompt prefix once (_prefill). Both read every weight from one parameter map;
+LoRA enters only by rebinding its target weights in that map (lora.fold).
 """
 
 import math
@@ -146,12 +147,15 @@ def infer(params: dict, cfg: ModelConfig, ids, cache: list | None = None) -> np.
     ids = np.asarray(ids, dtype=np.int64)
     if ids.ndim != 2 or ids.shape[0] == 0:
         raise InputError("inference input must be a (sequences, positions) block of ids")
-    for row in ids:
-        _check_tokens(cfg, row)
     n, t = ids.shape
     past = cache[0][0].shape[2] if cache else 0
+    # _check_tokens for every row at once, counting the cached positions
+    if t == 0:
+        raise InputError("token sequence must be a nonempty 1-D id list")
     if past + t > cfg.context_len:
         raise InputError(f"sequence length {past + t} exceeds context_len {cfg.context_len}")
+    if ids.min() < 0 or ids.max() >= cfg.vocab_size:
+        raise InputError(f"token id out of range for vocab {cfg.vocab_size}")
     d, nh = cfg.d_model, cfg.n_heads
     dh = d // nh
     inv_sqrt_dh = 1.0 / math.sqrt(dh)
@@ -187,6 +191,29 @@ def infer(params: dict, cfg: ModelConfig, ids, cache: list | None = None) -> np.
         x += up @ params[b + "mlp_down"].T
     hf = _layer_norm(x, params["ln_f.g"], params["ln_f.b"])
     return (hf @ params["lm_head"].T).reshape(n, t, cfg.vocab_size)
+
+
+def _prefill(params: dict, cfg: ModelConfig, block: np.ndarray, cache: list | None) -> np.ndarray:
+    """infer(params, cfg, block, cache) for an empty or absent cache, with the
+    block's shared prefix run once.
+
+    The longest prefix L that every row shares (at most T-1, so each row keeps
+    a position of its own) runs as one (1, L) sequence; its keys and values
+    are repeated to every row, and the (B, T-L) remainder runs against them.
+    A one-row block, or one with no shared prefix, is one plain infer call.
+    """
+    n, t = block.shape
+    shared = 0
+    if n > 1:
+        differs = np.any(block[:, :t - 1] != block[0, :t - 1], axis=0)
+        shared = int(np.argmax(differs)) if differs.any() else t - 1
+    if shared == 0:
+        return infer(params, cfg, block, cache)
+    cache = [] if cache is None else cache
+    head = infer(params, cfg, block[:1, :shared], cache)
+    cache[:] = [(np.repeat(k, n, axis=0), np.repeat(v, n, axis=0)) for k, v in cache]
+    tail = infer(params, cfg, block[:, shared:], cache)
+    return np.concatenate([np.broadcast_to(head, (n,) + head.shape[1:]), tail], axis=1)
 
 
 def _batches(shapes: list):
@@ -254,7 +281,7 @@ def token_log_probs_batch(ck: Checkpoint, sequences) -> list:
     out = [None] * len(seqs)
     for idx in _batches([(len(s), 0) for s in seqs]):
         block = np.array([seqs[i] for i in idx], dtype=np.int64)
-        z = infer(ck.params, ck.config, block)[:, :-1]
+        z = _prefill(ck.params, ck.config, block, None)[:, :-1]
         mx = z.max(axis=2, keepdims=True)
         lse = mx + np.log(np.exp(z - mx).sum(axis=2, keepdims=True))
         lp = (np.take_along_axis(z, block[:, 1:, None], axis=2) - lse)[:, :, 0]
@@ -297,8 +324,9 @@ def greedy_decode_batch(ck: Checkpoint, prompts, n_new) -> list:
         seqs = np.array([prompts[i] for i in idx], dtype=np.int64)
         cache: list = []
         step = seqs
-        for _ in range(n_new[idx[0]]):
-            logits = infer(ck.params, ck.config, step, cache)[:, -1]
+        for j in range(n_new[idx[0]]):
+            run = _prefill if j == 0 else infer
+            logits = run(ck.params, ck.config, step, cache)[:, -1]
             step = np.argmax(logits, axis=1)[:, None]
             seqs = np.concatenate([seqs, step], axis=1)
         for row, i in enumerate(idx):

@@ -5,14 +5,17 @@ the artifacts before it: corpus -> pretrained target -> retrained baseline ->
 unlearning runs (merged before any quantization when adapters are used) ->
 fake-quantized variants -> masking analyses -> metric cells -> report. Every
 stage is deterministic, so two executions of the same config produce
-byte-identical report files.
+byte-identical report files. Every artifact is written atomically
+(checkpoint.write_atomic), so a crashed stage leaves no torn file that a later
+run would take for a cached result.
 """
 
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .checkpoint import Checkpoint, ModelConfig, load_checkpoint, save_checkpoint
+from .checkpoint import (Checkpoint, ModelConfig, blob_crc32, load_checkpoint,
+                         save_checkpoint, write_atomic)
 from .corpus import CorpusSplit, build_tokenizer, generate_corpus, load_corpus, save_corpus
 from .errors import ConfigError, GateError
 from .lora import LoraConfig, save_adapters
@@ -221,13 +224,38 @@ def specs_by_precision(cfg: ExperimentConfig) -> dict:
     return table
 
 
+def retrain_baseline(out: Path, retrain: Checkpoint, split: CorpusSplit, tok,
+                     k_percent: float) -> dict:
+    """The retrain model's membership_aucs, PrivLeak's baseline, cached in
+    eval/retrain_aucs.json under the model's blob CRC-32 and k_percent.
+
+    A missing or unreadable file, or one keyed to another model or k, is
+    scored again and rewritten, so a run directory scores its retrain model
+    once.
+    """
+    path = Path(out) / "eval" / "retrain_aucs.json"
+    key = {"retrain_crc32": blob_crc32(retrain.params), "k_percent": k_percent}
+    try:
+        cached = json.loads(path.read_text())
+        aucs = cached["aucs"]
+        if cached["key"] == key and sorted(aucs) == ["privleak", "privleak_holdout"] \
+                and all(isinstance(a, float) for a in aucs.values()):
+            return aucs
+    except (OSError, ValueError, KeyError, TypeError, AttributeError):
+        pass
+    aucs = membership_aucs(retrain, split, tok, k_percent)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    write_atomic(path, json.dumps({"key": key, "aucs": aucs}, indent=1, sort_keys=True))
+    return aucs
+
+
 def stage_eval(cfg: ExperimentConfig, out: Path, split: CorpusSplit, tok,
                retrain: Checkpoint, name: str, method: str, adapter: str,
                ck: Checkpoint) -> dict:
     """Metric cells for one checkpoint at every precision, cached as JSON.
 
-    The retrain model's membership AUCs, PrivLeak's baseline, are scored
-    once per call, and only when some cell is missing.
+    PrivLeak's baseline comes from retrain_baseline, and only when some cell
+    is missing.
     """
     table = specs_by_precision(cfg)
     paths = {p: out / "eval" / f"{name}_{p}.json"
@@ -235,7 +263,7 @@ def stage_eval(cfg: ExperimentConfig, out: Path, split: CorpusSplit, tok,
     proto = cfg.protocol()
     baseline = None
     if not all(path.exists() for path in paths.values()):
-        baseline = membership_aucs(retrain, split, tok, proto.k_percent)
+        baseline = retrain_baseline(out, retrain, split, tok, proto.k_percent)
     cells = {}
     for precision, path in paths.items():
         if path.exists():
@@ -245,7 +273,7 @@ def stage_eval(cfg: ExperimentConfig, out: Path, split: CorpusSplit, tok,
         cell = evaluate_checkpoint(variant, split, tok, baseline, proto)
         cell.update({"method": method, "precision": precision, "adapter": adapter})
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(cell, indent=1, sort_keys=True))
+        write_atomic(path, json.dumps(cell, indent=1, sort_keys=True))
         cells[precision] = cell
     return cells
 
@@ -255,8 +283,8 @@ def stage_masking(cfg: ExperimentConfig, out: Path, target: Checkpoint,
     report = analyze_pair(target, ck, cfg.quant_specs())
     mdir = out / "masking"
     mdir.mkdir(parents=True, exist_ok=True)
-    (mdir / f"{name}.csv").write_text(report.to_csv())
-    (mdir / f"{name}.json").write_text(report.to_json())
+    write_atomic(mdir / f"{name}.csv", report.to_csv())
+    write_atomic(mdir / f"{name}.json", report.to_json())
     return report
 
 
@@ -291,8 +319,8 @@ def stage_report(cfg: ExperimentConfig, out: Path) -> dict:
         "crossing_fractions": crossing,
         "missing": missing,
     }
-    (out / "report.json").write_text(json.dumps(report, indent=1, sort_keys=True))
-    (out / "report.csv").write_text(report_csv(rows, missing))
+    write_atomic(out / "report.json", json.dumps(report, indent=1, sort_keys=True))
+    write_atomic(out / "report.csv", report_csv(rows, missing))
     return report
 
 
@@ -413,10 +441,10 @@ def run_sweep(cfg: ExperimentConfig, out: Path, jobs: int = 1) -> dict:
         "cells": results,
         "best": best,
     }
-    (out / "sweep.json").write_text(json.dumps(summary, indent=1, sort_keys=True))
+    write_atomic(out / "sweep.json", json.dumps(summary, indent=1, sort_keys=True))
     return summary
 
 
 def _write_jsonl(path: Path, rows: list) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join(json.dumps(r, sort_keys=True) for r in rows) + "\n")
+    write_atomic(path, "\n".join(json.dumps(r, sort_keys=True) for r in rows) + "\n")

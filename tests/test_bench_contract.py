@@ -55,3 +55,29 @@ def test_workload_round_passes_its_checks(workloads, name, tmp_path):
     assert verdict.failed == set(), verdict.problems
     assert wl.ops(env) and wl.tokens(env) > 0
     assert rnd.wall_s > 0 and rnd.step_s and rnd.task_s
+
+
+def test_eval_round_scores_retrain_once(workloads, tmp_path, monkeypatch):
+    import json
+
+    import qforget.metrics as metrics_mod
+    from qforget.checkpoint import blob_crc32
+    wl = workloads.WORKLOADS["eval"](TINY_SPEC, 3)
+    (tmp_path / "setup").mkdir()
+    env = wl.setup(tmp_path / "setup")
+    retrain_crc = json.loads((env.ckdir / "retrain.json").read_text())["crc32"]
+    real = metrics_mod._membership_scores
+    on_retrain = []
+
+    def counting(ck, records, tok, k_percent):
+        if blob_crc32(ck.params) == retrain_crc:
+            on_retrain.append(records)
+        return real(ck, records, tok, k_percent)
+
+    monkeypatch.setattr(metrics_mod, "_membership_scores", counting)
+    (tmp_path / "round").mkdir()
+    rnd = wl.round(env, tmp_path / "round")
+    assert wl.judge(env, rnd.output).failed == set()
+    assert (tmp_path / "round" / "eval" / "retrain_aucs.json").is_file()
+    # one membership_aucs: its forget, retain and holdout lists once each
+    assert len(on_retrain) == 3

@@ -1,11 +1,14 @@
 """Checkpoint container: bit-exact round-trips and distinct corruption errors."""
 
 import json
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qforget.checkpoint import (ModelConfig, load_checkpoint, save_checkpoint)
+from qforget.checkpoint import (ModelConfig, blob_crc32, load_checkpoint,
+                                save_checkpoint, write_atomic)
 from qforget.errors import ChecksumError, SchemaError
 from qforget.model import init_model
 
@@ -113,3 +116,47 @@ class TestCorruption:
         assert names == sorted(names, key=names.index)  # manifest order preserved
         offsets = [e["offset"] for e in manifest["params"]]
         assert offsets == sorted(offsets)
+
+
+class TestAtomicWrite:
+    """A write that fails before its rename leaves the previous file or none."""
+
+    @pytest.fixture(params=["write", "rename"])
+    def failing(self, request, monkeypatch):
+        if request.param == "write":
+            real = Path.write_bytes
+
+            def torn(path, data):   # half the bytes reach the disk, then it fails
+                real(path, bytes(data[:len(data) // 2]))
+                raise OSError("injected: disk full")
+
+            monkeypatch.setattr(Path, "write_bytes", torn)
+        else:
+            def refused(src, dst):
+                raise OSError("injected: rename failed")
+
+            monkeypatch.setattr(os, "replace", refused)
+
+    def test_previous_file_survives(self, tmp_path, failing):
+        path = tmp_path / "cell.json"
+        path.write_text('{"old": 1}')
+        with pytest.raises(OSError, match="injected"):
+            write_atomic(path, '{"new": 2}' * 100)
+        assert path.read_text() == '{"old": 1}'
+        assert [p.name for p in tmp_path.iterdir()] == ["cell.json"]
+
+    def test_no_file_and_no_temp(self, tmp_path, failing):
+        with pytest.raises(OSError, match="injected"):
+            write_atomic(tmp_path / "report.json", "x" * 1000)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_checkpoint_without_manifest_is_not_saved(self, tmp_path, failing):
+        with pytest.raises(OSError, match="injected"):
+            save_checkpoint(init_model(CFG), tmp_path / "ck")
+        assert not (tmp_path / "ck.json").exists()
+        assert [p.name for p in tmp_path.iterdir() if p.name != "ck.bin"] == []
+
+    def test_blob_crc32_is_manifest_crc(self, tmp_path):
+        ck, stem = make(tmp_path)
+        manifest = json.loads(stem.with_suffix(".json").read_text())
+        assert blob_crc32(ck.params) == manifest["crc32"]

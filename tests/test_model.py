@@ -8,7 +8,8 @@ import pytest
 from qforget.autodiff import Var, grad_check
 from qforget.checkpoint import ModelConfig, param_schema
 from qforget.errors import ConfigError, ContractError, InputError
-from qforget.model import (MAX_ROWS, forward_graph, forward_logits,
+import qforget.model as model_mod
+from qforget.model import (MAX_ROWS, _prefill, forward_graph, forward_logits,
                            greedy_decode, greedy_decode_batch, infer,
                            init_model, make_param_vars, nll_graph,
                            token_log_probs, token_log_probs_batch)
@@ -190,6 +191,94 @@ class TestBatchedEval:
     def test_length_mismatch(self):
         with pytest.raises(ContractError):
             greedy_decode_batch(init_model(TINY), [[1, 2]], [1, 2])
+
+
+@pytest.fixture
+def infer_calls(monkeypatch):
+    """Every model.infer call as (rows, new positions, cached positions)."""
+    calls = []
+    real = model_mod.infer
+
+    def counting(params, cfg, ids, cache=None):
+        past = cache[0][0].shape[2] if cache else 0
+        calls.append(np.shape(ids) + (past,))
+        return real(params, cfg, ids, cache)
+
+    monkeypatch.setattr(model_mod, "infer", counting)
+    return calls
+
+
+class TestPrefill:
+    """A block's shared prefix runs once; results match a plain forward."""
+
+    @pytest.mark.parametrize("shared, calls", [
+        (0, [(4, 10, 0)]),
+        (5, [(1, 5, 0), (4, 5, 5)]),
+        (10, [(1, 9, 0), (4, 1, 9)]),   # identical rows: capped at T-1
+    ])
+    def test_matches_plain_infer(self, shared, calls, infer_calls):
+        ck = perturbed(small_config())
+        block = np.random.default_rng(shared).integers(0, 64, (4, 10))
+        block[:, :shared] = block[0, :shared]
+        if shared < 10:
+            block[1:, shared] = (block[0, shared] + 1 + np.arange(3)) % 64
+        got = _prefill(ck.params, ck.config, block, None)
+        assert infer_calls == calls
+        assert_close(got, infer(ck.params, ck.config, block))
+
+    def test_cache_continues_decode(self):
+        ck = perturbed(small_config(), seed=3)
+        block = np.random.default_rng(6).integers(0, 64, (3, 9))
+        block[:, :3] = block[0, :3]
+        cache = []
+        head = _prefill(ck.params, ck.config, block[:, :6], cache)
+        assert [k.shape for k, _ in cache] == [(3, 2, 6, 32)] * 2
+        steps = [infer(ck.params, ck.config, block[:, t:t + 1], cache)[:, 0]
+                 for t in range(6, 9)]
+        full = infer(ck.params, ck.config, block)
+        assert_close(head, full[:, :6])
+        assert_close(np.stack(steps, axis=1), full[:, 6:])
+
+    def test_qa_style_decode_matches_recompute(self):
+        # 9-token prompts sharing their first 4 tokens, as "<bos> what is the"
+        ck = perturbed(small_config(), seed=4)
+        gen = np.random.default_rng(7)
+        head = [1, 5, 9, 13]
+        prompts = [head + list(gen.integers(0, 64, 5)) for _ in range(6)]
+        got = greedy_decode_batch(ck, prompts, [5] * 6)
+        assert got == [reference_decode(ck, p, 5) for p in prompts]
+
+    def test_knowmem_prefill_rows(self, infer_calls):
+        from qforget.corpus import build_tokenizer, generate_corpus
+        from qforget.metrics import knowmem
+        split = generate_corpus(0, 12, 4, 2)
+        tok = build_tokenizer(split)
+        records, seen = [], set()
+        for rec in split.forget:   # distinct attributes: the prompts share 4 tokens
+            if rec.attribute not in seen:
+                seen.add(rec.attribute)
+                records.append(rec)
+        prompts = [[tok.bos_id] + tok.encode(r.question) for r in records]
+        t, n = len(prompts[0]), len(records)
+        assert n >= 3 and {len(p) for p in prompts} == {t}
+        assert all(p[:4] == prompts[0][:4] for p in prompts)
+        assert len({p[4] for p in prompts}) == n
+        ck = init_model(ModelConfig(vocab_size=len(tok), d_model=16, n_layers=1,
+                                    n_heads=2, d_ff=32, context_len=24))
+        knowmem(ck, records, tok)
+        prefill = sum(rows * new for rows, new, past in infer_calls if past < t)
+        assert prefill == 4 + n * (t - 4)
+
+    def test_one_row_block_is_one_plain_call(self, infer_calls):
+        # unlearn's reference forwards score one sequence at a time
+        ck = perturbed(small_config(), seed=5)
+        seq = [3, 1, 4, 1, 5, 9, 2, 6]
+        lp = token_log_probs(ck, seq)
+        assert infer_calls == [(1, 8, 0)]
+        z = infer(ck.params, ck.config, [seq])[0, :-1]
+        mx = z.max(axis=1, keepdims=True)
+        lse = mx + np.log(np.exp(z - mx).sum(axis=1, keepdims=True))
+        assert np.array_equal(lp, z[np.arange(7), seq[1:]] - lse[:, 0])
 
 
 class TestNll:

@@ -166,14 +166,16 @@ class TestStageEval:
         monkeypatch.setattr(metrics_mod, "_membership_scores", counting)
         return calls
 
-    def _stage(self, out):
+    def _stage(self, out, name="m", models=None, k_percent=20.0):
         from qforget.corpus import build_tokenizer
         from qforget.pipeline import stage_corpus, stage_eval
-        cfg = ExperimentConfig.from_dict(json.loads(json.dumps(MINI)))
+        raw = json.loads(json.dumps(MINI))
+        raw["metrics"]["k_percent"] = k_percent
+        cfg = ExperimentConfig.from_dict(raw)
         split = stage_corpus(cfg, out)
-        ck, retrain = _tiny_models(cfg, split)
+        ck, retrain = models or _tiny_models(cfg, split)
         cells = stage_eval(cfg, out, split, build_tokenizer(split), retrain,
-                           "m", "m", "none", ck)
+                           name, name, "none", ck)
         return split, retrain, cells
 
     def test_retrain_lists_scored_once_per_stage(self, tmp_path, scored):
@@ -201,6 +203,80 @@ class TestStageEval:
         _, _, second = self._stage(tmp_path)
         assert scored == []
         assert second == first
+
+    def _models(self, out):
+        from qforget.pipeline import stage_corpus
+        cfg = ExperimentConfig.from_dict(json.loads(json.dumps(MINI)))
+        return _tiny_models(cfg, stage_corpus(cfg, out))
+
+    def test_retrain_scored_once_per_run_directory(self, tmp_path, scored):
+        from qforget.checkpoint import save_checkpoint
+        models = self._models(tmp_path)
+        retrain = models[1]
+        for name in ("a", "b", "c"):
+            self._stage(tmp_path, name, models)
+        assert len([ck for ck, _ in scored if ck is retrain]) == 3
+        cached = json.loads((tmp_path / "eval" / "retrain_aucs.json").read_text())
+        save_checkpoint(retrain, tmp_path / "retrain")
+        manifest = json.loads((tmp_path / "retrain.json").read_text())
+        assert cached["key"] == {"retrain_crc32": manifest["crc32"], "k_percent": 20.0}
+        assert set(cached["aucs"]) == {"privleak", "privleak_holdout"}
+
+    @pytest.mark.parametrize("stale", ["crc", "k_percent", "truncated"])
+    def test_stale_or_torn_baseline_is_rescored(self, tmp_path, scored, stale):
+        models = self._models(tmp_path)
+        retrain = models[1]
+        _, _, first = self._stage(tmp_path, "a", models)
+        path = tmp_path / "eval" / "retrain_aucs.json"
+        good = path.read_bytes()
+        doc = json.loads(good)
+        if stale == "crc":
+            doc["key"]["retrain_crc32"] += 1
+            path.write_text(json.dumps(doc))
+        elif stale == "k_percent":
+            doc["key"]["k_percent"] = 50.0
+            path.write_text(json.dumps(doc))
+        else:
+            path.write_bytes(good[:len(good) // 2])
+        scored.clear()
+        _, _, second = self._stage(tmp_path, "b", models)
+        assert len([ck for ck, _ in scored if ck is retrain]) == 3
+        assert path.read_bytes() == good
+        for precision, cell in second.items():
+            assert cell["privleak"] == first[precision]["privleak"]
+            assert cell["privleak_holdout"] == first[precision]["privleak_holdout"]
+
+    def test_baseline_follows_k_percent(self, tmp_path, scored):
+        models = self._models(tmp_path)
+        self._stage(tmp_path, "a", models)
+        self._stage(tmp_path, "b", models, k_percent=50.0)
+        assert len([ck for ck, _ in scored if ck is models[1]]) == 6
+        cached = json.loads((tmp_path / "eval" / "retrain_aucs.json").read_text())
+        assert cached["key"]["k_percent"] == 50.0
+
+    def test_failed_cell_write_is_recomputed(self, tmp_path, monkeypatch):
+        import os
+        _, _, first = self._stage(tmp_path)
+        eval_dir = tmp_path / "eval"
+        before = {p.name: p.read_bytes() for p in eval_dir.iterdir()}
+        (eval_dir / "m_int4.json").unlink()
+        real = os.replace
+
+        def failing(src, dst):
+            if Path(dst).name == "m_int4.json":
+                raise OSError("injected: disk full")
+            real(src, dst)
+
+        with monkeypatch.context() as m:
+            m.setattr(os, "replace", failing)
+            with pytest.raises(OSError, match="injected"):
+                self._stage(tmp_path)
+        # no torn cell and no temp file: the int4 cell is simply missing
+        assert sorted(p.name for p in eval_dir.iterdir()) == sorted(
+            set(before) - {"m_int4.json"})
+        _, _, again = self._stage(tmp_path)
+        assert again == first
+        assert {p.name: p.read_bytes() for p in eval_dir.iterdir()} == before
 
 
 class TestCli:
@@ -295,6 +371,26 @@ class TestCli:
             assert with_baseline[key] == privleak(aucs[key], baseline[key])
         for key in ("vermem", "knowmem", "utilitypres"):
             assert with_baseline[key] == cell[key]
+
+    def test_eval_after_run_reuses_baseline(self, tmp_path, run_dir, capsys, monkeypatch):
+        import qforget.metrics as metrics_mod
+        real = metrics_mod._membership_scores
+        on_retrain = []
+
+        def counting(ck, records, tok, k_percent):
+            if ck.provenance == "retrain":
+                on_retrain.append(records)
+            return real(ck, records, tok, k_percent)
+
+        monkeypatch.setattr(metrics_mod, "_membership_scores", counting)
+        cfg_path = write_config(tmp_path)
+        assert cli_main(["--config", str(cfg_path), "--out", str(run_dir), "eval",
+                         str(run_dir / "runs" / "GA_full_ft" / "model")]) == 0
+        assert on_retrain == []
+        cell = json.loads(capsys.readouterr().out)
+        stored = json.loads((run_dir / "eval" / "GA_full_ft_full.json").read_text())
+        assert cell == {k: v for k, v in stored.items()
+                        if k not in ("method", "precision", "adapter")}
 
     def test_quantize_refuses_unmerged_adapters(self, tmp_path):
         from qforget.checkpoint import ModelConfig, save_checkpoint
