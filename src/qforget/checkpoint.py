@@ -10,7 +10,7 @@ which writes the container, writes every other run-directory artifact too.
 import json
 import os
 import zlib
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -40,21 +40,12 @@ class ModelConfig:
             raise ConfigError("context_len must be at least 2")
 
     def to_dict(self) -> dict:
-        return {
-            "vocab_size": self.vocab_size, "d_model": self.d_model,
-            "n_layers": self.n_layers, "n_heads": self.n_heads,
-            "d_ff": self.d_ff, "context_len": self.context_len, "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        return cls(**d)
+        return asdict(self)
 
 
 # Linear-layer roles addressable for quantization and adapter targeting.
 ATTN_ROLES = ("attn_q", "attn_k", "attn_v", "attn_o")
 MLP_ROLES = ("mlp_up", "mlp_down")
-LINEAR_ROLES = ATTN_ROLES + MLP_ROLES + ("lm_head",)
 
 
 def param_schema(cfg: ModelConfig) -> dict:
@@ -194,7 +185,7 @@ def save_checkpoint(ck: Checkpoint, stem) -> None:
 def load_checkpoint(stem) -> Checkpoint:
     tensors, manifest = _read_container(Path(stem))
     try:
-        cfg = ModelConfig.from_dict(manifest["config"])
+        cfg = ModelConfig(**manifest["config"])
     except (KeyError, TypeError) as exc:
         raise SchemaError(f"{stem}: manifest config missing or malformed ({exc})") from exc
     schema = param_schema(cfg)

@@ -8,6 +8,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 from .checkpoint import load_checkpoint, save_checkpoint, write_atomic
 from .corpus import build_tokenizer
@@ -15,10 +16,11 @@ from .errors import (ChecksumError, ConfigError, DivergenceError, GateError,
                      InputError, SchemaError, ShapeError)
 from .masking import analyze_pair
 from .metrics import evaluate_checkpoint
-from .pipeline import (ExperimentConfig, retrain_baseline, run_pipeline, run_sweep,
-                       stage_corpus, stage_pretrain, stage_report, stage_retrain,
-                       stage_unlearn)
+from .pipeline import (ExperimentConfig, evaluated_models, retrain_baseline, run_pipeline,
+                       run_sweep, run_tag, stage_corpus, stage_pretrain, stage_report,
+                       stage_retrain, stage_unlearn)
 from .quantizer import QuantSpec, quantize_model
+from .unlearn import UnlearnConfig
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -35,18 +37,13 @@ def _parser() -> argparse.ArgumentParser:
     return p
 
 
-def _load_config(ns) -> ExperimentConfig:
+def _dispatch(ns) -> None:
     cfg = ExperimentConfig.from_file(ns.config)
     if ns.seed is not None:
         cfg.seed = ns.seed
-    return cfg
-
-
-def _dispatch(ns) -> None:
-    cfg = _load_config(ns)
     out = Path(ns.out)
-    if ns.command == "run":
-        report = run_pipeline(cfg, out)
+    if ns.command in ("run", "report"):
+        report = (run_pipeline if ns.command == "run" else stage_report)(cfg, out)
         print(f"report written: {out / 'report.csv'} "
               f"({len(report['rows'])} rows, {len(report['missing'])} missing)")
     elif ns.command == "pretrain":
@@ -60,14 +57,14 @@ def _dispatch(ns) -> None:
     elif ns.command == "unlearn":
         if not ns.args:
             raise ConfigError("unlearn needs a method (and optional mode) argument")
-        method, mode = ns.args[0], (ns.args[1] if len(ns.args) > 1 else "full_ft")
-        matches = [r for r in cfg.runs
-                   if r["method"] == method and r.get("mode", "full_ft") == mode]
-        if not matches:
-            raise ConfigError(f"no configured run for method={method} mode={mode}")
+        tag = run_tag(SimpleNamespace(
+            method=ns.args[0], mode=ns.args[1] if len(ns.args) > 1 else UnlearnConfig.mode))
+        runs = {name: run for name, _, _, run in evaluated_models(cfg)[1:]}
+        if tag not in runs:
+            raise ConfigError(f"no configured run {tag}")
         split = stage_corpus(cfg, out)
         target = stage_pretrain(cfg, out, split)
-        ck = stage_unlearn(cfg, out, split, target, matches[0])
+        ck = stage_unlearn(cfg, out, split, target, runs[tag])
         print(f"unlearned checkpoint saved (provenance {ck.provenance!r})")
     elif ns.command == "quantize":
         if len(ns.args) < 2:
@@ -105,10 +102,6 @@ def _dispatch(ns) -> None:
                                         proto.k_percent)
         cell = evaluate_checkpoint(ck, split, tok, baseline, proto)
         print(json.dumps(cell, indent=1, sort_keys=True))
-    elif ns.command == "report":
-        report = stage_report(cfg, out)
-        print(f"report written: {out / 'report.csv'} "
-              f"({len(report['rows'])} rows, {len(report['missing'])} missing)")
     elif ns.command == "sweep":
         summary = run_sweep(cfg, out, ns.jobs)
         print(f"sweep summary written: {out / 'sweep.json'} "

@@ -100,14 +100,21 @@ class CorpusSplit:
         return self.forget + self.retain + self.holdout
 
 
-def generate_corpus(seed: int, n_forget: int, n_retain: int, n_holdout: int) -> CorpusSplit:
-    """Deterministic splits with pairwise-disjoint entity sets."""
+def check_split_sizes(n_forget: int, n_retain: int, n_holdout: int) -> int:
+    """The record count of a split request: ContractError for an empty split,
+    CapacityError past the entity pool."""
     if min(n_forget, n_retain, n_holdout) < 1:
         raise ContractError("split sizes must all be >= 1")
     total = n_forget + n_retain + n_holdout
     if total > len(ENTITY_POOL):
         raise CapacityError(
             f"requested {total} records but entity pool holds {len(ENTITY_POOL)}")
+    return total
+
+
+def generate_corpus(seed: int, n_forget: int, n_retain: int, n_holdout: int) -> CorpusSplit:
+    """Deterministic splits with pairwise-disjoint entity sets."""
+    total = check_split_sizes(n_forget, n_retain, n_holdout)
     gen = seeding.rng(seed, seeding.CORPUS)
     entities = gen.permutation(len(ENTITY_POOL))[:total]
     records = []

@@ -17,7 +17,7 @@ class ContractError(ValueError):
     """A caller violated an operation's precondition."""
 
 
-class CapacityError(ValueError):
+class CapacityError(ConfigError):
     """A generation request exceeds the fixed pools it draws from."""
 
 

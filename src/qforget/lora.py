@@ -44,10 +44,6 @@ class LoraConfig:
         if self.targets not in TARGET_MODES:
             raise ConfigError(f"targets must be one of {TARGET_MODES}")
 
-    def to_dict(self) -> dict:
-        return {"rank": self.rank, "alpha": self.alpha, "targets": self.targets,
-                "init_std": self.init_std, "seed": self.seed}
-
 
 @dataclass
 class LoraAdapter:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .checkpoint import Checkpoint
 from .corpus import Tokenizer
-from .errors import ContractError
+from .errors import ConfigError, ContractError
 from .model import greedy_decode_batch, token_log_probs_batch
 
 
@@ -29,6 +29,10 @@ from .model import greedy_decode_batch, token_log_probs_batch
 class MetricProtocol:
     k_percent: float = 20.0          # min-k% fraction
     prefix_len: int | None = None    # None: per-sentence ceil(len/2)
+
+    def __post_init__(self):
+        if not 0.0 < self.k_percent <= 100.0:
+            raise ConfigError(f"k_percent must be in (0, 100], got {self.k_percent}")
 
     def to_dict(self) -> dict:
         return {"k_percent": self.k_percent, "prefix_len": self.prefix_len}

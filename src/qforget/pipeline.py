@@ -16,8 +16,9 @@ from pathlib import Path
 
 from .checkpoint import (Checkpoint, ModelConfig, blob_crc32, load_checkpoint,
                          save_checkpoint, write_atomic)
-from .corpus import CorpusSplit, build_tokenizer, generate_corpus, load_corpus, save_corpus
-from .errors import ConfigError, GateError
+from .corpus import (CorpusSplit, build_tokenizer, check_split_sizes, generate_corpus,
+                     load_corpus, qa_text, save_corpus)
+from .errors import ConfigError, ContractError, GateError
 from .lora import LoraConfig, save_adapters
 from .masking import analyze_pair
 from .metrics import (MetricProtocol, evaluate_checkpoint, membership_aucs,
@@ -32,6 +33,9 @@ PRECISIONS = ("full", "int8", "int4")
 
 @dataclass
 class ExperimentConfig:
+    """One experiment. Section defaults live here and run defaults in
+    UnlearnConfig; from_dict fills a partial section from them."""
+
     seed: int = 0
     corpus: dict = field(default_factory=lambda: {
         "n_forget": 32, "n_retain": 128, "n_holdout": 32,
@@ -45,7 +49,11 @@ class ExperimentConfig:
     quant: list = field(default_factory=lambda: [
         {"bits": 8, "group_size": None}, {"bits": 4, "group_size": None}])
     metrics: dict = field(default_factory=lambda: {"k_percent": 20.0, "prefix_len": 4})
-    sweep: dict = field(default_factory=dict)
+    sweep: dict = field(default_factory=dict)  # {}: no sweep; a given one is filled from SWEEP
+    SWEEP = {
+        "methods": ["GA_GDR"], "lrs": [3e-3], "ranks": [2, 4, 8],
+        "alpha_ratios": [0.5, 1.0, 2.0], "lams": [1.0], "epochs": 4,
+        "targets": "all_linear"}
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
@@ -57,22 +65,35 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(raw) - known
+        """Fill each given section from the defaults and validate the result,
+        so a malformed config fails before any stage runs."""
+        if not isinstance(raw, dict):
+            raise ConfigError("config must be a JSON object")
+        unknown = set(raw) - set(cls.__dataclass_fields__)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        cfg = cls(**raw)
-        if not isinstance(cfg.runs, list):
-            raise ConfigError("runs must be a list of run descriptions")
-        tags = set()
-        for r in cfg.runs:
-            tag = run_tag(cfg.unlearn_config(r))  # validates
-            if tag in tags:
-                # runs/<tag> and eval/<tag>_* are keyed by tag alone
-                raise ConfigError(f"two runs share the run tag {tag!r}")
-            tags.add(tag)
-        for q in cfg.quant:
-            QuantSpec(**q)
+        cfg = cls()
+        for name, value in raw.items():
+            defaults = cls.SWEEP if name == "sweep" and value else getattr(cfg, name)
+            if isinstance(defaults, dict):
+                if not isinstance(value, dict):
+                    raise ConfigError(f"{name} must be an object")
+                unknown = set(value) - set(defaults)
+                if unknown:
+                    raise ConfigError(f"unknown {name} keys: {sorted(unknown)}")
+                value = {**defaults, **value}
+            setattr(cfg, name, value)
+        try:
+            check_split_sizes(cfg.corpus["n_forget"], cfg.corpus["n_retain"],
+                              cfg.corpus["n_holdout"])
+            cfg.model_config(vocab_size=1)
+            cfg.protocol()
+            evaluated_models(cfg)
+            specs_by_precision(cfg)
+            for run in sweep_grid(cfg) if cfg.sweep else ():
+                cfg.unlearn_config(run)
+        except (TypeError, ContractError) as exc:
+            raise ConfigError(f"bad config: {exc}") from exc
         return cfg
 
     def quant_specs(self) -> list:
@@ -85,29 +106,42 @@ class ExperimentConfig:
         return ModelConfig(vocab_size=vocab_size, seed=self.seed, **self.model)
 
     def unlearn_config(self, run: dict) -> UnlearnConfig:
-        run = dict(run)
-        lora = run.pop("lora", None)
+        """A run description as an UnlearnConfig; a run without a seed takes
+        the experiment's."""
         try:
-            cfg = UnlearnConfig(
-                method=run.pop("method"),
-                mode=run.pop("mode", "full_ft"),
-                lr=run.pop("lr"),
-                epochs=run.pop("epochs"),
-                lam=run.pop("lam", 0.0),
-                beta=run.pop("beta", 0.1),
-                batch_size=run.pop("batch_size", 8),
-                seed=run.pop("seed", self.seed),
-                lora=LoraConfig(**lora) if lora is not None else None,
-            )
-        except (KeyError, TypeError) as exc:
-            raise ConfigError(f"bad run description: {exc}") from exc
-        if run:
-            raise ConfigError(f"unknown run keys: {sorted(run)}")
-        return cfg
+            lora = run.get("lora")
+            return UnlearnConfig(**{"seed": self.seed, **run,
+                                    "lora": None if lora is None else LoraConfig(**lora)})
+        except (AttributeError, TypeError) as exc:
+            raise ConfigError(f"bad run description {run!r}: {exc}") from exc
 
 
 def run_tag(ucfg: UnlearnConfig) -> str:
+    """The name of a run's directory and eval cells; reads only its method and mode."""
     return f"{ucfg.method}_{ucfg.mode}"
+
+
+def evaluated_models(cfg: ExperimentConfig) -> list:
+    """(name, method, adapter, run) of every evaluated model in report order:
+    f_target (run None), then each configured run under its tag."""
+    models = [("f_target", "f_target", "none", None)]
+    for run in cfg.runs:
+        ucfg = cfg.unlearn_config(run)
+        tag = run_tag(ucfg)
+        if any(tag == name for name, *_ in models):
+            # runs/<tag> and eval/<tag>_* are keyed by tag alone
+            raise ConfigError(f"two runs share the run tag {tag!r}")
+        models.append((tag, ucfg.method, "lora" if ucfg.mode == "lora" else "none", run))
+    return models
+
+
+def specs_by_precision(cfg: ExperimentConfig) -> dict:
+    """precision -> QuantSpec (None for full) of every evaluated precision:
+    full, then each configured bit width, in PRECISIONS order."""
+    table = {f"int{spec.bits}": spec for spec in cfg.quant_specs()}
+    if len(table) < len(cfg.quant):
+        raise ConfigError("two quant specs share a bit width; cells are named int<bits>")
+    return {p: table.get(p) for p in PRECISIONS if p == "full" or p in table}
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +166,6 @@ def stream_texts(records: list, duplication: int = 1) -> list:
     QA forms have to be in the training stream for QA metrics to be
     meaningful on a model this small.
     """
-    from .corpus import qa_text
     texts = []
     for rec in records:
         texts += [rec.sentence] * duplication + [qa_text(rec)] * duplication
@@ -145,50 +178,47 @@ def pretrain_texts(cfg: ExperimentConfig, split: CorpusSplit) -> list:
     The retain stream is duplicated harder by default so the retain facts are
     fully converged at the end of pretraining; the retain regularizers then
     start near their optimum instead of re-training the retain set."""
-    kf = cfg.corpus.get("forget_duplication", 1)
-    kr = cfg.corpus.get("retain_duplication", 4)
-    return stream_texts(split.forget, kf) + stream_texts(split.retain, kr)
+    return (stream_texts(split.forget, cfg.corpus["forget_duplication"])
+            + stream_texts(split.retain, cfg.corpus["retain_duplication"]))
+
+
+def _stage_trained(cfg: ExperimentConfig, out: Path, split: CorpusSplit, stem: str,
+                   texts: list, seed: int, gate: bool) -> Checkpoint:
+    """Load `stem`, or train it from a `seed`-derived init on `texts` with the
+    pretrain settings; with `gate`, it must pass the gate before it is saved."""
+    path = out / stem
+    if path.with_suffix(".json").exists():
+        return load_checkpoint(path)
+    tok = build_tokenizer(split)
+    mcfg = cfg.model_config(len(tok))
+    mcfg.seed = seed
+    p = cfg.pretrain
+    trained, log = train_lm(init_model(mcfg), texts, tok, lr=p["lr"], epochs=p["epochs"],
+                            batch_size=p["batch_size"], seed=seed)
+    trained.provenance = stem
+    if gate:
+        vm = vermem(trained, split.forget, tok, cfg.protocol())
+        up = utilitypres(trained, split.retain, tok)
+        if vm < p["gate_vermem"] or up < p["gate_utility"]:
+            raise GateError(
+                f"pretraining gate failed: vermem={vm:.2f} (need >= {p['gate_vermem']}), "
+                f"utilitypres={up:.2f} (need >= {p['gate_utility']}); "
+                "increase pretrain.epochs")
+    save_checkpoint(trained, path)
+    _write_jsonl(out / f"{stem}_log.jsonl", log)
+    return trained
 
 
 def stage_pretrain(cfg: ExperimentConfig, out: Path, split: CorpusSplit) -> Checkpoint:
     """Train f_target and enforce the memorization/utility gate."""
-    stem = out / "target"
-    if stem.with_suffix(".json").exists():
-        return load_checkpoint(stem)
-    tok = build_tokenizer(split)
-    ck = init_model(cfg.model_config(len(tok)))
-    trained, log = train_lm(ck, pretrain_texts(cfg, split), tok,
-                            lr=cfg.pretrain["lr"], epochs=cfg.pretrain["epochs"],
-                            batch_size=cfg.pretrain["batch_size"], seed=cfg.seed)
-    trained.provenance = "target"
-    vm = vermem(trained, split.forget, tok, cfg.protocol())
-    up = utilitypres(trained, split.retain, tok)
-    if vm < cfg.pretrain["gate_vermem"] or up < cfg.pretrain["gate_utility"]:
-        raise GateError(
-            f"pretraining gate failed: vermem={vm:.2f} (need >= {cfg.pretrain['gate_vermem']}), "
-            f"utilitypres={up:.2f} (need >= {cfg.pretrain['gate_utility']}); "
-            "increase pretrain.epochs")
-    save_checkpoint(trained, stem)
-    _write_jsonl(out / "target_log.jsonl", log)
-    return trained
+    return _stage_trained(cfg, out, split, "target", pretrain_texts(cfg, split),
+                          cfg.seed, gate=True)
 
 
 def stage_retrain(cfg: ExperimentConfig, out: Path, split: CorpusSplit) -> Checkpoint:
-    """Baseline trained on the retain set only, from a fresh seed-derived init."""
-    stem = out / "retrain"
-    if stem.with_suffix(".json").exists():
-        return load_checkpoint(stem)
-    tok = build_tokenizer(split)
-    mcfg = cfg.model_config(len(tok))
-    mcfg.seed = cfg.seed + 1  # different init than f_target
-    ck = init_model(mcfg)
-    trained, log = train_lm(ck, stream_texts(split.retain, cfg.corpus.get("retain_duplication", 4)),
-                            tok, lr=cfg.pretrain["lr"], epochs=cfg.pretrain["epochs"],
-                            batch_size=cfg.pretrain["batch_size"], seed=cfg.seed + 1)
-    trained.provenance = "retrain"
-    save_checkpoint(trained, stem)
-    _write_jsonl(out / "retrain_log.jsonl", log)
-    return trained
+    """Baseline trained on the retain set only, from a different init than f_target."""
+    texts = stream_texts(split.retain, cfg.corpus["retain_duplication"])
+    return _stage_trained(cfg, out, split, "retrain", texts, cfg.seed + 1, gate=False)
 
 
 def stage_unlearn(cfg: ExperimentConfig, out: Path, split: CorpusSplit,
@@ -206,22 +236,12 @@ def stage_unlearn(cfg: ExperimentConfig, out: Path, split: CorpusSplit,
         return load_checkpoint(stem)
     tok = build_tokenizer(split)
     result = unlearn_run(target, split, ucfg, tok)
-    rundir.mkdir(parents=True, exist_ok=True)
     if result.adapters is not None:
         save_adapters(result.adapters, rundir / "adapters")
-        final = result.merged()
-    else:
-        final = result.checkpoint
+    final = result.merged()
     save_checkpoint(final, stem)
     _write_jsonl(rundir / "log.jsonl", result.log)
     return final
-
-
-def specs_by_precision(cfg: ExperimentConfig) -> dict:
-    table = {}
-    for spec in cfg.quant_specs():
-        table[f"int{spec.bits}"] = spec
-    return table
 
 
 def retrain_baseline(out: Path, retrain: Checkpoint, split: CorpusSplit, tok,
@@ -257,9 +277,8 @@ def stage_eval(cfg: ExperimentConfig, out: Path, split: CorpusSplit, tok,
     PrivLeak's baseline comes from retrain_baseline, and only when some cell
     is missing.
     """
-    table = specs_by_precision(cfg)
-    paths = {p: out / "eval" / f"{name}_{p}.json"
-             for p in PRECISIONS if p == "full" or p in table}
+    specs = specs_by_precision(cfg)
+    paths = {p: out / "eval" / f"{name}_{p}.json" for p in specs}
     proto = cfg.protocol()
     baseline = None
     if not all(path.exists() for path in paths.values()):
@@ -269,7 +288,7 @@ def stage_eval(cfg: ExperimentConfig, out: Path, split: CorpusSplit, tok,
         if path.exists():
             cells[precision] = json.loads(path.read_text())
             continue
-        variant = ck if precision == "full" else quantize_model(ck, table[precision])
+        variant = ck if specs[precision] is None else quantize_model(ck, specs[precision])
         cell = evaluate_checkpoint(variant, split, tok, baseline, proto)
         cell.update({"method": method, "precision": precision, "adapter": adapter})
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -294,23 +313,19 @@ def stage_report(cfg: ExperimentConfig, out: Path) -> dict:
     Missing cells are listed, not fatal; the report is a pure function of the
     artifacts on disk.
     """
-    expected = [("f_target", "none")]
-    for run in cfg.runs:
-        ucfg = cfg.unlearn_config(run)
-        expected.append((run_tag(ucfg), "lora" if ucfg.mode == "lora" else "none"))
     rows = []
     missing = []
-    for name, adapter in expected:
-        for precision in PRECISIONS:
+    crossing = {}
+    precisions = specs_by_precision(cfg)
+    for name, _, _, run in evaluated_models(cfg):
+        for precision in precisions:
             path = out / "eval" / f"{name}_{precision}.json"
             if not path.exists():
                 missing.append(f"{name}_{precision}")
                 continue
             rows.append(json.loads(path.read_text()))
-    crossing = {}
-    for name, _ in expected[1:]:
         mpath = out / "masking" / f"{name}.json"
-        if mpath.exists():
+        if run is not None and mpath.exists():
             agg = json.loads(mpath.read_text())["aggregates"]
             crossing[name] = {a["spec"]: a["crossing_fraction"] for a in agg}
     report = {
@@ -352,14 +367,12 @@ def run_pipeline(cfg: ExperimentConfig, out: Path) -> dict:
     tok = build_tokenizer(split)
     target = stage_pretrain(cfg, out, split)
     retrain = stage_retrain(cfg, out, split)
-    stage_eval(cfg, out, split, tok, retrain, "f_target", "f_target", "none", target)
-    for run in cfg.runs:
-        ucfg = cfg.unlearn_config(run)
-        tag = run_tag(ucfg)
-        ck = stage_unlearn(cfg, out, split, target, run)
-        stage_masking(cfg, out, target, tag, ck)
-        adapter = "lora" if ucfg.mode == "lora" else "none"
-        stage_eval(cfg, out, split, tok, retrain, tag, ucfg.method, adapter, ck)
+    for name, method, adapter, run in evaluated_models(cfg):
+        ck = target
+        if run is not None:
+            ck = stage_unlearn(cfg, out, split, target, run)
+            stage_masking(cfg, out, target, name, ck)
+        stage_eval(cfg, out, split, tok, retrain, name, method, adapter, ck)
     return stage_report(cfg, out)
 
 
@@ -374,26 +387,23 @@ def sweep_grid(cfg: ExperimentConfig) -> list:
     if not sw:
         raise ConfigError("config has no sweep section")
     runs = []
-    for method in sw.get("methods", ["GA_GDR"]):
-        for lr in sw.get("lrs", [3e-3]):
-            for rank in sw.get("ranks", [2, 4, 8]):
-                for rel in sw.get("alpha_ratios", [0.5, 1.0, 2.0]):
-                    for lam in sw.get("lams", [1.0]):
+    for method in sw["methods"]:
+        for lr in sw["lrs"]:
+            for rank in sw["ranks"]:
+                for rel in sw["alpha_ratios"]:
+                    for lam in sw["lams"]:
                         runs.append({
                             "method": method, "mode": "lora", "lr": lr,
-                            "epochs": sw.get("epochs", 4), "lam": lam,
+                            "epochs": sw["epochs"], "lam": lam,
                             "lora": {"rank": rank, "alpha": rel * rank,
-                                     "targets": sw.get("targets", "all_linear"),
-                                     "seed": cfg.seed},
+                                     "targets": sw["targets"], "seed": cfg.seed},
                         })
     return runs
 
 
-def _sweep_cell(args):
+def _sweep_cell(cfg: ExperimentConfig, out: Path, run: dict, index: int) -> dict:
     """Full and int4 VerMem/UtilityPres of one grid point, the only metrics
     the selection reads (so no retrain baseline is needed)."""
-    cfg, out, run, index = args
-    out = Path(out)
     split = stage_corpus(cfg, out)
     tok = build_tokenizer(split)
     target = load_checkpoint(out / "target")
@@ -413,18 +423,19 @@ def run_sweep(cfg: ExperimentConfig, out: Path, jobs: int = 1) -> dict:
     The selection scalar is a reporting convention of this tool, recorded in
     the summary header. Ties break by config order.
     """
+    grid = sweep_grid(cfg)
+    if "int4" not in specs_by_precision(cfg):
+        raise ConfigError("a sweep selects on int4 cells; configure a 4-bit quant spec")
     out = Path(out)
     split = stage_corpus(cfg, out)
     stage_pretrain(cfg, out, split)
-    grid = sweep_grid(cfg)
-    tasks = [(cfg, str(out), run, i) for i, run in enumerate(grid)]
+    tasks = [(cfg, out, run, i) for i, run in enumerate(grid)]
     if jobs > 1:
         import multiprocessing
         with multiprocessing.Pool(jobs) as pool:
-            results = pool.map(_sweep_cell, tasks)
+            results = pool.starmap(_sweep_cell, tasks)  # in task order
     else:
-        results = [_sweep_cell(t) for t in tasks]
-    results.sort(key=lambda r: r["index"])
+        results = [_sweep_cell(*t) for t in tasks]
 
     best = {}
     for res in results:
@@ -446,5 +457,4 @@ def run_sweep(cfg: ExperimentConfig, out: Path, jobs: int = 1) -> dict:
 
 
 def _write_jsonl(path: Path, rows: list) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
     write_atomic(path, "\n".join(json.dumps(r, sort_keys=True) for r in rows) + "\n")

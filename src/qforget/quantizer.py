@@ -95,10 +95,8 @@ def quantize(w: np.ndarray, spec: QuantSpec, scales: np.ndarray | None = None) -
         s = np.asarray(scales, dtype=np.float64)
         if s.shape != grouped.shape[:2]:
             raise ShapeError(f"scales shape {s.shape} does not match groups {grouped.shape[:2]}")
-    half = 2 ** (spec.bits - 1)
-    idx = np.clip(_round_half_away(grouped / s[:, :, None]), -half, half - 1)
     return QuantizedTensor(
-        indices=idx.astype(np.int64).reshape(w.shape),
+        indices=bin_index(grouped, s[:, :, None], spec.bits).reshape(w.shape),
         scales=s, spec=spec, source_shape=w.shape,
     )
 

@@ -75,6 +75,24 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig.from_file(path)
 
+    def test_partial_sections_take_experiment_defaults(self):
+        cfg = ExperimentConfig.from_dict({
+            "model": {"d_model": 64}, "metrics": {"k_percent": 10.0},
+            "pretrain": {"epochs": 2}, "sweep": {"ranks": [2]}})
+        defaults = ExperimentConfig()
+        assert cfg.model == dict(defaults.model, d_model=64)
+        assert cfg.model_config(10).n_heads == 4 and cfg.model_config(10).d_ff == 512
+        assert cfg.protocol().prefix_len == 4
+        assert cfg.pretrain == dict(defaults.pretrain, epochs=2)
+        assert cfg.sweep == dict(ExperimentConfig.SWEEP, ranks=[2])
+        assert ExperimentConfig.from_dict({"sweep": {}}).sweep == {}
+
+    def test_quant_bit_widths_must_be_distinct(self):
+        raw = json.loads(json.dumps(MINI))
+        raw["quant"] = [{"bits": 4}, {"bits": 4, "group_size": 16}]
+        with pytest.raises(ConfigError, match="bit width"):
+            ExperimentConfig.from_dict(raw)
+
 
 @pytest.fixture(scope="module")
 def run_dir(tmp_path_factory):
@@ -130,6 +148,23 @@ class TestEndToEnd:
             run_dir / "eval" / "GA_full_ft_int4.json")
         report = stage_report(cfg, run_dir)
         assert report["missing"] == []
+
+    def test_report_expects_only_configured_precisions(self, run_dir, tmp_path):
+        # the trained models of run_dir, evaluated with an int8-only config
+        import shutil
+        for rel in ("corpus.jsonl", "target.json", "target.bin", "retrain.json",
+                    "retrain.bin", "runs"):
+            src = run_dir / rel
+            (shutil.copytree if src.is_dir() else shutil.copy)(src, tmp_path / rel)
+        raw = json.loads(json.dumps(MINI))
+        raw["quant"] = [{"bits": 8}]
+        report = run_pipeline(ExperimentConfig.from_dict(raw), tmp_path)
+        assert report["missing"] == []
+        assert sorted(p.name for p in (tmp_path / "eval").glob("*_*.json")
+                      if p.name != "retrain_aucs.json") == sorted(
+            f"{name}_{p}.json" for name in ("f_target", "GA_full_ft", "GA_GDR_lora")
+            for p in ("full", "int8"))
+        assert {row["precision"] for row in report["rows"]} == {"full", "int8"}
 
     def test_report_is_pure_function_of_artifacts(self, run_dir):
         cfg = ExperimentConfig.from_dict(json.loads(json.dumps(MINI)))
@@ -293,6 +328,29 @@ class TestCli:
         bad.write_text("{broken")
         assert cli_main(["--config", str(bad), "--out", str(tmp_path / "o"), "run"]) == 2
 
+    @pytest.mark.parametrize("section, value", [
+        ("pretrain", {"lr": 2e-3, "warmup": 10}),
+        ("model", {"d_model": 32, "n_layers": 1, "n_heads": 2, "d_ff": 64,
+                   "context_len": 24, "dropout": 0.1}),
+        ("metrics", {"k_percent": 20.0, "min_k": 5}),
+        ("metrics", {"k_percent": 0.0}),
+        ("metrics", {"k_percent": 150.0}),
+        ("quant", [{"bits": 8, "groups": 4}]),
+        ("corpus", {"n_forget": 200, "n_retain": 300, "n_holdout": 101}),
+        ("corpus", {"n_forget": 0}),
+        (None, 42),
+    ])
+    def test_malformed_config_exits_2_and_writes_nothing(self, tmp_path, capsys,
+                                                          section, value):
+        path = tmp_path / "config.json"
+        raw = value if section is None else dict(json.loads(json.dumps(MINI)),
+                                                 **{section: value})
+        path.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        assert cli_main(["--config", str(path), "--out", str(out), "pretrain"]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not out.exists() or not any(out.iterdir())
+
     def test_gate_failure_exit_code(self, tmp_path):
         cfg_path = write_config(tmp_path, {
             "pretrain": {"lr": 2e-3, "epochs": 0, "batch_size": 8,
@@ -423,6 +481,13 @@ class TestSweep:
         assert len(summary["cells"]) == 1
         assert summary["best"]["GA_GDR"]["index"] == 0
         assert (tmp_path / "sweep.json").exists()
+
+    def test_sweep_without_int4_fails_before_training(self, tmp_path):
+        raw = json.loads(json.dumps(MINI))
+        raw["quant"] = [{"bits": 8}]
+        with pytest.raises(ConfigError, match="4-bit"):
+            run_sweep(ExperimentConfig.from_dict(raw), tmp_path / "out")
+        assert not (tmp_path / "out").exists()
 
     def test_dominant_config_wins(self):
         # selection: max utilitypres_int4 s.t. vermem_int4 <= vermem_full + 5
