@@ -112,6 +112,15 @@ def write_atomic(path, data) -> None:
         raise
 
 
+def read_json(path):
+    """A run-directory JSON file; undecodable or malformed ones are a
+    SchemaError naming the file."""
+    try:
+        return json.loads(Path(path).read_text())
+    except ValueError as exc:
+        raise SchemaError(f"{path}: not valid JSON ({exc})") from exc
+
+
 def blob_crc32(tensors: dict) -> int:
     """CRC-32 of the float64 blob that _write_container stores for tensors,
     the `crc32` its manifest records."""
@@ -146,10 +155,7 @@ _ENTRY_FIELDS = ("name", "shape", "offset", "length")
 
 def _read_container(stem: Path) -> tuple:
     stem = Path(stem)
-    try:
-        manifest = json.loads(stem.with_suffix(".json").read_text())
-    except ValueError as exc:  # undecodable bytes or malformed JSON
-        raise SchemaError(f"{stem}: manifest is not valid JSON ({exc})") from exc
+    manifest = read_json(stem.with_suffix(".json"))
     if not isinstance(manifest, dict) or "crc32" not in manifest \
             or not isinstance(manifest.get("params"), list):
         raise SchemaError(f"{stem}: manifest lacks crc32 or a params list")

@@ -1,7 +1,8 @@
 """Command-line surface. See FORMATS.md for the artifact formats.
 
 Exit codes: 0 success, 2 config error, 3 training divergence, 4 gate failure,
-5 invalid input (corrupt or mismatched checkpoint, bad shapes or token ids).
+5 invalid input (corrupt or mismatched checkpoint, malformed corpus or metric
+cell, bad shapes or token ids).
 """
 
 import argparse

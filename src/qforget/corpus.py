@@ -19,7 +19,7 @@ from pathlib import Path
 
 from . import seeding
 from .checkpoint import write_atomic
-from .errors import CapacityError, ContractError
+from .errors import CapacityError, ContractError, SchemaError
 
 _STARTS = [
     "bal", "cor", "dim", "fen", "gor", "hul", "jas", "kel", "lom", "mir",
@@ -236,12 +236,14 @@ def save_corpus(split: CorpusSplit, path) -> None:
 
 
 def load_corpus(path) -> CorpusSplit:
+    """The split save_corpus wrote; a file that is not one is a SchemaError."""
     split = CorpusSplit([], [], [])
-    for line in Path(path).read_text().splitlines():
-        if not line.strip():
-            continue
-        row = json.loads(line)
-        tag = row.pop("split")
-        getattr(split, tag).append(FactRecord(**row))
+    try:
+        for line in Path(path).read_text().splitlines():
+            if line.strip():
+                row = json.loads(line)
+                getattr(split, row.pop("split")).append(FactRecord(**row))
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise SchemaError(f"{path}: not a corpus file ({exc!r})") from exc
     _check_disjoint(split)
     return split

@@ -26,7 +26,7 @@ class InputError(ValueError):
 
 
 class SchemaError(ValueError):
-    """A checkpoint file does not match the expected parameter schema."""
+    """A run-directory file (checkpoint, corpus, metric cell) is malformed."""
 
 
 class ChecksumError(ValueError):

@@ -120,13 +120,9 @@ def utilitypres(ck: Checkpoint, retain_records, tok: Tokenizer) -> float:
     return knowmem(ck, retain_records, tok)
 
 
-def min_k_prob(ck: Checkpoint, sequence, k_percent: float) -> float:
-    """Mean of the lowest ceil(k% * n) per-token log-probs (member-likeness)."""
-    return min_k_scores(ck, [sequence], k_percent)[0]
-
-
 def min_k_scores(ck: Checkpoint, sequences, k_percent: float) -> list:
-    """min_k_prob of every sequence, in input order, from batched forwards."""
+    """Mean of the lowest ceil(k% * n) per-token log-probs of every sequence
+    (member-likeness), in input order, from batched forwards."""
     if not 0.0 < k_percent <= 100.0:
         raise ContractError("k_percent must be in (0, 100]")
     scores = []

@@ -6,14 +6,15 @@ linear projections. Every weight matrix is reachable by name (see
 checkpoint.param_schema), which is what the quantizer and the adapter
 machinery target.
 
-Two forwards share one architecture. `forward_graph` builds the model from
-autodiff primitives, one sequence at a time: it is the training forward and
-the reference that tests hold `infer` to. `infer` is the grad-free inference
-forward on plain arrays, batched over a block of equal-length sequences, and
-every evaluation entry point (`forward_logits`, `token_log_probs`, greedy
-decoding) runs on it; batched scoring and decoding run each block's shared
-prompt prefix once (_prefill). Both read every weight from one parameter map;
-LoRA enters only by rebinding its target weights in that map (lora.fold).
+Two forwards share one architecture and one token check. `forward_graph`
+builds the model from autodiff primitives, one sequence at a time: it is the
+training forward, and every training loss reads its logit rows through
+`continuations`. `infer` is the grad-free inference forward on plain arrays,
+batched over a block of equal-length sequences, and every evaluation entry
+point (`forward_logits`, `token_log_probs`, greedy decoding) runs on it;
+batched scoring and decoding run each block's shared prompt prefix once
+(_prefill). Both read every weight from one parameter map; LoRA enters only
+by rebinding its target weights in that map (lora.fold).
 """
 
 import math
@@ -64,12 +65,15 @@ def make_param_vars(ck: Checkpoint) -> dict:
     return {name: Var(arr) for name, arr in ck.params.items()}
 
 
-def _check_tokens(cfg: ModelConfig, tokens) -> np.ndarray:
-    ids = np.asarray(tokens, dtype=np.int64)
-    if ids.ndim != 1 or ids.size == 0:
-        raise InputError("token sequence must be a nonempty 1-D id list")
-    if ids.size > cfg.context_len:
-        raise InputError(f"sequence length {ids.size} exceeds context_len {cfg.context_len}")
+def _id_block(cfg: ModelConfig, ids, past: int = 0) -> np.ndarray:
+    """ids as a nonempty (sequences, positions) int64 block whose rows fit
+    the context after `past` cached positions and hold only vocabulary ids."""
+    ids = np.asarray(ids, dtype=np.int64)
+    if ids.ndim != 2 or ids.size == 0:
+        raise InputError("model input must be a nonempty (sequences, positions) block of ids")
+    if past + ids.shape[1] > cfg.context_len:
+        raise InputError(
+            f"sequence length {past + ids.shape[1]} exceeds context_len {cfg.context_len}")
     if ids.min() < 0 or ids.max() >= cfg.vocab_size:
         raise InputError(f"token id out of range for vocab {cfg.vocab_size}")
     return ids
@@ -77,7 +81,7 @@ def _check_tokens(cfg: ModelConfig, tokens) -> np.ndarray:
 
 def forward_graph(pv: dict, cfg: ModelConfig, tokens) -> Var:
     """Logits (T, V) as a graph over the given parameter Vars."""
-    ids = _check_tokens(cfg, tokens)
+    ids = _id_block(cfg, [tokens])[0]
     t = ids.size
     dh = cfg.d_model // cfg.n_heads
     inv_sqrt_dh = 1.0 / math.sqrt(dh)
@@ -144,18 +148,9 @@ def infer(params: dict, cfg: ModelConfig, ids, cache: list | None = None) -> np.
     d_head); a later call with the same list continues those B sequences
     from position T, attending to the cached positions and appending its own.
     """
-    ids = np.asarray(ids, dtype=np.int64)
-    if ids.ndim != 2 or ids.shape[0] == 0:
-        raise InputError("inference input must be a (sequences, positions) block of ids")
-    n, t = ids.shape
     past = cache[0][0].shape[2] if cache else 0
-    # _check_tokens for every row at once, counting the cached positions
-    if t == 0:
-        raise InputError("token sequence must be a nonempty 1-D id list")
-    if past + t > cfg.context_len:
-        raise InputError(f"sequence length {past + t} exceeds context_len {cfg.context_len}")
-    if ids.min() < 0 or ids.max() >= cfg.vocab_size:
-        raise InputError(f"token id out of range for vocab {cfg.vocab_size}")
+    ids = _id_block(cfg, ids, past)
+    n, t = ids.shape
     d, nh = cfg.d_model, cfg.n_heads
     dh = d // nh
     inv_sqrt_dh = 1.0 / math.sqrt(dh)
@@ -241,30 +236,42 @@ def forward_logits(ck: Checkpoint, tokens, adapters=None) -> np.ndarray:
     return infer(params, ck.config, [tokens])[0]
 
 
-def nll_graph(pv: dict, cfg: ModelConfig, batch, loss_starts=None):
-    """Mean next-token cross-entropy over the predicted positions of a batch.
+def continuations(pv: dict, cfg: ModelConfig, batch) -> list:
+    """(ids, start, scored logit rows) of every item of a training batch.
 
-    Returns (scalar Var, number of predicted positions). loss_starts, when
-    given, restricts sequence i's loss to prediction rows >= loss_starts[i]
-    (conditional likelihood of a continuation given its prompt).
+    An item is a sequence, scored from its first prediction row, or an
+    (ids, start) pair, scored from prediction row `start` on (a continuation
+    given its prompt). The rows are forward_graph's logits for prediction
+    rows start..len-2, whose targets are ids[start + 1:].
     """
     if not batch:
-        raise ContractError("nll: empty batch")
+        raise ContractError("empty batch")
+    out = []
+    for item in batch:
+        ids, start = item if isinstance(item, tuple) else (item, 0)
+        ids = list(ids)
+        m = len(ids) - 1
+        if m < 1:
+            raise ContractError("sequence needs at least 2 tokens")
+        if not 0 <= start < m:
+            raise ContractError(f"loss start {start} outside prediction rows [0, {m})")
+        out.append((ids, start, slice_rows(forward_graph(pv, cfg, ids), start, m)))
+    return out
+
+
+def nll_graph(pv: dict, cfg: ModelConfig, batch):
+    """Mean next-token cross-entropy over the scored rows of a batch of
+    sequences or (ids, start) pairs (see continuations).
+
+    Returns (scalar Var, number of scored positions).
+    """
     total = None
     positions = 0
-    for i, seq in enumerate(batch):
-        toks = list(seq)
-        if len(toks) < 2:
-            raise ContractError("nll: sequence needs at least 2 tokens")
-        logits = forward_graph(pv, cfg, toks)
-        m = len(toks) - 1
-        start = 0 if loss_starts is None else loss_starts[i]
-        if not 0 <= start < m:
-            raise ContractError(f"nll: loss start {start} outside prediction rows [0, {m})")
-        ce = cross_entropy(slice_rows(logits, start, m), toks[start + 1:])
-        piece = scale(ce, float(m - start))
+    for ids, start, rows in continuations(pv, cfg, batch):
+        n = rows.shape[0]
+        piece = scale(cross_entropy(rows, ids[start + 1:]), float(n))
         total = piece if total is None else add(total, piece)
-        positions += m - start
+        positions += n
     return scale(total, 1.0 / positions), positions
 
 
@@ -290,21 +297,14 @@ def token_log_probs_batch(ck: Checkpoint, sequences) -> list:
     return out
 
 
-def greedy_decode(ck: Checkpoint, prompt, n_new: int) -> list:
-    """Argmax continuation of length n_new appended to the prompt.
+def greedy_decode_batch(ck: Checkpoint, prompts, n_new) -> list:
+    """Argmax continuation of each prompt, as long as its entry of n_new and
+    appended to the prompt, in input order.
 
     Ties break toward the lowest token id; same inputs always give the same
-    output.
-    """
-    return greedy_decode_batch(ck, [prompt], [n_new])[0]
-
-
-def greedy_decode_batch(ck: Checkpoint, prompts, n_new) -> list:
-    """greedy_decode of each prompt for its entry of n_new, in input order.
-
-    Prompts of one length that ask for the same number of tokens decode as
-    one block: the prompts run once, and each later step runs one row per
-    sequence against the cached keys and values.
+    output. Prompts of one length that ask for the same number of tokens
+    decode as one block: the prompts run once, and each later step runs one
+    row per sequence against the cached keys and values.
     """
     prompts = [list(p) for p in prompts]
     n_new = [int(n) for n in n_new]

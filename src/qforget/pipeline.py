@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .checkpoint import (Checkpoint, ModelConfig, blob_crc32, load_checkpoint,
-                         save_checkpoint, write_atomic)
+                         read_json, save_checkpoint, write_atomic)
 from .corpus import (CorpusSplit, build_tokenizer, check_split_sizes, generate_corpus,
                      load_corpus, qa_text, save_corpus)
 from .errors import ConfigError, ContractError, GateError
@@ -84,8 +84,12 @@ class ExperimentConfig:
                 value = {**defaults, **value}
             setattr(cfg, name, value)
         try:
-            check_split_sizes(cfg.corpus["n_forget"], cfg.corpus["n_retain"],
-                              cfg.corpus["n_holdout"])
+            c, p = cfg.corpus, cfg.pretrain
+            check_split_sizes(c["n_forget"], c["n_retain"], c["n_holdout"])
+            if c["forget_duplication"] < 1 or c["retain_duplication"] < 1:
+                raise ConfigError("corpus duplication factors must be >= 1")
+            if p["lr"] <= 0 or p["epochs"] < 0 or p["batch_size"] < 1:
+                raise ConfigError("pretrain needs lr > 0, epochs >= 0, batch_size >= 1")
             cfg.model_config(vocab_size=1)
             cfg.protocol()
             evaluated_models(cfg)
@@ -286,7 +290,7 @@ def stage_eval(cfg: ExperimentConfig, out: Path, split: CorpusSplit, tok,
     cells = {}
     for precision, path in paths.items():
         if path.exists():
-            cells[precision] = json.loads(path.read_text())
+            cells[precision] = read_json(path)
             continue
         variant = ck if specs[precision] is None else quantize_model(ck, specs[precision])
         cell = evaluate_checkpoint(variant, split, tok, baseline, proto)
@@ -323,10 +327,10 @@ def stage_report(cfg: ExperimentConfig, out: Path) -> dict:
             if not path.exists():
                 missing.append(f"{name}_{precision}")
                 continue
-            rows.append(json.loads(path.read_text()))
+            rows.append(read_json(path))
         mpath = out / "masking" / f"{name}.json"
         if run is not None and mpath.exists():
-            agg = json.loads(mpath.read_text())["aggregates"]
+            agg = read_json(mpath)["aggregates"]
             crossing[name] = {a["spec"]: a["crossing_fraction"] for a in agg}
     report = {
         "protocol": cfg.protocol().to_dict(),
@@ -416,12 +420,26 @@ def _sweep_cell(cfg: ExperimentConfig, out: Path, run: dict, index: int) -> dict
     return row
 
 
+def sweep_best(cells: list) -> dict:
+    """Per method, the cell of greatest utilitypres_int4 among those with
+    vermem_int4 <= vermem_full + 5; ties break by cell order."""
+    best = {}
+    for res in cells:
+        if not res["vermem_int4"] <= res["vermem_full"] + 5.0:
+            continue
+        method = res["run"]["method"]
+        cur = best.get(method)
+        if cur is None or res["utilitypres_int4"] > cur["utilitypres_int4"]:
+            best[method] = res
+    return best
+
+
 def run_sweep(cfg: ExperimentConfig, out: Path, jobs: int = 1) -> dict:
-    """Grid over adapter hyperparameters; pick, per method, the config that
-    maximizes int4 utility subject to int4 vermem <= full vermem + 5.
+    """Grid over adapter hyperparameters; pick each method's config by
+    sweep_best.
 
     The selection scalar is a reporting convention of this tool, recorded in
-    the summary header. Ties break by config order.
+    the summary header.
     """
     grid = sweep_grid(cfg)
     if "int4" not in specs_by_precision(cfg):
@@ -437,20 +455,11 @@ def run_sweep(cfg: ExperimentConfig, out: Path, jobs: int = 1) -> dict:
     else:
         results = [_sweep_cell(*t) for t in tasks]
 
-    best = {}
-    for res in results:
-        method = res["run"]["method"]
-        feasible = res["vermem_int4"] <= res["vermem_full"] + 5.0
-        if not feasible:
-            continue
-        cur = best.get(method)
-        if cur is None or res["utilitypres_int4"] > cur["utilitypres_int4"]:
-            best[method] = res
     summary = {
         "selection": "maximize utilitypres_int4 subject to "
                      "vermem_int4 <= vermem_full + 5; ties by config order",
         "cells": results,
-        "best": best,
+        "best": sweep_best(results),
     }
     write_atomic(out / "sweep.json", json.dumps(summary, indent=1, sort_keys=True))
     return summary

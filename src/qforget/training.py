@@ -4,11 +4,10 @@ import math
 
 import numpy as np
 
-from .autodiff import Var
 from .checkpoint import Checkpoint
 from .corpus import Tokenizer, text_batches
 from .errors import DivergenceError
-from .model import nll_graph
+from .model import make_param_vars, nll_graph
 
 
 class Adam:
@@ -53,7 +52,7 @@ def train_lm(ck: Checkpoint, texts: list, tok: Tokenizer, lr: float,
     step = 0
     for epoch in range(epochs):
         for batch in text_batches(texts, tok, batch_size, seed + epoch):
-            pv = {name: Var(arr) for name, arr in out.params.items()}
+            pv = make_param_vars(out)
             loss, _ = nll_graph(pv, out.config, batch)
             value = float(loss.value)
             if not math.isfinite(value):

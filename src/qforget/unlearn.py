@@ -18,14 +18,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import (Var, add, kl_divergence_rows, log_sigmoid,
-                       log_softmax_rows, scale, slice_rows, target_log_probs,
-                       vsum)
+                       log_softmax_rows, scale, target_log_probs, vsum)
 from .checkpoint import Checkpoint
 from .corpus import CorpusSplit, Tokenizer, build_tokenizer, conditional_batches
 from .errors import ConfigError, ContractError, DivergenceError
 from .lora import LoraConfig, attach, fold, merge
-from .model import (forward_graph, forward_logits, make_param_vars, nll_graph,
-                    token_log_probs)
+from .model import (_softmax_, continuations, forward_logits, make_param_vars,
+                    nll_graph, token_log_probs)
 from .training import Adam, grad_norm
 
 METHODS = ("GA", "NPO", "GA_GDR", "GA_KLR", "NPO_GDR", "NPO_KLR")
@@ -82,27 +81,9 @@ class UnlearnResult:
 # ---------------------------------------------------------------------------
 
 
-def split_pairs(batch):
-    """Normalize a batch of sequences or (ids, y_start) pairs.
-
-    Returns (sequences, loss starts). Plain sequences score every prediction
-    row; pairs score only their continuation rows.
-    """
-    seqs, starts = [], []
-    for item in batch:
-        if isinstance(item, tuple):
-            seq, start = item
-        else:
-            seq, start = item, 0
-        seqs.append(list(seq))
-        starts.append(start)
-    return seqs, starts
-
-
 def loss_ga(pv: dict, cfg, forget_batch) -> Var:
     """Negated NLL on the forget set: minimizing it maximizes cross-entropy."""
-    seqs, starts = split_pairs(forget_batch)
-    nll, _ = nll_graph(pv, cfg, seqs, starts)
+    nll, _ = nll_graph(pv, cfg, forget_batch)
     return scale(nll, -1.0)
 
 
@@ -113,45 +94,34 @@ def loss_npo(pv: dict, cfg, forget_batch, ref: Checkpoint, beta: float) -> Var:
     frozen reference. Penalties fade as a sequence's likelihood drops below
     the reference's, which is what keeps NPO bounded.
     """
-    if not forget_batch:
-        raise ContractError("npo: empty batch")
-    seqs, starts = split_pairs(forget_batch)
+    items = continuations(pv, cfg, forget_batch)
     total = None
-    for toks, start in zip(seqs, starts):
-        m = len(toks) - 1
-        logits = forward_graph(pv, cfg, toks)
-        lp = vsum(target_log_probs(slice_rows(logits, start, m), toks[start + 1:]))
-        ref_lp = float(token_log_probs(ref, toks)[start:].sum())
+    for ids, start, rows in items:
+        lp = vsum(target_log_probs(rows, ids[start + 1:]))
+        ref_lp = float(token_log_probs(ref, ids)[start:].sum())
         ratio = add(lp, Var(-ref_lp))
         term = scale(log_sigmoid(scale(ratio, -beta)), -2.0 / beta)
         total = term if total is None else add(total, term)
-    return scale(total, 1.0 / len(seqs))
+    return scale(total, 1.0 / len(items))
 
 
 def loss_gdr(pv: dict, cfg, retain_batch) -> Var:
     """Plain NLL on the retain set (identical to the training loss)."""
-    seqs, starts = split_pairs(retain_batch)
-    nll, _ = nll_graph(pv, cfg, seqs, starts)
+    nll, _ = nll_graph(pv, cfg, retain_batch)
     return nll
 
 
 def loss_klr(pv: dict, cfg, retain_batch, ref: Checkpoint) -> Var:
     """Mean over retain positions of KL(reference || current)."""
-    if not retain_batch:
-        raise ContractError("klr: empty batch")
-    seqs, starts = split_pairs(retain_batch)
     total = None
     positions = 0
-    for toks, start in zip(seqs, starts):
-        m = len(toks) - 1
-        log_q = log_softmax_rows(slice_rows(forward_graph(pv, cfg, toks), start, m))
-        z = forward_logits(ref, toks)[start:m]
-        z = z - z.max(axis=1, keepdims=True)
-        p_ref = np.exp(z)
-        p_ref /= p_ref.sum(axis=1, keepdims=True)
-        piece = scale(kl_divergence_rows(p_ref, log_q), float(m - start))
+    for ids, start, rows in continuations(pv, cfg, retain_batch):
+        n = rows.shape[0]
+        p_ref = forward_logits(ref, ids)[start:-1]
+        _softmax_(p_ref)
+        piece = scale(kl_divergence_rows(p_ref, log_softmax_rows(rows)), float(n))
         total = piece if total is None else add(total, piece)
-        positions += m - start
+        positions += n
     return scale(total, 1.0 / positions)
 
 

@@ -11,9 +11,8 @@ from qforget.checkpoint import ModelConfig
 from qforget.corpus import build_tokenizer, generate_corpus
 from qforget.errors import ContractError
 from qforget.metrics import (MetricProtocol, auc_roc, evaluate_checkpoint,
-                             knowmem, lcs_length, membership_aucs, min_k_prob,
-                             min_k_scores, privleak, rouge_l_f1, utilitypres,
-                             vermem)
+                             knowmem, lcs_length, membership_aucs, min_k_scores,
+                             privleak, rouge_l_f1, utilitypres, vermem)
 from qforget.model import init_model
 
 
@@ -111,13 +110,13 @@ class TestMinK:
         seq = [1, 4, 7, 2, 9]
         from qforget.model import token_log_probs
         lp = token_log_probs(ck, seq)
-        assert min_k_prob(ck, seq, 100.0) == pytest.approx(float(lp.mean()))
+        assert min_k_scores(ck, [seq], 100.0) == [pytest.approx(float(lp.mean()))]
 
     def test_uniform_model_scores_log_v(self):
         ck = init_model(TINY)
         ck.params["lm_head"] = np.zeros_like(ck.params["lm_head"])
-        got = min_k_prob(ck, [1, 4, 7, 2], 20.0)
-        assert got == pytest.approx(-math.log(11), rel=1e-12)
+        got = min_k_scores(ck, [[1, 4, 7, 2]], 20.0)
+        assert got == [pytest.approx(-math.log(11), rel=1e-12)]
 
     def test_model_example_matches_oracle(self):
         ck = init_model(TINY)
@@ -125,7 +124,7 @@ class TestMinK:
         from qforget.model import token_log_probs
         lp = np.sort(token_log_probs(ck, seq))
         m = int(np.ceil(0.4 * lp.size))
-        assert min_k_prob(ck, seq, 40.0) == pytest.approx(float(lp[:m].mean()))
+        assert min_k_scores(ck, [seq], 40.0) == [pytest.approx(float(lp[:m].mean()))]
 
     def test_ragged_list_scores_in_input_order(self):
         ck = init_model(TINY)
@@ -133,14 +132,14 @@ class TestMinK:
         got = min_k_scores(ck, seqs, 40.0)
         assert len(got) == len(seqs)
         for seq, score in zip(seqs, got):
-            assert score == pytest.approx(min_k_prob(ck, seq, 40.0), rel=1e-12)
+            assert score == pytest.approx(min_k_scores(ck, [seq], 40.0)[0], rel=1e-12)
 
     def test_contract_errors(self):
         ck = init_model(TINY)
         with pytest.raises(ContractError):
-            min_k_prob(ck, [1], 20.0)
+            min_k_scores(ck, [[1, 2], [1]], 20.0)
         with pytest.raises(ContractError):
-            min_k_prob(ck, [1, 2], 0.0)
+            min_k_scores(ck, [[1, 2]], 0.0)
 
 
 class TestPrivleak:
@@ -252,7 +251,7 @@ class TestGenerationMetrics:
         with pytest.warns(UserWarning, match="skipped 1"):
             got = vermem(ck, mixed, self.tok, proto)
         assert 0.0 <= got <= 100.0
-        with pytest.raises(ContractError):
+        with pytest.raises(ContractError), pytest.warns(UserWarning, match="skipped 1"):
             vermem(ck, [short], self.tok, MetricProtocol(prefix_len=6))
 
     def test_single_token_comparison_boundary(self):

@@ -9,8 +9,8 @@ from qforget.autodiff import Var, grad_check
 from qforget.checkpoint import ModelConfig, param_schema
 from qforget.errors import ConfigError, ContractError, InputError
 import qforget.model as model_mod
-from qforget.model import (MAX_ROWS, _prefill, forward_graph, forward_logits,
-                           greedy_decode, greedy_decode_batch, infer,
+from qforget.model import (MAX_ROWS, _prefill, continuations, forward_graph,
+                           forward_logits, greedy_decode_batch, infer,
                            init_model, make_param_vars, nll_graph,
                            token_log_probs, token_log_probs_batch)
 
@@ -186,7 +186,7 @@ class TestBatchedEval:
             assert_close(lp, token_log_probs(ck, seq))
         prompts = [s[:5] for s in seqs]
         got = greedy_decode_batch(ck, prompts, [3] * count)
-        assert got == [greedy_decode(ck, p, 3) for p in prompts]
+        assert got == [greedy_decode_batch(ck, [p], [3])[0] for p in prompts]
 
     def test_length_mismatch(self):
         with pytest.raises(ContractError):
@@ -341,22 +341,55 @@ class TestNll:
         assert worst < 1e-4, worst
 
 
+class TestContinuations:
+    """The one walker every training loss reads its logit rows from."""
+
+    def test_mixed_batch_rows_are_forward_graph_slices(self):
+        ck = perturbed(TINY)
+        pv = make_param_vars(ck)
+        batch = [[1, 4, 7, 2, 9], ([3, 6, 2, 8, 5], 2), ([2, 5, 1], 0), [7, 3]]
+        got = continuations(pv, ck.config, batch)
+        expected = [([1, 4, 7, 2, 9], 0), ([3, 6, 2, 8, 5], 2), ([2, 5, 1], 0), ([7, 3], 0)]
+        assert [(ids, start) for ids, start, _ in got] == expected
+        for ids, start, rows in got:
+            full = forward_graph(pv, ck.config, ids).value
+            assert np.array_equal(rows.value, full[start:len(ids) - 1])
+
+    @pytest.mark.parametrize("batch, match", [
+        ([], "empty batch"),
+        ([[1, 4], [5]], "at least 2 tokens"),
+        ([([1, 4, 7], 2)], "outside prediction rows"),
+        ([([1, 4, 7], -1)], "outside prediction rows"),
+    ])
+    def test_contract_errors(self, batch, match):
+        ck = init_model(TINY)
+        with pytest.raises(ContractError, match=match):
+            continuations(make_param_vars(ck), ck.config, batch)
+
+    def test_pair_start_restricts_nll(self):
+        # a pair's loss is the mean over its continuation rows only
+        ck = perturbed(TINY)
+        seq = [1, 4, 7, 2, 9]
+        loss, n = nll_graph(make_param_vars(ck), ck.config, [(seq, 2)])
+        lp = token_log_probs(ck, seq)
+        assert n == 2
+        assert math.isclose(float(loss.value), -float(lp[2:].mean()), rel_tol=1e-12)
+
+
 class TestDecode:
     def test_zero_new_tokens(self):
         ck = init_model(TINY)
-        assert greedy_decode(ck, [1, 2, 3], 0) == [1, 2, 3]
+        assert greedy_decode_batch(ck, [[1, 2, 3]], [0]) == [[1, 2, 3]]
 
     def test_deterministic(self):
         ck = init_model(small_config())
-        a = greedy_decode(ck, [1, 2, 3], 6)
-        b = greedy_decode(ck, [1, 2, 3], 6)
-        assert a == b and len(a) == 9
+        a, b = greedy_decode_batch(ck, [[1, 2, 3], [1, 2, 3]], [6, 6])
+        assert a == b == greedy_decode_batch(ck, [[1, 2, 3]], [6])[0] and len(a) == 9
 
     def test_ties_break_to_lowest_id(self):
         ck = init_model(TINY)
         ck.params["lm_head"] = np.zeros_like(ck.params["lm_head"])
-        out = greedy_decode(ck, [3], 4)
-        assert out == [3, 0, 0, 0, 0]
+        assert greedy_decode_batch(ck, [[3]], [4]) == [[3, 0, 0, 0, 0]]
 
     def test_memorized_continuation(self):
         from qforget.training import Adam
@@ -370,14 +403,14 @@ class TestDecode:
             loss.backward()
             opt.step({n: pv[n].grad for n in ck.params})
         half = len(sentence) // 2
-        assert greedy_decode(ck, sentence[:half], len(sentence) - half) == sentence
+        assert greedy_decode_batch(ck, [sentence[:half]], [len(sentence) - half]) == [sentence]
 
     def test_length_overflow(self):
         ck = init_model(TINY)
         with pytest.raises(InputError):
-            greedy_decode(ck, [1, 2], 7)
+            greedy_decode_batch(ck, [[1, 2]], [7])
         with pytest.raises(InputError):
-            greedy_decode(ck, [], 2)
+            greedy_decode_batch(ck, [[]], [2])
 
 
 class TestTokenLogProbs:

@@ -11,7 +11,7 @@ import pytest
 from qforget.cli import main as cli_main
 from qforget.errors import ConfigError
 from qforget.pipeline import (ExperimentConfig, report_csv, run_pipeline,
-                              run_sweep, stage_report, sweep_grid)
+                              run_sweep, stage_report, sweep_best, sweep_grid)
 
 MINI = {
     "seed": 0,
@@ -339,6 +339,12 @@ class TestCli:
         ("corpus", {"n_forget": 200, "n_retain": 300, "n_holdout": 101}),
         ("corpus", {"n_forget": 0}),
         (None, 42),
+        ("pretrain", {"batch_size": 0}),
+        ("pretrain", {"lr": -1}),
+        ("pretrain", {"lr": 0.0}),
+        ("pretrain", {"epochs": -1}),
+        ("corpus", {"retain_duplication": 0}),
+        ("corpus", {"forget_duplication": 0}),
     ])
     def test_malformed_config_exits_2_and_writes_nothing(self, tmp_path, capsys,
                                                           section, value):
@@ -401,6 +407,31 @@ class TestCli:
         assert code == 5
         err = capsys.readouterr().err
         assert err.startswith("invalid input:") and len(err.splitlines()) == 1
+
+    def test_cut_corpus_exit_code(self, tmp_path, capsys):
+        from qforget.pipeline import stage_corpus
+        cfg_path = write_config(tmp_path)
+        out = tmp_path / "out"
+        corpus = out / "corpus.jsonl"
+        stage_corpus(ExperimentConfig.from_file(cfg_path), out)
+        corpus.write_bytes(corpus.read_bytes()[:-40])
+        code = cli_main(["--config", str(cfg_path), "--out", str(out), "pretrain"])
+        assert code == 5
+        err = capsys.readouterr().err
+        assert err.startswith("invalid input:") and "corpus.jsonl" in err
+        assert sorted(p.name for p in out.iterdir()) == ["corpus.jsonl"]
+
+    def test_cut_eval_cell_exit_code(self, tmp_path, run_dir, capsys):
+        import shutil
+        out = tmp_path / "out"
+        shutil.copytree(run_dir, out)
+        cell = out / "eval" / "GA_full_ft_int8.json"
+        cell.write_bytes(cell.read_bytes()[:30])
+        cfg_path = write_config(tmp_path)
+        for command in ("report", "run"):
+            assert cli_main(["--config", str(cfg_path), "--out", str(out), command]) == 5
+            err = capsys.readouterr().err
+            assert err.startswith("invalid input:") and "GA_full_ft_int8.json" in err
 
     def test_eval_uses_retrain_baseline_when_present(self, tmp_path, capsys):
         from qforget.checkpoint import save_checkpoint
@@ -499,14 +530,14 @@ class TestSweep:
             {"index": 2, "run": {"method": "M"}, "vermem_full": 10.0,
              "vermem_int4": 40.0, "utilitypres_full": 90.0, "utilitypres_int4": 90.0},
         ]
-        best = {}
-        for res in cells:
-            if res["vermem_int4"] > res["vermem_full"] + 5.0:
-                continue
-            cur = best.get("M")
-            if cur is None or res["utilitypres_int4"] > cur["utilitypres_int4"]:
-                best["M"] = res
+        best = sweep_best(cells)
         assert best["M"]["index"] == 1  # index 2 infeasible, 1 dominates 0
+        # a tie keeps the earlier cell; each method is selected on its own
+        tie = dict(cells[1], index=3)
+        other = dict(cells[0], index=4, run={"method": "N"})
+        best = sweep_best(cells + [tie, other])
+        assert best["M"]["index"] == 1 and best["N"]["index"] == 4
+        assert sweep_best([cells[2]]) == {}
 
 
 class TestDefaultConfig:

@@ -162,6 +162,36 @@ class TestRegularizers:
         assert float(loss_klr(make_param_vars(ck), ck.config, RB, ref).value) < start
 
 
+class TestLossStarts:
+    """Every loss scores a pair's continuation rows and rejects a start
+    outside them."""
+
+    @pytest.mark.parametrize("start", [-1, 4, 9])
+    def test_out_of_range_start_rejected(self, start):
+        ck = generic_model()
+        batch = [([1, 4, 7, 2, 9], start)]
+        for fn in (lambda pv: loss_ga(pv, ck.config, batch),
+                   lambda pv: loss_npo(pv, ck.config, batch, ck, 0.1),
+                   lambda pv: loss_gdr(pv, ck.config, batch),
+                   lambda pv: loss_klr(pv, ck.config, batch, ck)):
+            with pytest.raises(ContractError, match="outside prediction rows"):
+                fn(make_param_vars(ck))
+
+    def test_empty_batch_rejected(self):
+        ck = generic_model()
+        for fn in (lambda pv: loss_npo(pv, ck.config, [], ck, 0.1),
+                   lambda pv: loss_klr(pv, ck.config, [], ck)):
+            with pytest.raises(ContractError, match="empty batch"):
+                fn(make_param_vars(ck))
+
+    def test_pair_at_start_zero_is_plain_sequence(self):
+        ck, ref = generic_model(1), generic_model(2)
+        pairs = [(seq, 0) for seq in FB]
+        for fn in (lambda b: loss_npo(make_param_vars(ck), ck.config, b, ref, 0.1),
+                   lambda b: loss_klr(make_param_vars(ck), ck.config, b, ref)):
+            assert float(fn(pairs).value) == float(fn(FB).value)
+
+
 class TestTotalLoss:
     def test_lam_zero_is_bare_forgetting_loss(self):
         ck = generic_model()
@@ -317,10 +347,7 @@ class TestUnlearnRun:
 
         def conditional_ce(ck, records):
             pairs = [conditional_frame(r, self.tok) for r in records]
-            seqs = [p[0] for p in pairs]
-            starts = [p[1] for p in pairs]
-            pv = make_param_vars(ck)
-            return float(nll_graph(pv, ck.config, seqs, starts)[0].value)
+            return float(nll_graph(make_param_vars(ck), ck.config, pairs)[0].value)
 
         f0 = conditional_ce(trained, self.split.forget)
         r0 = conditional_ce(trained, self.split.retain)
