@@ -101,16 +101,19 @@ def fold(pv: dict, adapters: dict) -> tuple:
 
 
 def merge(ck: Checkpoint, adapters: dict) -> Checkpoint:
-    """Fold every adapter's update into its base weight."""
-    out = ck.copy()
+    """Fold every adapter's update into its base weight.
+
+    Only the targeted weights are new arrays; the result shares every other
+    array with `ck`.
+    """
+    params = dict(ck.params)
     for name, ad in adapters.items():
-        if name not in out.params:
+        if name not in params:
             raise SchemaError(f"adapter targets unknown parameter {name}")
-        if out.params[name].shape != (ad.B.shape[0], ad.A.shape[1]):
-            raise SchemaError(f"adapter {name} does not match weight shape {out.params[name].shape}")
-        out.params[name] = out.params[name] + ad.effective_delta()
-    out.provenance = f"{ck.provenance}:merged"
-    return out
+        if params[name].shape != (ad.B.shape[0], ad.A.shape[1]):
+            raise SchemaError(f"adapter {name} does not match weight shape {params[name].shape}")
+        params[name] = params[name] + ad.effective_delta()
+    return Checkpoint(params, ck.config, f"{ck.provenance}:merged")
 
 
 def save_adapters(adapters: dict, stem) -> None:

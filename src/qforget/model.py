@@ -139,7 +139,8 @@ def _softmax_(s: np.ndarray) -> None:
     s /= s.sum(axis=-1, keepdims=True)
 
 
-def infer(params: dict, cfg: ModelConfig, ids, cache: list | None = None) -> np.ndarray:
+def infer(params: dict, cfg: ModelConfig, ids, cache: list | None = None,
+          last: bool = False) -> np.ndarray:
     """Logits (B, T, V) for a (B, T) block of equal-length sequences, no graph.
 
     The arithmetic of forward_graph on plain arrays (params: name ->
@@ -147,6 +148,8 @@ def infer(params: dict, cfg: ModelConfig, ids, cache: list | None = None) -> np.
     that the call fills with each layer's (keys, values), shaped (B, H, T,
     d_head); a later call with the same list continues those B sequences
     from position T, attending to the cached positions and appending its own.
+    With last, only each sequence's last position goes through the final
+    layer norm and lm_head, and the logits are (B, 1, V).
     """
     past = cache[0][0].shape[2] if cache else 0
     ids = _id_block(cfg, ids, past)
@@ -184,18 +187,22 @@ def infer(params: dict, cfg: ModelConfig, ids, cache: list | None = None) -> np.
         up = _layer_norm(x, params[b + "ln2.g"], params[b + "ln2.b"]) @ params[b + "mlp_up"].T
         _gelu_(up)
         x += up @ params[b + "mlp_down"].T
+    if last:
+        x, t = x[t - 1::t], 1
     hf = _layer_norm(x, params["ln_f.g"], params["ln_f.b"])
     return (hf @ params["lm_head"].T).reshape(n, t, cfg.vocab_size)
 
 
-def _prefill(params: dict, cfg: ModelConfig, block: np.ndarray, cache: list | None) -> np.ndarray:
-    """infer(params, cfg, block, cache) for an empty or absent cache, with the
-    block's shared prefix run once.
+def _prefill(params: dict, cfg: ModelConfig, block: np.ndarray, cache: list | None,
+             last: bool = False) -> np.ndarray:
+    """infer(params, cfg, block, cache, last) for an empty or absent cache,
+    with the block's shared prefix run once.
 
     The longest prefix L that every row shares (at most T-1, so each row keeps
     a position of its own) runs as one (1, L) sequence; its keys and values
     are repeated to every row, and the (B, T-L) remainder runs against them.
     A one-row block, or one with no shared prefix, is one plain infer call.
+    With last, the prefix's logits are never joined to the remainder's.
     """
     n, t = block.shape
     shared = 0
@@ -203,11 +210,13 @@ def _prefill(params: dict, cfg: ModelConfig, block: np.ndarray, cache: list | No
         differs = np.any(block[:, :t - 1] != block[0, :t - 1], axis=0)
         shared = int(np.argmax(differs)) if differs.any() else t - 1
     if shared == 0:
-        return infer(params, cfg, block, cache)
+        return infer(params, cfg, block, cache, last)
     cache = [] if cache is None else cache
-    head = infer(params, cfg, block[:1, :shared], cache)
+    head = infer(params, cfg, block[:1, :shared], cache, last)
     cache[:] = [(np.repeat(k, n, axis=0), np.repeat(v, n, axis=0)) for k, v in cache]
-    tail = infer(params, cfg, block[:, shared:], cache)
+    tail = infer(params, cfg, block[:, shared:], cache, last)
+    if last:
+        return tail
     return np.concatenate([np.broadcast_to(head, (n,) + head.shape[1:]), tail], axis=1)
 
 
@@ -326,7 +335,7 @@ def greedy_decode_batch(ck: Checkpoint, prompts, n_new) -> list:
         step = seqs
         for j in range(n_new[idx[0]]):
             run = _prefill if j == 0 else infer
-            logits = run(ck.params, ck.config, step, cache)[:, -1]
+            logits = run(ck.params, ck.config, step, cache, last=True)[:, 0]
             step = np.argmax(logits, axis=1)[:, None]
             seqs = np.concatenate([seqs, step], axis=1)
         for row, i in enumerate(idx):

@@ -18,7 +18,7 @@ from .checkpoint import (Checkpoint, ModelConfig, blob_crc32, load_checkpoint,
                          read_json, save_checkpoint, write_atomic)
 from .corpus import (CorpusSplit, build_tokenizer, check_split_sizes, generate_corpus,
                      load_corpus, qa_text, save_corpus)
-from .errors import ConfigError, ContractError, GateError
+from .errors import ConfigError, ContractError, GateError, SchemaError
 from .lora import LoraConfig, save_adapters
 from .masking import analyze_pair
 from .metrics import (MetricProtocol, evaluate_checkpoint, membership_aucs,
@@ -273,6 +273,29 @@ def retrain_baseline(out: Path, retrain: Checkpoint, split: CorpusSplit, tok,
     return aucs
 
 
+# every field of an eval cell and the JSON types it may hold; the privleak
+# fields are null when no retrain baseline was given
+_CELL_FIELDS = {
+    **dict.fromkeys(("method", "precision", "adapter"), (str,)),
+    **dict.fromkeys(("vermem", "knowmem", "utilitypres"), (int, float)),
+    **dict.fromkeys(("privleak", "privleak_holdout"), (int, float, type(None))),
+}
+
+
+def read_cell(path) -> dict:
+    """A cached eval cell; one that lacks a field or holds a value of the
+    wrong type is a SchemaError naming the file."""
+    cell = read_json(path)
+    if not isinstance(cell, dict):
+        raise SchemaError(f"{path}: eval cell is not a JSON object")
+    for key, types in _CELL_FIELDS.items():
+        if key not in cell:
+            raise SchemaError(f"{path}: eval cell lacks {key!r}")
+        if isinstance(cell[key], bool) or not isinstance(cell[key], types):
+            raise SchemaError(f"{path}: eval cell {key!r} holds {cell[key]!r}")
+    return cell
+
+
 def stage_eval(cfg: ExperimentConfig, out: Path, split: CorpusSplit, tok,
                retrain: Checkpoint, name: str, method: str, adapter: str,
                ck: Checkpoint) -> dict:
@@ -290,7 +313,7 @@ def stage_eval(cfg: ExperimentConfig, out: Path, split: CorpusSplit, tok,
     cells = {}
     for precision, path in paths.items():
         if path.exists():
-            cells[precision] = read_json(path)
+            cells[precision] = read_cell(path)
             continue
         variant = ck if specs[precision] is None else quantize_model(ck, specs[precision])
         cell = evaluate_checkpoint(variant, split, tok, baseline, proto)
@@ -327,7 +350,7 @@ def stage_report(cfg: ExperimentConfig, out: Path) -> dict:
             if not path.exists():
                 missing.append(f"{name}_{precision}")
                 continue
-            rows.append(read_json(path))
+            rows.append(read_cell(path))
         mpath = out / "masking" / f"{name}.json"
         if run is not None and mpath.exists():
             agg = read_json(mpath)["aggregates"]

@@ -115,10 +115,10 @@ def fake_quant(w: np.ndarray, spec: QuantSpec) -> np.ndarray:
 def quantize_model(ck: Checkpoint, spec: QuantSpec) -> Checkpoint:
     """Replace every linear weight matrix by its quantization round-trip.
 
-    Embeddings and layer norms are left untouched; provenance gains ":intN".
+    Embeddings and layer norms are left untouched and shared with `ck`;
+    provenance gains ":intN".
     """
-    out = ck.copy()
+    params = dict(ck.params)
     for name in linear_param_names(ck.config):
-        out.params[name] = fake_quant(out.params[name], spec)
-    out.provenance = f"{ck.provenance}:int{spec.bits}"
-    return out
+        params[name] = fake_quant(params[name], spec)
+    return Checkpoint(params, ck.config, f"{ck.provenance}:int{spec.bits}")

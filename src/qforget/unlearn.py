@@ -6,9 +6,10 @@ combined with a retain-set regularizer (GDR: plain cross-entropy descent;
 KLR: KL toward the frozen reference distribution). The combined objective is
 L_forget + lam * L_retain.
 
-A run optimizes either every parameter (full_ft) or only adapter factors
-(lora) with the base weights frozen; the frozen reference model is a copy of
-the starting checkpoint and is never touched.
+A run optimizes either every parameter (full_ft, on a copy of the starting
+checkpoint that the run owns) or only adapter factors (lora, over read-only
+views of the starting checkpoint's arrays). The frozen reference model is the
+starting checkpoint itself, which no run writes.
 """
 
 import itertools
@@ -19,7 +20,7 @@ import numpy as np
 
 from .autodiff import (Var, add, kl_divergence_rows, log_sigmoid,
                        log_softmax_rows, scale, target_log_probs, vsum)
-from .checkpoint import Checkpoint
+from .checkpoint import Checkpoint, blob_crc32
 from .corpus import CorpusSplit, Tokenizer, build_tokenizer, conditional_batches
 from .errors import ConfigError, ContractError, DivergenceError
 from .lora import LoraConfig, attach, fold, merge
@@ -66,7 +67,7 @@ class UnlearnConfig:
 
 @dataclass
 class UnlearnResult:
-    checkpoint: Checkpoint   # full_ft: updated weights; lora: untouched base
+    checkpoint: Checkpoint   # full_ft: updated copy; lora: read-only views of the target
     adapters: dict | None
     log: list = field(default_factory=list)
 
@@ -151,30 +152,40 @@ def objective(ucfg: UnlearnConfig, pv: dict, cfg, forget_batch, retain_batch,
 
 def unlearn_run(f_target: Checkpoint, split: CorpusSplit, ucfg: UnlearnConfig,
                 tok: Tokenizer | None = None) -> UnlearnResult:
-    """Adam-optimize the configured objective against a frozen reference.
+    """Adam-optimize the configured objective against f_target as the frozen
+    reference.
 
     full_ft updates every parameter of a working copy; lora updates only the
-    adapter factors and leaves the base weights byte-identical. Deterministic
-    for a fixed config.
+    adapter factors over read-only views of f_target's weights, and checks
+    that they stay byte-identical. f_target itself is never written.
+    Deterministic for a fixed config.
     """
     tok = tok if tok is not None else build_tokenizer(split)
     if len(tok) != f_target.config.vocab_size:
         raise ConfigError(
             f"tokenizer vocab {len(tok)} does not match model vocab "
             f"{f_target.config.vocab_size}")
-    ref = f_target.copy()
-    work = f_target.copy()
-    work.provenance = f"unlearn:{ucfg.method}:{ucfg.mode}"
-    cfg = work.config
+    provenance = f"unlearn:{ucfg.method}:{ucfg.mode}"
+    cfg = f_target.config
 
     adapters = None
     if ucfg.mode == "lora":
+        # the base is the target's own memory, read-only: no copy to keep
+        base = {}
+        for name, arr in f_target.params.items():
+            base[name] = arr.view()
+            base[name].flags.writeable = False
+        work = Checkpoint(base, cfg, provenance)
         adapters = attach(work, ucfg.lora)
         trainable = {}
         for name, ad in adapters.items():
             trainable[name + ".A"] = ad.A
             trainable[name + ".B"] = ad.B
+        _check_no_aliasing(trainable, base)
+        base_crc = _crc_by_name(base)
     else:
+        work = f_target.copy()
+        work.provenance = provenance
         trainable = work.params
 
     opt = Adam(trainable, ucfg.lr)
@@ -193,7 +204,7 @@ def unlearn_run(f_target: Checkpoint, split: CorpusSplit, ucfg: UnlearnConfig,
             pv = leaves = make_param_vars(work)
             if adapters is not None:
                 pv, leaves = fold(pv, adapters)
-            total, forget, retain = objective(ucfg, pv, cfg, fb, rb, ref)
+            total, forget, retain = objective(ucfg, pv, cfg, fb, rb, f_target)
             value = float(total.value)
             if not math.isfinite(value):
                 raise DivergenceError(
@@ -211,8 +222,22 @@ def unlearn_run(f_target: Checkpoint, split: CorpusSplit, ucfg: UnlearnConfig,
             step += 1
 
     if adapters is not None:  # freeze contract: the base stays byte-identical
-        changed = [name for name in work.params
-                   if not np.array_equal(work.params[name], ref.params[name])]
+        changed = [name for name, crc in _crc_by_name(work.params).items()
+                   if crc != base_crc[name]]
         if changed:
             raise ContractError(f"lora run changed frozen base weights: {changed}")
     return UnlearnResult(work, adapters, log)
+
+
+def _check_no_aliasing(trainable: dict, base: dict) -> None:
+    """Refuse adapter factors that share memory with a base weight: the
+    optimizer's in-place steps would write through to the frozen base."""
+    for fname, factor in trainable.items():
+        for name, arr in base.items():
+            if np.shares_memory(factor, arr):
+                raise ContractError(
+                    f"adapter factor {fname} shares memory with frozen base weight {name}")
+
+
+def _crc_by_name(params: dict) -> dict:
+    return {name: blob_crc32({name: arr}) for name, arr in params.items()}

@@ -103,6 +103,16 @@ class TestMerge:
         for name in ck.params:
             assert np.array_equal(merged.params[name], ck.params[name])
 
+    def test_shares_untargeted_arrays_allocates_targeted(self):
+        ck = init_model(CFG)
+        ads = randomized(attach(ck, LoraConfig(rank=2, targets="mlp_only")))
+        merged = merge(ck, ads)
+        assert list(merged.params) == list(ck.params)
+        for name, arr in merged.params.items():
+            assert np.shares_memory(arr, ck.params[name]) == (name not in ads), name
+        assert not any(np.shares_memory(merged.params[n], ad.A) or
+                       np.shares_memory(merged.params[n], ad.B) for n, ad in ads.items())
+
     def test_provenance_tag(self):
         ck = init_model(CFG)
         ck.provenance = "unlearn:GA_GDR:lora"

@@ -199,10 +199,10 @@ def infer_calls(monkeypatch):
     calls = []
     real = model_mod.infer
 
-    def counting(params, cfg, ids, cache=None):
+    def counting(params, cfg, ids, cache=None, last=False):
         past = cache[0][0].shape[2] if cache else 0
         calls.append(np.shape(ids) + (past,))
-        return real(params, cfg, ids, cache)
+        return real(params, cfg, ids, cache, last)
 
     monkeypatch.setattr(model_mod, "infer", counting)
     return calls
@@ -225,6 +225,18 @@ class TestPrefill:
         got = _prefill(ck.params, ck.config, block, None)
         assert infer_calls == calls
         assert_close(got, infer(ck.params, ck.config, block))
+
+    @pytest.mark.parametrize("shared", [0, 5, 10])
+    def test_last_position_only(self, shared):
+        # decoding reads one logit row per sequence; lm_head runs on no other
+        ck = perturbed(small_config(), seed=8)
+        block = np.random.default_rng(9).integers(0, 64, (4, 10))
+        block[:, :shared] = block[0, :shared]
+        want = infer(ck.params, ck.config, block)[:, -1:]
+        for got in (infer(ck.params, ck.config, block, last=True),
+                    _prefill(ck.params, ck.config, block, [], last=True)):
+            assert got.shape == (4, 1, 64)
+            assert_close(got, want)
 
     def test_cache_continues_decode(self):
         ck = perturbed(small_config(), seed=3)

@@ -1,6 +1,7 @@
 """Pipeline orchestration and CLI surface on a miniature configuration."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -433,6 +434,29 @@ class TestCli:
             err = capsys.readouterr().err
             assert err.startswith("invalid input:") and "GA_full_ft_int8.json" in err
 
+    @pytest.mark.parametrize("edit", [
+        lambda cell: {},
+        lambda cell: [],
+        lambda cell: {k: v for k, v in cell.items() if k != "method"},
+        lambda cell: {**cell, "vermem": "high"},
+        lambda cell: {**cell, "privleak": True},
+    ], ids=["empty", "list", "no_method", "string_score", "bool_privleak"])
+    def test_malformed_eval_cell_exit_code(self, tmp_path, run_dir, capsys, edit):
+        # a cell that parses but is not a cell: exit 5 naming it, and the
+        # report files are left as they were
+        import shutil
+        out = tmp_path / "out"
+        shutil.copytree(run_dir, out)
+        path = out / "eval" / "GA_full_ft_int8.json"
+        path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+        before = {f: (out / f).read_bytes() for f in ("report.json", "report.csv")}
+        cfg_path = write_config(tmp_path)
+        for command in ("report", "run"):
+            assert cli_main(["--config", str(cfg_path), "--out", str(out), command]) == 5
+            err = capsys.readouterr().err
+            assert err.startswith("invalid input:") and "GA_full_ft_int8.json" in err
+            assert {f: (out / f).read_bytes() for f in before} == before
+
     def test_eval_uses_retrain_baseline_when_present(self, tmp_path, capsys):
         from qforget.checkpoint import save_checkpoint
         from qforget.corpus import build_tokenizer
@@ -496,10 +520,13 @@ class TestCli:
 
     def test_console_entry_point(self, tmp_path):
         cfg_path = write_config(tmp_path)
+        # the child imports the package from src/, as the test session does
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        pythonpath = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
         proc = subprocess.run(
             [sys.executable, "-m", "qforget.cli", "--config", str(cfg_path),
              "--out", str(tmp_path / "o"), "pretrain"],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": pythonpath})
         assert proc.returncode == 0, proc.stderr
 
 

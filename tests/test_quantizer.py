@@ -133,6 +133,14 @@ class TestQuantizeModel:
             else:
                 assert qck.params[name].tobytes() == ck.params[name].tobytes()
 
+    def test_shares_every_non_linear_array(self):
+        ck = init_model(self.CFG)
+        qck = quantize_model(ck, QuantSpec(8))
+        lin = set(linear_param_names(self.CFG))
+        assert list(qck.params) == list(ck.params)
+        for name, arr in qck.params.items():
+            assert np.shares_memory(arr, ck.params[name]) == (name not in lin), name
+
     def test_round_trip_bound_per_row(self):
         ck = init_model(self.CFG)
         qck = quantize_model(ck, QuantSpec(8))

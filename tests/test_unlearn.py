@@ -282,7 +282,8 @@ class TestUnlearnRun:
 
     def test_lora_base_change_raises_contract_error(self, monkeypatch):
         # an adapter factor that aliases a base weight lets the optimizer
-        # write through to the frozen base; the run must refuse the result
+        # write through to the frozen base; the run must refuse it before
+        # its first step
         from qforget import unlearn
         from qforget.lora import attach
 
@@ -292,11 +293,58 @@ class TestUnlearnRun:
             ad.A = ck.params["block0.mlp_up"][:ad.rank]
             return ads
 
+        steps = []
         monkeypatch.setattr(unlearn, "attach", aliasing_attach)
+        monkeypatch.setattr(unlearn.Adam, "step", lambda opt, grads: steps.append(1))
         ucfg = UnlearnConfig(method="GA", lr=1e-2, epochs=2, mode="lora",
                              lora=LoraConfig(rank=2, alpha=4.0), batch_size=2, seed=0)
         with pytest.raises(ContractError, match="block0.mlp_up"):
             unlearn_run(self.target, self.split, ucfg, self.tok)
+        assert steps == []
+
+    def test_lora_base_written_during_run_raises(self, monkeypatch):
+        # a write through the caller's own arrays reaches the shared base;
+        # the before/after CRC compare names the weight
+        from qforget import unlearn
+        real = unlearn.objective
+
+        def writing_objective(ucfg, pv, cfg, fb, rb, ref):
+            self.target.params["block0.attn_v"][0, 0] += 1.0
+            return real(ucfg, pv, cfg, fb, rb, ref)
+
+        monkeypatch.setattr(unlearn, "objective", writing_objective)
+        ucfg = UnlearnConfig(method="GA", lr=1e-2, epochs=1, mode="lora",
+                             lora=LoraConfig(rank=2, alpha=4.0), batch_size=2, seed=0)
+        with pytest.raises(ContractError, match=r"\['block0.attn_v'\]"):
+            unlearn_run(self.target, self.split, ucfg, self.tok)
+
+    def test_lora_base_is_a_read_only_view_of_the_target(self):
+        ucfg = UnlearnConfig(method="NPO_KLR", lr=1e-2, epochs=1, lam=1.0, mode="lora",
+                             lora=LoraConfig(rank=2, alpha=4.0), seed=0)
+        res = unlearn_run(self.target, self.split, ucfg, self.tok)
+        assert list(res.checkpoint.params) == list(self.target.params)
+        for name, arr in res.checkpoint.params.items():
+            assert np.shares_memory(arr, self.target.params[name])
+            assert not arr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            res.checkpoint.params["block0.mlp_up"] += 1.0
+        assert self.target.params["block0.mlp_up"].flags.writeable
+
+    def test_full_ft_reads_the_target_as_reference_and_never_writes_it(self, monkeypatch):
+        from qforget import unlearn
+        seen = []
+        for fn in ("token_log_probs", "forward_logits"):
+            real = getattr(unlearn, fn)
+            monkeypatch.setattr(unlearn, fn, lambda ck, ids, _real=real:
+                                seen.append(ck) or _real(ck, ids))
+        snapshot = {n: a.tobytes() for n, a in self.target.params.items()}
+        ucfg = UnlearnConfig(method="NPO_KLR", lr=1e-2, epochs=1, lam=1.0, seed=0)
+        res = unlearn_run(self.target, self.split, ucfg, self.tok)
+        assert seen and all(ck is self.target for ck in seen)
+        assert {n: a.tobytes() for n, a in self.target.params.items()} == snapshot
+        for name, arr in res.checkpoint.params.items():
+            assert arr.flags.writeable
+            assert not np.shares_memory(arr, self.target.params[name])
 
     def test_deterministic(self):
         ucfg = UnlearnConfig(method="NPO_GDR", lr=1e-3, epochs=2, lam=1.0, seed=4)
