@@ -83,6 +83,30 @@ def _toposort(root: Var) -> list:
     return order
 
 
+# Row arithmetic on plain arrays, shared by the ops below and model.infer.
+
+
+def _normalize_rows(x: np.ndarray) -> tuple:
+    """(xhat, 1/std) of layer norm over the last axis, before gain and bias."""
+    inv_std = 1.0 / np.sqrt(x.var(axis=-1, keepdims=True) + _LN_EPS)
+    xhat = x - x.mean(axis=-1, keepdims=True)
+    xhat *= inv_std
+    return xhat, inv_std
+
+
+def _softmax_(s: np.ndarray) -> None:
+    """Softmax over the last axis, in place, with max subtraction."""
+    s -= s.max(axis=-1, keepdims=True)
+    np.exp(s, out=s)
+    s /= s.sum(axis=-1, keepdims=True)
+
+
+def _logsumexp(z: np.ndarray) -> np.ndarray:
+    """log sum exp over the last axis, kept as a length-1 axis."""
+    m = z.max(axis=-1, keepdims=True)
+    return m + np.log(np.exp(z - m).sum(axis=-1, keepdims=True))
+
+
 # ---------------------------------------------------------------------------
 # Primitives
 # ---------------------------------------------------------------------------
@@ -207,11 +231,7 @@ def embed(table: Var, ids) -> Var:
 
 def layer_norm(x: Var, gain: Var, bias: Var) -> Var:
     """Row-wise layer norm: normalize each row of x (m, d), then gain*xhat+bias."""
-    v = x.value
-    mu = v.mean(axis=1, keepdims=True)
-    var = v.var(axis=1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + _LN_EPS)
-    xhat = (v - mu) * inv_std
+    xhat, inv_std = _normalize_rows(x.value)
     out = Var(xhat * gain.value + bias.value, (x, gain, bias), "layer_norm")
 
     def bwd(g):
@@ -245,9 +265,8 @@ def gelu(x: Var) -> Var:
 
 def softmax_rows(logits: Var) -> Var:
     """Row-stochastic softmax with max subtraction; rows sum to 1."""
-    z = logits.value - logits.value.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    p = e / e.sum(axis=1, keepdims=True)
+    p = logits.value.copy()
+    _softmax_(p)
     out = Var(p, (logits,), "softmax")
 
     def bwd(g):
@@ -259,10 +278,7 @@ def softmax_rows(logits: Var) -> Var:
 
 def log_softmax_rows(logits: Var) -> Var:
     """Row-wise log softmax, stable via logsumexp."""
-    z = logits.value
-    m = z.max(axis=1, keepdims=True)
-    lse = m + np.log(np.exp(z - m).sum(axis=1, keepdims=True))
-    logp = z - lse
+    logp = logits.value - _logsumexp(logits.value)
     out = Var(logp, (logits,), "log_softmax")
 
     def bwd(g):
@@ -281,8 +297,7 @@ def cross_entropy(logits: Var, targets) -> Var:
     if idx.size and (idx.min() < 0 or idx.max() >= vocab):
         raise IndexError(f"cross_entropy: target id out of range for vocab {vocab}")
     z = logits.value
-    mx = z.max(axis=1, keepdims=True)
-    lse = mx + np.log(np.exp(z - mx).sum(axis=1, keepdims=True))
+    lse = _logsumexp(z)
     losses = lse[:, 0] - z[np.arange(m), idx]
     out = Var(losses.mean(), (logits,), "cross_entropy")
 
@@ -303,8 +318,7 @@ def target_log_probs(logits: Var, targets) -> Var:
     if idx.size and (idx.min() < 0 or idx.max() >= vocab):
         raise IndexError(f"target_log_probs: target id out of range for vocab {vocab}")
     z = logits.value
-    mx = z.max(axis=1, keepdims=True)
-    lse = mx + np.log(np.exp(z - mx).sum(axis=1, keepdims=True))
+    lse = _logsumexp(z)
     out = Var(z[np.arange(m), idx] - lse[:, 0], (logits,), "target_log_probs")
 
     def bwd(g):

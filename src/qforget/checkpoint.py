@@ -8,6 +8,7 @@ which writes the container, writes every other run-directory artifact too.
 """
 
 import json
+import math
 import os
 import zlib
 from dataclasses import asdict, dataclass
@@ -155,14 +156,17 @@ _ENTRY_FIELDS = ("name", "shape", "offset", "length")
 
 def _read_container(stem: Path) -> tuple:
     stem = Path(stem)
-    manifest = read_json(stem.with_suffix(".json"))
+    try:
+        manifest = read_json(stem.with_suffix(".json"))
+        blob = stem.with_suffix(".bin").read_bytes()
+    except FileNotFoundError as exc:
+        raise SchemaError(f"{stem}: missing file {exc.filename}") from exc
     if not isinstance(manifest, dict) or "crc32" not in manifest \
             or not isinstance(manifest.get("params"), list):
         raise SchemaError(f"{stem}: manifest lacks crc32 or a params list")
     if any(not isinstance(e, dict) or any(f not in e for f in _ENTRY_FIELDS)
            for e in manifest["params"]):
         raise SchemaError(f"{stem}: manifest entry lacks one of {_ENTRY_FIELDS}")
-    blob = stem.with_suffix(".bin").read_bytes()
     if zlib.crc32(blob) != manifest["crc32"]:
         raise ChecksumError(f"{stem}: blob CRC mismatch (corrupt or truncated file)")
     tensors = {}
@@ -170,12 +174,20 @@ def _read_container(stem: Path) -> tuple:
         if entry.get("dtype", _DTYPE) != _DTYPE:
             raise SchemaError(f"{stem}: tensor {entry['name']} has dtype "
                               f"{entry['dtype']!r}; only {_DTYPE!r} is stored")
-        ofs, length = entry["offset"], entry["length"]
+        ofs, length, shape = entry["offset"], entry["length"], entry["shape"]
+        if not (_is_count(ofs) and isinstance(shape, list) and all(map(_is_count, shape))
+                and length == 8 * math.prod(shape)):
+            raise SchemaError(f"{stem}: manifest entry {entry['name']} has offset {ofs} "
+                              f"and length {length} for shape {shape}")
         if ofs + length > len(blob):
             raise ChecksumError(f"{stem}: blob shorter than manifest entry {entry['name']}")
         flat = np.frombuffer(blob, dtype=_DTYPE, count=length // 8, offset=ofs)
-        tensors[entry["name"]] = flat.reshape(entry["shape"]).astype(np.float64)
+        tensors[entry["name"]] = flat.reshape(shape).astype(np.float64)
     return tensors, manifest
+
+
+def _is_count(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool) and x >= 0
 
 
 def save_checkpoint(ck: Checkpoint, stem) -> None:
@@ -192,7 +204,7 @@ def load_checkpoint(stem) -> Checkpoint:
     tensors, manifest = _read_container(Path(stem))
     try:
         cfg = ModelConfig(**manifest["config"])
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ConfigError) as exc:
         raise SchemaError(f"{stem}: manifest config missing or malformed ({exc})") from exc
     schema = param_schema(cfg)
     if list(tensors.keys()) != list(schema.keys()):

@@ -70,8 +70,13 @@ def _dispatch(ns) -> None:
     elif ns.command == "quantize":
         if len(ns.args) < 2:
             raise ConfigError("quantize needs a checkpoint stem and a bit width")
-        stem, bits = ns.args[0], int(ns.args[1])
-        group = int(ns.args[2]) if len(ns.args) > 2 else None
+        stem = ns.args[0]
+        try:
+            bits = int(ns.args[1])
+            group = int(ns.args[2]) if len(ns.args) > 2 else None
+        except ValueError as exc:
+            raise ConfigError(
+                f"quantize: bit width and group size must be integers ({exc})") from exc
         ck = load_checkpoint(stem)
         if ck.provenance.startswith("unlearn") and ":lora" in ck.provenance \
                 and ":merged" not in ck.provenance:

@@ -236,14 +236,17 @@ def save_corpus(split: CorpusSplit, path) -> None:
 
 
 def load_corpus(path) -> CorpusSplit:
-    """The split save_corpus wrote; a file that is not one is a SchemaError."""
+    """The split save_corpus wrote; a file that is not one, holds no records
+    or puts one entity in two splits is a SchemaError."""
     split = CorpusSplit([], [], [])
     try:
         for line in Path(path).read_text().splitlines():
             if line.strip():
                 row = json.loads(line)
                 getattr(split, row.pop("split")).append(FactRecord(**row))
+        if not split.all_records():
+            raise ContractError("no records")
+        _check_disjoint(split)
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise SchemaError(f"{path}: not a corpus file ({exc!r})") from exc
-    _check_disjoint(split)
     return split

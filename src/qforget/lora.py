@@ -3,10 +3,10 @@
 Each adapter holds trainable factors A (r, k) and B (d, r) for a frozen base
 weight W (d, k); its contribution is the additive update (alpha/r) * B @ A.
 A starts gaussian and B starts at zero, so a freshly attached adapter changes
-nothing. An adapter is only a parametrisation of its target weight: `fold`
-puts W + (alpha/r) * B @ A into the graph's parameter map in place of W, so
-the model's forward pass never knows about adapters, and `merge` computes the
-same sum on plain arrays before quantization.
+nothing. An adapter is only a parametrisation of its target weight: `merge`
+is the one place that forms W + (alpha/r) * B @ A, for training, evaluation
+and quantization alike, and `factor_grads` turns a merged weight's gradient
+into its factors' gradients. The model never knows about adapters.
 """
 
 from dataclasses import dataclass
@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import seeding
-from .autodiff import Var, add, matmul, scale
 from .checkpoint import ATTN_ROLES, Checkpoint, MLP_ROLES
 from .errors import ConfigError, SchemaError
 
@@ -84,22 +83,6 @@ def attach(ck: Checkpoint, cfg: LoraConfig) -> dict:
     return adapters
 
 
-def fold(pv: dict, adapters: dict) -> tuple:
-    """Reparametrise each targeted weight Var as W + (alpha/r) * B @ A.
-
-    Returns (a copy of the parameter map with every targeted name bound to
-    that graph node, the new factor leaves keyed "<name>.A" / "<name>.B"),
-    so a backward pass leaves the factor gradients on the returned leaves.
-    """
-    out = dict(pv)
-    leaves = {}
-    for name, ad in adapters.items():
-        a, b = Var(ad.A), Var(ad.B)
-        out[name] = add(pv[name], scale(matmul(b, a), ad.scaling))
-        leaves[name + ".A"], leaves[name + ".B"] = a, b
-    return out, leaves
-
-
 def merge(ck: Checkpoint, adapters: dict) -> Checkpoint:
     """Fold every adapter's update into its base weight.
 
@@ -114,6 +97,17 @@ def merge(ck: Checkpoint, adapters: dict) -> Checkpoint:
             raise SchemaError(f"adapter {name} does not match weight shape {params[name].shape}")
         params[name] = params[name] + ad.effective_delta()
     return Checkpoint(params, ck.config, f"{ck.provenance}:merged")
+
+
+def factor_grads(adapters: dict, grads: dict) -> dict:
+    """Gradients "<name>.A" / "<name>.B" of the factors from the gradient G
+    of each merged weight W + s * B @ A: dA = B^T (s G), dB = (s G) A^T."""
+    out = {}
+    for name, ad in adapters.items():
+        sg = grads[name] * ad.scaling
+        out[name + ".A"] = ad.B.T @ sg
+        out[name + ".B"] = sg @ ad.A.T
+    return out
 
 
 def save_adapters(adapters: dict, stem) -> None:

@@ -13,8 +13,8 @@ training forward, and every training loss reads its logit rows through
 batched over a block of equal-length sequences, and every evaluation entry
 point (`forward_logits`, `token_log_probs`, greedy decoding) runs on it;
 batched scoring and decoding run each block's shared prompt prefix once
-(_prefill). Both read every weight from one parameter map; LoRA enters only
-by rebinding its target weights in that map (lora.fold).
+(_prefill). Both read every weight from one parameter map; LoRA reaches
+them only through lora.merge.
 """
 
 import math
@@ -22,12 +22,13 @@ import math
 import numpy as np
 
 from . import seeding
-from .autodiff import (_GELU_C, _GELU_K, _LN_EPS, Var, add, concat_cols,
-                       cross_entropy, embed, gelu, layer_norm, linear, matmul,
-                       scale, slice_cols, slice_rows, softmax_rows)
+from .autodiff import (_GELU_C, _GELU_K, Var, _logsumexp, _normalize_rows,
+                       _softmax_, add, concat_cols, cross_entropy, embed, gelu,
+                       layer_norm, linear, matmul, scale, slice_cols, slice_rows,
+                       softmax_rows)
 from .checkpoint import Checkpoint, ModelConfig, param_schema
 from .errors import ContractError, InputError
-from .lora import fold
+from .lora import merge
 
 _MASK_FILL = -1e30
 # Token rows in one inference forward. Batched evaluation cuts its blocks to
@@ -112,8 +113,7 @@ def forward_graph(pv: dict, cfg: ModelConfig, tokens) -> Var:
 
 
 def _layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    h = x - x.mean(axis=1, keepdims=True)
-    h *= 1.0 / np.sqrt(x.var(axis=1, keepdims=True) + _LN_EPS)
+    h, _ = _normalize_rows(x)
     h *= gain
     h += bias
     return h
@@ -130,13 +130,6 @@ def _gelu_(x: np.ndarray) -> None:
     u += 1.0
     x *= u
     x *= 0.5
-
-
-def _softmax_(s: np.ndarray) -> None:
-    """autodiff.softmax_rows in place, over the last axis."""
-    s -= s.max(axis=-1, keepdims=True)
-    np.exp(s, out=s)
-    s /= s.sum(axis=-1, keepdims=True)
 
 
 def infer(params: dict, cfg: ModelConfig, ids, cache: list | None = None,
@@ -235,14 +228,12 @@ def _batches(shapes: list):
 def forward_logits(ck: Checkpoint, tokens, adapters=None) -> np.ndarray:
     """Causal logits (T, V) for one sequence; position t sees tokens <= t.
 
-    adapters ({name: LoraAdapter}), when given, are folded into their target
+    adapters ({name: LoraAdapter}), when given, are merged into their target
     weights first.
     """
-    params = ck.params
     if adapters:
-        folded, _ = fold(make_param_vars(ck), adapters)
-        params = {name: var.value for name, var in folded.items()}
-    return infer(params, ck.config, [tokens])[0]
+        ck = merge(ck, adapters)
+    return infer(ck.params, ck.config, [tokens])[0]
 
 
 def continuations(pv: dict, cfg: ModelConfig, batch) -> list:
@@ -298,9 +289,7 @@ def token_log_probs_batch(ck: Checkpoint, sequences) -> list:
     for idx in _batches([(len(s), 0) for s in seqs]):
         block = np.array([seqs[i] for i in idx], dtype=np.int64)
         z = _prefill(ck.params, ck.config, block, None)[:, :-1]
-        mx = z.max(axis=2, keepdims=True)
-        lse = mx + np.log(np.exp(z - mx).sum(axis=2, keepdims=True))
-        lp = (np.take_along_axis(z, block[:, 1:, None], axis=2) - lse)[:, :, 0]
+        lp = (np.take_along_axis(z, block[:, 1:, None], axis=2) - _logsumexp(z))[:, :, 0]
         for row, i in enumerate(idx):
             out[i] = lp[row]
     return out

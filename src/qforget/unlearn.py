@@ -8,7 +8,8 @@ L_forget + lam * L_retain.
 
 A run optimizes either every parameter (full_ft, on a copy of the starting
 checkpoint that the run owns) or only adapter factors (lora, over read-only
-views of the starting checkpoint's arrays). The frozen reference model is the
+views of the starting checkpoint's arrays, differentiated through
+lora.merge and lora.factor_grads). The frozen reference model is the
 starting checkpoint itself, which no run writes.
 """
 
@@ -18,14 +19,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import (Var, add, kl_divergence_rows, log_sigmoid,
+from .autodiff import (Var, _softmax_, add, kl_divergence_rows, log_sigmoid,
                        log_softmax_rows, scale, target_log_probs, vsum)
 from .checkpoint import Checkpoint, blob_crc32
 from .corpus import CorpusSplit, Tokenizer, build_tokenizer, conditional_batches
 from .errors import ConfigError, ContractError, DivergenceError
-from .lora import LoraConfig, attach, fold, merge
-from .model import (_softmax_, continuations, forward_logits, make_param_vars,
-                    nll_graph, token_log_probs)
+from .lora import LoraConfig, attach, factor_grads, merge
+from .model import (continuations, forward_logits, make_param_vars, nll_graph,
+                    token_log_probs)
 from .training import Adam, grad_norm
 
 METHODS = ("GA", "NPO", "GA_GDR", "GA_KLR", "NPO_GDR", "NPO_KLR")
@@ -201,9 +202,7 @@ def unlearn_run(f_target: Checkpoint, split: CorpusSplit, ucfg: UnlearnConfig,
                                     ucfg.seed + _RETAIN_SEED_OFFSET + epoch))
         for fb in forget_batches:
             rb = next(retain_cycle) if retain_cycle is not None else None
-            pv = leaves = make_param_vars(work)
-            if adapters is not None:
-                pv, leaves = fold(pv, adapters)
+            pv = make_param_vars(work if adapters is None else merge(work, adapters))
             total, forget, retain = objective(ucfg, pv, cfg, fb, rb, f_target)
             value = float(total.value)
             if not math.isfinite(value):
@@ -211,7 +210,9 @@ def unlearn_run(f_target: Checkpoint, split: CorpusSplit, ucfg: UnlearnConfig,
                     f"{ucfg.method} loss became non-finite", step,
                     [e["total"] for e in log[-5:]])
             total.backward()
-            grads = {name: leaves[name].grad for name in trainable}
+            grads = {name: var.grad for name, var in pv.items()}
+            if adapters is not None:
+                grads = factor_grads(adapters, grads)
             opt.step(grads)
             log.append({
                 "epoch": epoch, "step": step,

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -95,16 +96,29 @@ class TestCorruption:
         with pytest.raises(SchemaError, match="not valid JSON"):
             load_checkpoint(stem)
 
-    @pytest.mark.parametrize("cut", ["crc32", "params", "entry.offset", "config"])
+    @pytest.mark.parametrize("cut", [
+        "crc32", "params", "entry.offset", "config",
+        # inconsistent rather than missing: each names the stem
+        "entry.length", "entry.negative_offset", "config.d_model", "bin_file", "json_file",
+    ])
     def test_manifest_missing_field_is_schema_error(self, tmp_path, cut):
         _, stem = make(tmp_path)
         manifest = json.loads(stem.with_suffix(".json").read_text())
         if cut == "entry.offset":
             del manifest["params"][3]["offset"]
+        elif cut == "entry.length":
+            manifest["params"][3]["length"] -= 8
+        elif cut == "entry.negative_offset":
+            manifest["params"][3]["offset"] = -8
+        elif cut == "config.d_model":
+            manifest["config"]["d_model"] = 0
+        elif cut.endswith("_file"):
+            os.remove(stem.with_suffix("." + cut[:-len("_file")]))
         else:
             del manifest[cut]
-        stem.with_suffix(".json").write_text(json.dumps(manifest))
-        with pytest.raises(SchemaError):
+        if not cut.endswith("_file"):
+            stem.with_suffix(".json").write_text(json.dumps(manifest))
+        with pytest.raises(SchemaError, match=re.escape(str(stem))):
             load_checkpoint(stem)
 
     def test_manifest_is_valid_json_with_crc(self, tmp_path):

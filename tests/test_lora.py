@@ -3,14 +3,17 @@
 import numpy as np
 import pytest
 
+from qforget.autodiff import Var, add, matmul, scale
 from qforget.checkpoint import ModelConfig
 from qforget.errors import ConfigError
-from qforget.lora import (LoraAdapter, LoraConfig, attach, fold, load_adapters,
-                          merge, save_adapters, target_names)
+from qforget.lora import (LoraAdapter, LoraConfig, attach, factor_grads,
+                          load_adapters, merge, save_adapters, target_names)
 from qforget.model import forward_logits, init_model, make_param_vars, nll_graph
 
 CFG = ModelConfig(vocab_size=32, d_model=16, n_layers=2, n_heads=2, d_ff=32,
                   context_len=16, seed=1)
+SMALL = ModelConfig(vocab_size=11, d_model=8, n_layers=1, n_heads=2, d_ff=16,
+                    context_len=8, seed=3)
 
 
 def randomized(adapters, seed=3, std=0.1):
@@ -119,32 +122,36 @@ class TestMerge:
         assert merge(ck, {}).provenance.endswith(":merged")
 
 
-def folded_nll(ck, ads, batch):
-    """(batch NLL over the folded parameter map, the fold's factor leaves)."""
-    pv, leaves = fold(make_param_vars(ck), ads)
-    return nll_graph(pv, ck.config, batch)[0], leaves
+def merged_nll(ck, ads, batch):
+    """(batch NLL over leaves of the merged weights, those leaves)."""
+    pv = make_param_vars(merge(ck, ads))
+    return nll_graph(pv, ck.config, batch)[0], pv
+
+
+def factor_grads_of(ck, ads, batch):
+    loss, pv = merged_nll(ck, ads, batch)
+    loss.backward()
+    return factor_grads(ads, {name: pv[name].grad for name in ads})
 
 
 class TestAdapterGradients:
     def test_finite_differences_with_frozen_base(self):
-        ck = init_model(ModelConfig(vocab_size=11, d_model=8, n_layers=1,
-                                    n_heads=2, d_ff=16, context_len=8, seed=3))
+        ck = init_model(SMALL)
         ads = randomized(attach(ck, LoraConfig(rank=2, alpha=4.0, seed=9)), std=0.2)
         batch = [[1, 4, 7, 2, 9]]
         name, step = "block0.attn_q", 1e-5
 
-        loss, leaves = folded_nll(ck, ads, batch)
-        loss.backward()
+        grads = factor_grads_of(ck, ads, batch)
         for kind in ("A", "B"):
-            analytic = leaves[f"{name}.{kind}"].grad
+            analytic = grads[f"{name}.{kind}"]
             x = getattr(ads[name], kind)  # perturbed in place, then restored
             numeric = np.zeros_like(x)
             for i in np.ndindex(x.shape):
                 orig = x[i]
                 x[i] = orig + step
-                fp = float(folded_nll(ck, ads, batch)[0].value)
+                fp = float(merged_nll(ck, ads, batch)[0].value)
                 x[i] = orig - step
-                fm = float(folded_nll(ck, ads, batch)[0].value)
+                fm = float(merged_nll(ck, ads, batch)[0].value)
                 x[i] = orig
                 numeric[i] = (fp - fm) / (2.0 * step)
             denom = np.maximum(1e-8, np.abs(analytic) + np.abs(numeric))
@@ -153,22 +160,32 @@ class TestAdapterGradients:
     def test_base_receives_zero_gradient_when_only_adapters_train(self):
         # structural freeze: the optimizer in lora mode never sees base
         # parameters, so their bytes cannot change (asserted in unlearn tests);
-        # here we check the fold hands back one gradient-carrying leaf per factor
-        ck = init_model(ModelConfig(vocab_size=11, d_model=8, n_layers=1,
-                                    n_heads=2, d_ff=16, context_len=8, seed=3))
+        # here we check factor_grads hands back one gradient per factor
+        ck = init_model(SMALL)
         ads = randomized(attach(ck, LoraConfig(rank=2, alpha=4.0, seed=9)))
-        loss, leaves = folded_nll(ck, ads, [[1, 4, 7, 2]])
-        loss.backward()
-        assert set(leaves) == {f"{n}.{k}" for n in ads for k in ("A", "B")}
-        assert all(leaf.grad is not None and leaf.grad.shape == leaf.value.shape
-                   for leaf in leaves.values())
+        grads = factor_grads_of(ck, ads, [[1, 4, 7, 2]])
+        assert list(grads) == [f"{n}.{k}" for n in ads for k in ("A", "B")]
+        for key, g in grads.items():
+            name, kind = key.rsplit(".", 1)
+            assert g.shape == getattr(ads[name], kind).shape, key
 
-    def test_fold_leaves_original_map_untouched(self):
-        ck = init_model(CFG)
+    def test_factor_grads_equal_graph_of_reparametrised_weight(self):
+        # the graph W + s * B @ A built from add, scale and matmul, with the
+        # factors as leaves, gives the same factor gradients bit for bit
+        ck = init_model(SMALL)
+        ads = randomized(attach(ck, LoraConfig(rank=2, alpha=4.0, seed=9)))
+        batch = [[1, 4, 7, 2, 9], [3, 5, 6, 2]]
         pv = make_param_vars(ck)
-        folded, _ = fold(pv, randomized(attach(ck, LoraConfig(rank=2))))
-        assert all(pv[n].op == "leaf" for n in pv)
-        assert folded["block0.attn_q"].op == "add" and folded["lm_head"] is pv["lm_head"]
+        leaves = {}
+        for name, ad in ads.items():
+            a, b = Var(ad.A), Var(ad.B)
+            pv[name] = add(pv[name], scale(matmul(b, a), ad.scaling))
+            leaves[name + ".A"], leaves[name + ".B"] = a, b
+        nll_graph(pv, ck.config, batch)[0].backward()
+        grads = factor_grads_of(ck, ads, batch)
+        assert list(grads) == list(leaves)
+        for key, leaf in leaves.items():
+            assert grads[key].tobytes() == leaf.grad.tobytes(), key
 
 
 class TestSerialization:

@@ -409,18 +409,38 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("invalid input:") and len(err.splitlines()) == 1
 
-    def test_cut_corpus_exit_code(self, tmp_path, capsys):
+    @pytest.mark.parametrize("edit", [
+        lambda lines: "\n".join(lines)[:-40],
+        # the first forget record again, tagged retain: its entity is in two splits
+        lambda lines: "\n".join(lines + [lines[0].replace('"forget"', '"retain"')]),
+        lambda lines: "",
+    ], ids=["cut", "overlap", "empty"])
+    def test_cut_corpus_exit_code(self, tmp_path, capsys, edit):
         from qforget.pipeline import stage_corpus
         cfg_path = write_config(tmp_path)
         out = tmp_path / "out"
         corpus = out / "corpus.jsonl"
         stage_corpus(ExperimentConfig.from_file(cfg_path), out)
-        corpus.write_bytes(corpus.read_bytes()[:-40])
+        corpus.write_text(edit(corpus.read_text().splitlines()))
         code = cli_main(["--config", str(cfg_path), "--out", str(out), "pretrain"])
         assert code == 5
         err = capsys.readouterr().err
         assert err.startswith("invalid input:") and "corpus.jsonl" in err
         assert sorted(p.name for p in out.iterdir()) == ["corpus.jsonl"]
+
+    def test_missing_checkpoint_exit_code(self, tmp_path, capsys):
+        from qforget.checkpoint import ModelConfig, save_checkpoint
+        from qforget.model import init_model
+        cfg_path = write_config(tmp_path)
+        stem = tmp_path / "ck"
+        save_checkpoint(init_model(ModelConfig(vocab_size=8, d_model=8, n_layers=1,
+                                               n_heads=2, d_ff=16, context_len=4)), stem)
+        code = cli_main(["--config", str(cfg_path), "--out", str(tmp_path / "o"),
+                         "analyze", str(stem), str(tmp_path / "absent")])
+        assert code == 5
+        err = capsys.readouterr().err
+        assert err.startswith("invalid input:") and "absent" in err
+        assert len(err.splitlines()) == 1
 
     def test_cut_eval_cell_exit_code(self, tmp_path, run_dir, capsys):
         import shutil
@@ -517,6 +537,14 @@ class TestCli:
         code = cli_main(["--config", str(cfg_path), "--out", str(tmp_path),
                          "quantize", str(stem), "4"])
         assert code == 2
+
+    @pytest.mark.parametrize("args", [["four"], ["4", "sixteen"]], ids=["bits", "group"])
+    def test_quantize_non_integer_arguments_exit_2(self, tmp_path, capsys, args):
+        cfg_path = write_config(tmp_path)
+        code = cli_main(["--config", str(cfg_path), "--out", str(tmp_path),
+                         "quantize", str(tmp_path / "target"), *args])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("config error:")
 
     def test_console_entry_point(self, tmp_path):
         cfg_path = write_config(tmp_path)
