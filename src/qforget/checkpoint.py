@@ -3,8 +3,8 @@
 A checkpoint stem `foo` is stored as `foo.json` (config, provenance, and one
 entry per parameter with name/shape/offset/length, plus a CRC-32 of the blob)
 and `foo.bin` (parameters concatenated in manifest order). Round-trips are
-bit-exact. The same two-file scheme stores adapter tensors. write_atomic,
-which writes the container, writes every other run-directory artifact too.
+bit-exact. write_atomic, which writes the container, writes every other
+run-directory artifact too.
 """
 
 import json
@@ -206,11 +206,9 @@ def load_checkpoint(stem) -> Checkpoint:
         cfg = ModelConfig(**manifest["config"])
     except (KeyError, TypeError, ConfigError) as exc:
         raise SchemaError(f"{stem}: manifest config missing or malformed ({exc})") from exc
-    schema = param_schema(cfg)
-    if list(tensors.keys()) != list(schema.keys()):
-        raise SchemaError(f"{stem}: parameter list does not match config schema")
-    for name, shape in schema.items():
-        if tensors[name].shape != tuple(shape):
-            raise SchemaError(f"{stem}: parameter {name} has shape {tensors[name].shape}, expected {tuple(shape)}")
     ck = Checkpoint(tensors, cfg, manifest.get("provenance", ""))
+    try:
+        ck.validate()
+    except SchemaError as exc:
+        raise SchemaError(f"{stem}: {exc}") from exc
     return ck

@@ -17,9 +17,9 @@ from .errors import (ChecksumError, ConfigError, DivergenceError, GateError,
                      InputError, SchemaError, ShapeError)
 from .masking import analyze_pair
 from .metrics import evaluate_checkpoint
-from .pipeline import (ExperimentConfig, evaluated_models, retrain_baseline, run_pipeline,
-                       run_sweep, run_tag, stage_corpus, stage_pretrain, stage_report,
-                       stage_retrain, stage_unlearn)
+from .pipeline import (ExperimentConfig, evaluated_models, is_current, retrain_baseline,
+                       run_pipeline, run_sweep, run_tag, stage_corpus, stage_pretrain,
+                       stage_report, stage_retrain, stage_unlearn)
 from .quantizer import QuantSpec, quantize_model
 from .unlearn import UnlearnConfig
 
@@ -30,7 +30,6 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--config", type=Path, required=True, help="experiment JSON")
     p.add_argument("--out", type=Path, required=True, help="run directory")
     p.add_argument("--seed", type=int, default=None, help="override config seed")
-    p.add_argument("--jobs", type=int, default=1, help="sweep worker processes")
     p.add_argument("command", choices=[
         "pretrain", "retrain", "unlearn", "quantize", "analyze", "eval",
         "report", "sweep", "run"])
@@ -101,15 +100,13 @@ def _dispatch(ns) -> None:
         split = stage_corpus(cfg, out)
         tok = build_tokenizer(split)
         ck = load_checkpoint(stem)
-        proto = cfg.protocol()
         baseline = None
-        if (out / "retrain.json").exists():
-            baseline = retrain_baseline(out, load_checkpoint(out / "retrain"), split, tok,
-                                        proto.k_percent)
-        cell = evaluate_checkpoint(ck, split, tok, baseline, proto)
+        if is_current(cfg, out, "retrain.json"):
+            baseline = retrain_baseline(cfg, out, stage_retrain(cfg, out, split), split, tok)
+        cell = evaluate_checkpoint(ck, split, tok, baseline, cfg.protocol())
         print(json.dumps(cell, indent=1, sort_keys=True))
     elif ns.command == "sweep":
-        summary = run_sweep(cfg, out, ns.jobs)
+        summary = run_sweep(cfg, out)
         print(f"sweep summary written: {out / 'sweep.json'} "
               f"({len(summary['cells'])} cells)")
 

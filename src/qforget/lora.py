@@ -109,25 +109,3 @@ def factor_grads(adapters: dict, grads: dict) -> dict:
         out[name + ".B"] = sg @ ad.A.T
     return out
 
-
-def save_adapters(adapters: dict, stem) -> None:
-    from .checkpoint import _write_container
-    tensors = {}
-    meta_entries = {}
-    for name, ad in sorted(adapters.items()):
-        tensors[f"{name}.A"] = ad.A
-        tensors[f"{name}.B"] = ad.B
-        meta_entries[name] = {"rank": ad.rank, "alpha": ad.alpha}
-    _write_container(stem, tensors, {"kind": "adapters", "adapters": meta_entries})
-
-
-def load_adapters(stem) -> dict:
-    from .checkpoint import _read_container
-    tensors, manifest = _read_container(stem)
-    adapters = {}
-    for name, meta in manifest["adapters"].items():
-        adapters[name] = LoraAdapter(
-            name=name, A=tensors[f"{name}.A"], B=tensors[f"{name}.B"],
-            rank=int(meta["rank"]), alpha=float(meta["alpha"]),
-        )
-    return adapters

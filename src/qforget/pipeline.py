@@ -6,20 +6,27 @@ unlearning runs (merged before any quantization when adapters are used) ->
 fake-quantized variants -> masking analyses -> metric cells -> report. Every
 stage is deterministic, so two executions of the same config produce
 byte-identical report files. Every artifact is written atomically
-(checkpoint.write_atomic), so a crashed stage leaves no torn file that a later
-run would take for a cached result.
+(checkpoint.write_atomic), so a crashed stage leaves no torn file.
+
+One rule decides whether a stored artifact is reused: `plan_keys` derives
+each artifact's key from the config alone, and `_cached` reuses the file only
+when it exists and manifest.json records that key. Otherwise it recomputes
+the artifact, writes it, and only then records the key.
 """
 
+import functools
+import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-from .checkpoint import (Checkpoint, ModelConfig, blob_crc32, load_checkpoint,
-                         read_json, save_checkpoint, write_atomic)
+from . import __version__
+from .checkpoint import (Checkpoint, ModelConfig, load_checkpoint, read_json,
+                         save_checkpoint, write_atomic)
 from .corpus import (CorpusSplit, build_tokenizer, check_split_sizes, generate_corpus,
                      load_corpus, qa_text, save_corpus)
 from .errors import ConfigError, ContractError, GateError, SchemaError
-from .lora import LoraConfig, save_adapters
+from .lora import LoraConfig
 from .masking import analyze_pair
 from .metrics import (MetricProtocol, evaluate_checkpoint, membership_aucs,
                       utilitypres, vermem)
@@ -148,20 +155,72 @@ def specs_by_precision(cfg: ExperimentConfig) -> dict:
     return {p: table.get(p) for p in PRECISIONS if p == "full" or p in table}
 
 
+def plan_keys(cfg: ExperimentConfig) -> dict:
+    """Manifest entry (path in the run directory) -> key of every artifact
+    `run` writes. A key is a SHA-256 of the package version, the entry, the
+    upstream artifacts' keys and the config values its stage reads."""
+    keys = {}
+
+    def put(rel, *inputs):
+        blob = json.dumps([__version__, rel, *inputs], sort_keys=True).encode()
+        keys[rel] = hashlib.sha256(blob).hexdigest()
+        return keys[rel]
+
+    corpus = put("corpus.jsonl", cfg.seed, cfg.corpus)
+    target = put("target.json", corpus, cfg.model, cfg.pretrain)
+    retrain = put("retrain.json", corpus, cfg.model, cfg.pretrain)
+    baseline = put("eval/retrain_aucs.json", retrain, cfg.metrics["k_percent"])
+    for name, _, _, run in evaluated_models(cfg):
+        model = target
+        if run is not None:
+            model = put(f"runs/{name}/model.json", target, asdict(cfg.unlearn_config(run)))
+            put(f"masking/{name}.json", model, [asdict(q) for q in cfg.quant_specs()])
+        for precision, spec in specs_by_precision(cfg).items():
+            put(f"eval/{name}_{precision}.json", model, baseline,
+                spec and asdict(spec), cfg.metrics)
+    return keys
+
+
+def read_manifest(out: Path) -> dict:
+    """manifest.json of a run directory: entry -> recorded key ({} if absent)."""
+    path = Path(out) / "manifest.json"
+    manifest = read_json(path) if path.exists() else {}
+    if not isinstance(manifest, dict):
+        raise SchemaError(f"{path}: not a JSON object")
+    return manifest
+
+
+def is_current(cfg: ExperimentConfig, out: Path, rel: str) -> bool:
+    """Whether out/rel exists and manifest.json records the key the plan gives it."""
+    return read_manifest(out).get(rel) == plan_keys(cfg)[rel] and (Path(out) / rel).exists()
+
+
+def _cached(cfg: ExperimentConfig, out: Path, rel: str, load, make):
+    """load(out/rel) when the artifact is current; else make(out/rel), which
+    writes it, and then record its key in manifest.json."""
+    path = Path(out) / rel
+    if is_current(cfg, out, rel):
+        return load(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    value = make(path)
+    # read again: make may have recorded upstream artifacts of its own
+    manifest = {**read_manifest(out), rel: plan_keys(cfg)[rel]}
+    write_atomic(Path(out) / "manifest.json", json.dumps(manifest, indent=1, sort_keys=True))
+    return value
+
+
 # ---------------------------------------------------------------------------
 # Stages
 # ---------------------------------------------------------------------------
 
 
 def stage_corpus(cfg: ExperimentConfig, out: Path) -> CorpusSplit:
-    path = out / "corpus.jsonl"
-    if path.exists():
-        return load_corpus(path)
-    split = generate_corpus(cfg.seed, cfg.corpus["n_forget"],
-                            cfg.corpus["n_retain"], cfg.corpus["n_holdout"])
-    out.mkdir(parents=True, exist_ok=True)
-    save_corpus(split, path)
-    return split
+    def make(path):
+        split = generate_corpus(cfg.seed, cfg.corpus["n_forget"],
+                                cfg.corpus["n_retain"], cfg.corpus["n_holdout"])
+        save_corpus(split, path)
+        return split
+    return _cached(cfg, out, "corpus.jsonl", load_corpus, make)
 
 
 def stream_texts(records: list, duplication: int = 1) -> list:
@@ -190,27 +249,26 @@ def _stage_trained(cfg: ExperimentConfig, out: Path, split: CorpusSplit, stem: s
                    texts: list, seed: int, gate: bool) -> Checkpoint:
     """Load `stem`, or train it from a `seed`-derived init on `texts` with the
     pretrain settings; with `gate`, it must pass the gate before it is saved."""
-    path = out / stem
-    if path.with_suffix(".json").exists():
-        return load_checkpoint(path)
-    tok = build_tokenizer(split)
-    mcfg = cfg.model_config(len(tok))
-    mcfg.seed = seed
-    p = cfg.pretrain
-    trained, log = train_lm(init_model(mcfg), texts, tok, lr=p["lr"], epochs=p["epochs"],
-                            batch_size=p["batch_size"], seed=seed)
-    trained.provenance = stem
-    if gate:
-        vm = vermem(trained, split.forget, tok, cfg.protocol())
-        up = utilitypres(trained, split.retain, tok)
-        if vm < p["gate_vermem"] or up < p["gate_utility"]:
-            raise GateError(
-                f"pretraining gate failed: vermem={vm:.2f} (need >= {p['gate_vermem']}), "
-                f"utilitypres={up:.2f} (need >= {p['gate_utility']}); "
-                "increase pretrain.epochs")
-    save_checkpoint(trained, path)
-    _write_jsonl(out / f"{stem}_log.jsonl", log)
-    return trained
+    def make(path):
+        tok = build_tokenizer(split)
+        mcfg = cfg.model_config(len(tok))
+        mcfg.seed = seed
+        p = cfg.pretrain
+        trained, log = train_lm(init_model(mcfg), texts, tok, lr=p["lr"], epochs=p["epochs"],
+                                batch_size=p["batch_size"], seed=seed)
+        trained.provenance = stem
+        if gate:
+            vm = vermem(trained, split.forget, tok, cfg.protocol())
+            up = utilitypres(trained, split.retain, tok)
+            if vm < p["gate_vermem"] or up < p["gate_utility"]:
+                raise GateError(
+                    f"pretraining gate failed: vermem={vm:.2f} (need >= {p['gate_vermem']}), "
+                    f"utilitypres={up:.2f} (need >= {p['gate_utility']}); "
+                    "increase pretrain.epochs")
+        save_checkpoint(trained, path)
+        _write_jsonl(out / f"{stem}_log.jsonl", log)
+        return trained
+    return _cached(cfg, out, f"{stem}.json", load_checkpoint, make)
 
 
 def stage_pretrain(cfg: ExperimentConfig, out: Path, split: CorpusSplit) -> Checkpoint:
@@ -227,50 +285,35 @@ def stage_retrain(cfg: ExperimentConfig, out: Path, split: CorpusSplit) -> Check
 
 def stage_unlearn(cfg: ExperimentConfig, out: Path, split: CorpusSplit,
                   target: Checkpoint, run: dict) -> Checkpoint:
-    """One unlearning run; returns the checkpoint to evaluate (merged for lora).
-
-    Adapter runs write both the adapters and the merged model; merging always
-    precedes quantization.
-    """
+    """One unlearning run; returns the checkpoint to evaluate, the merged
+    model for lora, since merging always precedes quantization."""
     ucfg = cfg.unlearn_config(run)
-    tag = run_tag(ucfg)
-    rundir = out / "runs" / tag
-    stem = rundir / "model"
-    if stem.with_suffix(".json").exists():
-        return load_checkpoint(stem)
-    tok = build_tokenizer(split)
-    result = unlearn_run(target, split, ucfg, tok)
-    if result.adapters is not None:
-        save_adapters(result.adapters, rundir / "adapters")
-    final = result.merged()
-    save_checkpoint(final, stem)
-    _write_jsonl(rundir / "log.jsonl", result.log)
-    return final
+
+    def make(path):
+        result = unlearn_run(target, split, ucfg, build_tokenizer(split))
+        final = result.merged()
+        save_checkpoint(final, path)
+        _write_jsonl(path.parent / "log.jsonl", result.log)
+        return final
+    return _cached(cfg, out, f"runs/{run_tag(ucfg)}/model.json", load_checkpoint, make)
 
 
-def retrain_baseline(out: Path, retrain: Checkpoint, split: CorpusSplit, tok,
-                     k_percent: float) -> dict:
-    """The retrain model's membership_aucs, PrivLeak's baseline, cached in
-    eval/retrain_aucs.json under the model's blob CRC-32 and k_percent.
+def retrain_baseline(cfg: ExperimentConfig, out: Path, retrain: Checkpoint,
+                     split: CorpusSplit, tok) -> dict:
+    """The retrain model's membership_aucs, PrivLeak's baseline, kept in
+    eval/retrain_aucs.json, so a run directory scores its retrain model once."""
+    def load(path):
+        aucs = read_json(path)
+        if not isinstance(aucs, dict) or sorted(aucs) != ["privleak", "privleak_holdout"] \
+                or not all(isinstance(a, float) for a in aucs.values()):
+            raise SchemaError(f"{path}: not a privleak/privleak_holdout AUC pair")
+        return aucs
 
-    A missing or unreadable file, or one keyed to another model or k, is
-    scored again and rewritten, so a run directory scores its retrain model
-    once.
-    """
-    path = Path(out) / "eval" / "retrain_aucs.json"
-    key = {"retrain_crc32": blob_crc32(retrain.params), "k_percent": k_percent}
-    try:
-        cached = json.loads(path.read_text())
-        aucs = cached["aucs"]
-        if cached["key"] == key and sorted(aucs) == ["privleak", "privleak_holdout"] \
-                and all(isinstance(a, float) for a in aucs.values()):
-            return aucs
-    except (OSError, ValueError, KeyError, TypeError, AttributeError):
-        pass
-    aucs = membership_aucs(retrain, split, tok, k_percent)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    write_atomic(path, json.dumps({"key": key, "aucs": aucs}, indent=1, sort_keys=True))
-    return aucs
+    def make(path):
+        aucs = membership_aucs(retrain, split, tok, cfg.protocol().k_percent)
+        write_atomic(path, json.dumps(aucs, indent=1, sort_keys=True))
+        return aucs
+    return _cached(cfg, out, "eval/retrain_aucs.json", load, make)
 
 
 # every field of an eval cell and the JSON types it may hold; the privleak
@@ -299,46 +342,38 @@ def read_cell(path) -> dict:
 def stage_eval(cfg: ExperimentConfig, out: Path, split: CorpusSplit, tok,
                retrain: Checkpoint, name: str, method: str, adapter: str,
                ck: Checkpoint) -> dict:
-    """Metric cells for one checkpoint at every precision, cached as JSON.
-
-    PrivLeak's baseline comes from retrain_baseline, and only when some cell
-    is missing.
-    """
-    specs = specs_by_precision(cfg)
-    paths = {p: out / "eval" / f"{name}_{p}.json" for p in specs}
+    """Metric cells for one checkpoint at every precision; PrivLeak's baseline
+    comes from retrain_baseline, and only when some cell is made."""
     proto = cfg.protocol()
-    baseline = None
-    if not all(path.exists() for path in paths.values()):
-        baseline = retrain_baseline(out, retrain, split, tok, proto.k_percent)
-    cells = {}
-    for precision, path in paths.items():
-        if path.exists():
-            cells[precision] = read_cell(path)
-            continue
-        variant = ck if specs[precision] is None else quantize_model(ck, specs[precision])
-        cell = evaluate_checkpoint(variant, split, tok, baseline, proto)
+    baseline = functools.cache(lambda: retrain_baseline(cfg, out, retrain, split, tok))
+
+    def make(spec, precision, path):
+        variant = ck if spec is None else quantize_model(ck, spec)
+        cell = evaluate_checkpoint(variant, split, tok, baseline(), proto)
         cell.update({"method": method, "precision": precision, "adapter": adapter})
-        path.parent.mkdir(parents=True, exist_ok=True)
         write_atomic(path, json.dumps(cell, indent=1, sort_keys=True))
-        cells[precision] = cell
-    return cells
+        return cell
+    return {precision: _cached(cfg, out, f"eval/{name}_{precision}.json", read_cell,
+                               functools.partial(make, spec, precision))
+            for precision, spec in specs_by_precision(cfg).items()}
 
 
 def stage_masking(cfg: ExperimentConfig, out: Path, target: Checkpoint,
-                  name: str, ck: Checkpoint):
-    report = analyze_pair(target, ck, cfg.quant_specs())
-    mdir = out / "masking"
-    mdir.mkdir(parents=True, exist_ok=True)
-    write_atomic(mdir / f"{name}.csv", report.to_csv())
-    write_atomic(mdir / f"{name}.json", report.to_json())
-    return report
+                  name: str, ck: Checkpoint) -> None:
+    """masking/<name>.csv and .json: analyze_pair of the target and `ck`."""
+    def make(path):
+        report = analyze_pair(target, ck, cfg.quant_specs())
+        write_atomic(path.with_suffix(".csv"), report.to_csv())
+        write_atomic(path, report.to_json())
+    _cached(cfg, out, f"masking/{name}.json", lambda path: None, make)
 
 
 def stage_report(cfg: ExperimentConfig, out: Path) -> dict:
     """Collect every expected metric cell into report.csv / report.json.
 
-    Missing cells are listed, not fatal; the report is a pure function of the
-    artifacts on disk.
+    A cell or masking file counts only when manifest.json records the key the
+    plan gives it; a missing or stale cell is listed, not fatal. The report
+    is a pure function of the artifacts on disk.
     """
     rows = []
     missing = []
@@ -346,14 +381,14 @@ def stage_report(cfg: ExperimentConfig, out: Path) -> dict:
     precisions = specs_by_precision(cfg)
     for name, _, _, run in evaluated_models(cfg):
         for precision in precisions:
-            path = out / "eval" / f"{name}_{precision}.json"
-            if not path.exists():
+            rel = f"eval/{name}_{precision}.json"
+            if is_current(cfg, out, rel):
+                rows.append(read_cell(out / rel))
+            else:
                 missing.append(f"{name}_{precision}")
-                continue
-            rows.append(read_cell(path))
-        mpath = out / "masking" / f"{name}.json"
-        if run is not None and mpath.exists():
-            agg = read_json(mpath)["aggregates"]
+        rel = f"masking/{name}.json"
+        if run is not None and is_current(cfg, out, rel):
+            agg = read_json(out / rel)["aggregates"]
             crossing[name] = {a["spec"]: a["crossing_fraction"] for a in agg}
     report = {
         "protocol": cfg.protocol().to_dict(),
@@ -428,21 +463,6 @@ def sweep_grid(cfg: ExperimentConfig) -> list:
     return runs
 
 
-def _sweep_cell(cfg: ExperimentConfig, out: Path, run: dict, index: int) -> dict:
-    """Full and int4 VerMem/UtilityPres of one grid point, the only metrics
-    the selection reads (so no retrain baseline is needed)."""
-    split = stage_corpus(cfg, out)
-    tok = build_tokenizer(split)
-    target = load_checkpoint(out / "target")
-    final = unlearn_run(target, split, cfg.unlearn_config(run), tok).merged()
-    row = {"index": index, "run": run}
-    int4 = quantize_model(final, specs_by_precision(cfg)["int4"])
-    for precision, ck in (("full", final), ("int4", int4)):
-        row[f"vermem_{precision}"] = vermem(ck, split.forget, tok, cfg.protocol())
-        row[f"utilitypres_{precision}"] = utilitypres(ck, split.retain, tok)
-    return row
-
-
 def sweep_best(cells: list) -> dict:
     """Per method, the cell of greatest utilitypres_int4 among those with
     vermem_int4 <= vermem_full + 5; ties break by cell order."""
@@ -457,7 +477,7 @@ def sweep_best(cells: list) -> dict:
     return best
 
 
-def run_sweep(cfg: ExperimentConfig, out: Path, jobs: int = 1) -> dict:
+def run_sweep(cfg: ExperimentConfig, out: Path) -> dict:
     """Grid over adapter hyperparameters; pick each method's config by
     sweep_best.
 
@@ -469,14 +489,19 @@ def run_sweep(cfg: ExperimentConfig, out: Path, jobs: int = 1) -> dict:
         raise ConfigError("a sweep selects on int4 cells; configure a 4-bit quant spec")
     out = Path(out)
     split = stage_corpus(cfg, out)
-    stage_pretrain(cfg, out, split)
-    tasks = [(cfg, out, run, i) for i, run in enumerate(grid)]
-    if jobs > 1:
-        import multiprocessing
-        with multiprocessing.Pool(jobs) as pool:
-            results = pool.starmap(_sweep_cell, tasks)  # in task order
-    else:
-        results = [_sweep_cell(*t) for t in tasks]
+    target = stage_pretrain(cfg, out, split)
+    tok = build_tokenizer(split)
+    results = []
+    for index, run in enumerate(grid):
+        # full and int4 VerMem/UtilityPres, the only metrics the selection
+        # reads (so no retrain baseline is needed)
+        final = unlearn_run(target, split, cfg.unlearn_config(run), tok).merged()
+        row = {"index": index, "run": run}
+        int4 = quantize_model(final, specs_by_precision(cfg)["int4"])
+        for precision, ck in (("full", final), ("int4", int4)):
+            row[f"vermem_{precision}"] = vermem(ck, split.forget, tok, cfg.protocol())
+            row[f"utilitypres_{precision}"] = utilitypres(ck, split.retain, tok)
+        results.append(row)
 
     summary = {
         "selection": "maximize utilitypres_int4 subject to "

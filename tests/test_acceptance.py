@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qforget.autodiff import Var, grad_check, log_sigmoid, scale
+from qforget.autodiff import Var, add, grad_check, log_sigmoid, matmul, scale
 from qforget.checkpoint import ModelConfig, linear_param_names
 from qforget.corpus import build_tokenizer, generate_corpus
 from qforget.lora import LoraConfig, attach, merge
@@ -22,7 +22,7 @@ from qforget.masking import analyze_pair, masking_margin
 from qforget.metrics import (MetricProtocol, auc_roc, knowmem, membership_aucs,
                              min_k_scores, privleak, rouge_l_f1, utilitypres,
                              vermem)
-from qforget.model import (forward_logits, init_model, make_param_vars,
+from qforget.model import (forward_graph, forward_logits, init_model, make_param_vars,
                            nll_graph)
 from qforget.pipeline import ExperimentConfig, run_pipeline
 from qforget.quantizer import QuantSpec, bin_index, dequantize, quantize, quantize_model
@@ -255,8 +255,12 @@ def test_criterion_05_lora_contracts():
         ads = attach(ck, LoraConfig(rank=2, alpha=4.0, targets=mode, seed=2))
         for ad in ads.values():
             ad.B = rng.normal(0, 0.1, ad.B.shape)
+        # the reference forms each W + s * B @ A in the graph, without merge
+        pv = make_param_vars(ck)
+        for name, ad in ads.items():
+            pv[name] = add(pv[name], scale(matmul(Var(ad.B), Var(ad.A)), ad.scaling))
         diff = np.abs(forward_logits(merge(ck, ads), toks)
-                      - forward_logits(ck, toks, ads)).max()
+                      - forward_graph(pv, cfg, toks).value).max()
         worst = max(worst, float(diff))
         assert diff < 1e-9, mode
         for ad in ads.values():

@@ -6,9 +6,10 @@ import pytest
 from qforget.autodiff import Var, add, matmul, scale
 from qforget.checkpoint import ModelConfig
 from qforget.errors import ConfigError
-from qforget.lora import (LoraAdapter, LoraConfig, attach, factor_grads,
-                          load_adapters, merge, save_adapters, target_names)
-from qforget.model import forward_logits, init_model, make_param_vars, nll_graph
+from qforget.lora import (LoraAdapter, LoraConfig, attach, factor_grads, merge,
+                          target_names)
+from qforget.model import (forward_graph, forward_logits, init_model, make_param_vars,
+                           nll_graph)
 
 CFG = ModelConfig(vocab_size=32, d_model=16, n_layers=2, n_heads=2, d_ff=32,
                   context_len=16, seed=1)
@@ -83,6 +84,15 @@ class TestEffectiveDelta:
             assert np.sum(sv > 1e-10) <= r
 
 
+def reparametrised_logits(ck, ads, tokens):
+    """forward_graph logits over leaves in which each targeted weight is
+    W + s * B @ A, built from add, scale and matmul rather than merge."""
+    pv = make_param_vars(ck)
+    for name, ad in ads.items():
+        pv[name] = add(pv[name], scale(matmul(Var(ad.B), Var(ad.A)), ad.scaling))
+    return forward_graph(pv, ck.config, tokens).value
+
+
 class TestMerge:
     def test_forward_equivalence_all_modes(self):
         ck = init_model(CFG)
@@ -91,7 +101,7 @@ class TestMerge:
         for mode in ("all_linear", "mlp_only", "attn_only"):
             ads = randomized(attach(ck, LoraConfig(rank=2, alpha=4.0, targets=mode)))
             diff = np.abs(forward_logits(merge(ck, ads), toks)
-                          - forward_logits(ck, toks, ads)).max()
+                          - reparametrised_logits(ck, ads, toks)).max()
             assert diff < 1e-9, (mode, diff)
 
     def test_merge_no_adapters_is_identity(self):
@@ -187,16 +197,3 @@ class TestAdapterGradients:
         for key, leaf in leaves.items():
             assert grads[key].tobytes() == leaf.grad.tobytes(), key
 
-
-class TestSerialization:
-    def test_roundtrip(self, tmp_path):
-        ck = init_model(CFG)
-        ads = randomized(attach(ck, LoraConfig(rank=3, alpha=1.5, seed=2)))
-        save_adapters(ads, tmp_path / "adapters")
-        loaded = load_adapters(tmp_path / "adapters")
-        assert set(loaded) == set(ads)
-        for name in ads:
-            assert np.array_equal(loaded[name].A, ads[name].A)
-            assert np.array_equal(loaded[name].B, ads[name].B)
-            assert loaded[name].rank == ads[name].rank
-            assert loaded[name].alpha == ads[name].alpha

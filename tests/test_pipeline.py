@@ -120,8 +120,8 @@ class TestEndToEnd:
     def test_artifacts_exist(self, run_dir):
         for rel in ("corpus.jsonl", "target.json", "target.bin", "retrain.json",
                     "runs/GA_full_ft/model.json", "runs/GA_full_ft/log.jsonl",
-                    "runs/GA_GDR_lora/adapters.json", "runs/GA_GDR_lora/model.json",
-                    "masking/GA_full_ft.csv", "eval/f_target_int4.json"):
+                    "runs/GA_GDR_lora/model.json", "masking/GA_full_ft.csv",
+                    "eval/f_target_int4.json", "manifest.json"):
             assert (run_dir / rel).exists(), rel
 
     def test_lora_run_saved_model_is_merged(self, run_dir):
@@ -154,7 +154,7 @@ class TestEndToEnd:
         # the trained models of run_dir, evaluated with an int8-only config
         import shutil
         for rel in ("corpus.jsonl", "target.json", "target.bin", "retrain.json",
-                    "retrain.bin", "runs"):
+                    "retrain.bin", "runs", "manifest.json"):
             src = run_dir / rel
             (shutil.copytree if src.is_dir() else shutil.copy)(src, tmp_path / rel)
         raw = json.loads(json.dumps(MINI))
@@ -174,6 +174,114 @@ class TestEndToEnd:
         stage_report(cfg, run_dir)
         second = (run_dir / "report.csv").read_bytes(), (run_dir / "report.json").read_bytes()
         assert first == second
+
+
+def _files(root: Path) -> dict:
+    """Relative path -> bytes of every file under root."""
+    return {str(f.relative_to(root)): f.read_bytes() for f in root.rglob("*") if f.is_file()}
+
+
+class TestReuse:
+    """A run directory reuses an artifact only under the key the plan gives
+    it; each edit recomputes exactly what reads the edited values."""
+
+    COMPUTE = ("train_lm", "unlearn_run", "evaluate_checkpoint", "analyze_pair")
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        import qforget.pipeline as pipeline_mod
+        counts = dict.fromkeys(self.COMPUTE, 0)
+        for fname in self.COMPUTE:
+            def counting(*args, _real=getattr(pipeline_mod, fname), _name=fname, **kwargs):
+                counts[_name] += 1
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(pipeline_mod, fname, counting)
+        return counts
+
+    @pytest.fixture
+    def copy(self, run_dir, tmp_path):
+        import shutil
+        out = tmp_path / "out"
+        shutil.copytree(run_dir, out)
+        return out
+
+    @staticmethod
+    def _edited(**sections):
+        raw = json.loads(json.dumps(MINI))
+        for name, edit in sections.items():
+            edit(raw[name])
+        return raw
+
+    def test_unchanged_rerun_computes_nothing(self, copy, calls):
+        before = _files(copy)
+        run_pipeline(ExperimentConfig.from_dict(json.loads(json.dumps(MINI))), copy)
+        assert calls == dict.fromkeys(self.COMPUTE, 0)
+        assert _files(copy) == before
+
+    def test_edited_run_lr_recomputes_that_run_only(self, copy, calls):
+        before = _files(copy)
+        raw = self._edited(runs=lambda runs: runs[0].update(lr=1e-4))  # GA_full_ft
+        run_pipeline(ExperimentConfig.from_dict(raw), copy)
+        assert calls == {"train_lm": 0, "unlearn_run": 1, "evaluate_checkpoint": 3,
+                         "analyze_pair": 1}
+        after = _files(copy)
+        assert set(after) == set(before)
+        changed = {rel for rel in after if after[rel] != before[rel]}
+        assert "runs/GA_full_ft/model.bin" in changed and "manifest.json" in changed
+        assert all(rel.startswith(("runs/GA_full_ft/", "masking/GA_full_ft.",
+                                   "eval/GA_full_ft_", "report.", "manifest.json"))
+                   for rel in changed), changed
+
+    def test_edited_k_percent_rescores_baseline_and_cells(self, copy, calls):
+        from qforget.pipeline import plan_keys, read_manifest
+        raw = self._edited(metrics=lambda m: m.update(k_percent=50.0))
+        cfg = ExperimentConfig.from_dict(raw)
+        before = _files(copy)
+        report = run_pipeline(cfg, copy)
+        assert calls == {"train_lm": 0, "unlearn_run": 0, "evaluate_checkpoint": 9,
+                         "analyze_pair": 0}
+        assert report["protocol"]["k_percent"] == 50.0 and report["missing"] == []
+        assert read_manifest(copy) == {**json.loads(before["manifest.json"]),
+                                       **{rel: key for rel, key in plan_keys(cfg).items()
+                                          if rel.startswith("eval/")}}
+        assert _files(copy)["eval/retrain_aucs.json"] != before["eval/retrain_aucs.json"]
+
+    def test_report_after_config_edit_lists_stale_cells_missing(self, copy, tmp_path, calls):
+        runs = self._edited(runs=lambda runs: runs[0].update(lr=1e-4))["runs"]
+        cfg_path = write_config(tmp_path, {"runs": runs})
+        assert cli_main(["--config", str(cfg_path), "--out", str(copy), "report"]) == 0
+        assert calls == dict.fromkeys(self.COMPUTE, 0)
+        report = json.loads((copy / "report.json").read_text())
+        assert report["missing"] == ["GA_full_ft_full", "GA_full_ft_int8", "GA_full_ft_int4"]
+        assert len(report["rows"]) == 6
+        assert set(report["crossing_fractions"]) == {"GA_GDR_lora"}
+
+    def test_seed_override_reuses_nothing(self, copy, tmp_path, calls):
+        cfg_path = write_config(tmp_path)
+        fresh = tmp_path / "fresh"
+        for out in (copy, fresh):
+            assert cli_main(["--config", str(cfg_path), "--out", str(out),
+                             "--seed", "5", "run"]) == 0
+            assert calls == {"train_lm": 2, "unlearn_run": 2, "evaluate_checkpoint": 9,
+                             "analyze_pair": 2}, out
+            calls.update(dict.fromkeys(self.COMPUTE, 0))
+        assert _files(copy) == _files(fresh)
+
+    def test_directory_without_manifest_is_recomputed_once(self, copy, run_dir, calls):
+        # a directory from before the manifest: the same files, the baseline
+        # in its old keyed form, and no record of what config made them
+        (copy / "manifest.json").unlink()
+        aucs = copy / "eval" / "retrain_aucs.json"
+        aucs.write_text(json.dumps({"key": {"retrain_crc32": 1, "k_percent": 20.0},
+                                    "aucs": json.loads(aucs.read_text())}))
+        cfg = ExperimentConfig.from_dict(json.loads(json.dumps(MINI)))
+        run_pipeline(cfg, copy)
+        assert calls == {"train_lm": 2, "unlearn_run": 2, "evaluate_checkpoint": 9,
+                         "analyze_pair": 2}
+        assert _files(copy) == _files(run_dir)
+        counted = dict(calls)
+        run_pipeline(cfg, copy)
+        assert calls == counted
 
 
 def _tiny_models(cfg, split):
@@ -202,17 +310,24 @@ class TestStageEval:
         monkeypatch.setattr(metrics_mod, "_membership_scores", counting)
         return calls
 
-    def _stage(self, out, name="m", models=None, k_percent=20.0):
+    NAMES = ("f_target", "GA_full_ft", "GA_GDR_lora")
+
+    def _stage(self, out, name="f_target", models=None, k_percent=20.0):
         from qforget.corpus import build_tokenizer
         from qforget.pipeline import stage_corpus, stage_eval
-        raw = json.loads(json.dumps(MINI))
-        raw["metrics"]["k_percent"] = k_percent
-        cfg = ExperimentConfig.from_dict(raw)
+        cfg = self._cfg(k_percent)
         split = stage_corpus(cfg, out)
         ck, retrain = models or _tiny_models(cfg, split)
         cells = stage_eval(cfg, out, split, build_tokenizer(split), retrain,
                            name, name, "none", ck)
         return split, retrain, cells
+
+    @staticmethod
+    def _cfg(k_percent=20.0, seed=0):
+        raw = json.loads(json.dumps(MINI))
+        raw["metrics"]["k_percent"] = k_percent
+        raw["seed"] = seed
+        return ExperimentConfig.from_dict(raw)
 
     def test_retrain_lists_scored_once_per_stage(self, tmp_path, scored):
         split, retrain, cells = self._stage(tmp_path)
@@ -246,60 +361,67 @@ class TestStageEval:
         return _tiny_models(cfg, stage_corpus(cfg, out))
 
     def test_retrain_scored_once_per_run_directory(self, tmp_path, scored):
-        from qforget.checkpoint import save_checkpoint
+        from qforget.pipeline import plan_keys, read_manifest
         models = self._models(tmp_path)
         retrain = models[1]
-        for name in ("a", "b", "c"):
+        for name in self.NAMES:
             self._stage(tmp_path, name, models)
         assert len([ck for ck, _ in scored if ck is retrain]) == 3
-        cached = json.loads((tmp_path / "eval" / "retrain_aucs.json").read_text())
-        save_checkpoint(retrain, tmp_path / "retrain")
-        manifest = json.loads((tmp_path / "retrain.json").read_text())
-        assert cached["key"] == {"retrain_crc32": manifest["crc32"], "k_percent": 20.0}
-        assert set(cached["aucs"]) == {"privleak", "privleak_holdout"}
+        rel = "eval/retrain_aucs.json"
+        assert read_manifest(tmp_path)[rel] == plan_keys(self._cfg())[rel]
+        cached = json.loads((tmp_path / rel).read_text())
+        assert set(cached) == {"privleak", "privleak_holdout"}
 
     @pytest.mark.parametrize("stale", ["crc", "k_percent", "truncated"])
     def test_stale_or_torn_baseline_is_rescored(self, tmp_path, scored, stale):
+        # crc: the manifest records the baseline of another retrain model
+        # (another seed's); k_percent: that of another k. A torn file under
+        # the right key is invalid input, as a torn cell is.
+        from qforget.errors import SchemaError
+        from qforget.pipeline import plan_keys, read_manifest
         models = self._models(tmp_path)
         retrain = models[1]
-        _, _, first = self._stage(tmp_path, "a", models)
-        path = tmp_path / "eval" / "retrain_aucs.json"
+        _, _, first = self._stage(tmp_path, "f_target", models)
+        rel = "eval/retrain_aucs.json"
+        path = tmp_path / rel
         good = path.read_bytes()
-        doc = json.loads(good)
-        if stale == "crc":
-            doc["key"]["retrain_crc32"] += 1
-            path.write_text(json.dumps(doc))
-        elif stale == "k_percent":
-            doc["key"]["k_percent"] = 50.0
-            path.write_text(json.dumps(doc))
-        else:
+        manifest = read_manifest(tmp_path)
+        if stale == "truncated":
             path.write_bytes(good[:len(good) // 2])
+            with pytest.raises(SchemaError, match="retrain_aucs.json"):
+                self._stage(tmp_path, "GA_full_ft", models)
+            return
+        other = self._cfg(seed=1) if stale == "crc" else self._cfg(k_percent=50.0)
+        manifest[rel] = plan_keys(other)[rel]
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
         scored.clear()
-        _, _, second = self._stage(tmp_path, "b", models)
+        _, _, second = self._stage(tmp_path, "GA_full_ft", models)
         assert len([ck for ck, _ in scored if ck is retrain]) == 3
         assert path.read_bytes() == good
+        assert read_manifest(tmp_path)[rel] == plan_keys(self._cfg())[rel]
         for precision, cell in second.items():
             assert cell["privleak"] == first[precision]["privleak"]
             assert cell["privleak_holdout"] == first[precision]["privleak_holdout"]
 
     def test_baseline_follows_k_percent(self, tmp_path, scored):
+        from qforget.pipeline import plan_keys, read_manifest
         models = self._models(tmp_path)
-        self._stage(tmp_path, "a", models)
-        self._stage(tmp_path, "b", models, k_percent=50.0)
+        self._stage(tmp_path, "f_target", models)
+        self._stage(tmp_path, "GA_full_ft", models, k_percent=50.0)
         assert len([ck for ck, _ in scored if ck is models[1]]) == 6
-        cached = json.loads((tmp_path / "eval" / "retrain_aucs.json").read_text())
-        assert cached["key"]["k_percent"] == 50.0
+        rel = "eval/retrain_aucs.json"
+        assert read_manifest(tmp_path)[rel] == plan_keys(self._cfg(k_percent=50.0))[rel]
 
     def test_failed_cell_write_is_recomputed(self, tmp_path, monkeypatch):
         import os
         _, _, first = self._stage(tmp_path)
         eval_dir = tmp_path / "eval"
         before = {p.name: p.read_bytes() for p in eval_dir.iterdir()}
-        (eval_dir / "m_int4.json").unlink()
+        (eval_dir / "f_target_int4.json").unlink()
         real = os.replace
 
         def failing(src, dst):
-            if Path(dst).name == "m_int4.json":
+            if Path(dst).name == "f_target_int4.json":
                 raise OSError("injected: disk full")
             real(src, dst)
 
@@ -309,7 +431,7 @@ class TestStageEval:
                 self._stage(tmp_path)
         # no torn cell and no temp file: the int4 cell is simply missing
         assert sorted(p.name for p in eval_dir.iterdir()) == sorted(
-            set(before) - {"m_int4.json"})
+            set(before) - {"f_target_int4.json"})
         _, _, again = self._stage(tmp_path)
         assert again == first
         assert {p.name: p.read_bytes() for p in eval_dir.iterdir()} == before
@@ -426,7 +548,7 @@ class TestCli:
         assert code == 5
         err = capsys.readouterr().err
         assert err.startswith("invalid input:") and "corpus.jsonl" in err
-        assert sorted(p.name for p in out.iterdir()) == ["corpus.jsonl"]
+        assert sorted(p.name for p in out.iterdir()) == ["corpus.jsonl", "manifest.json"]
 
     def test_missing_checkpoint_exit_code(self, tmp_path, capsys):
         from qforget.checkpoint import ModelConfig, save_checkpoint
@@ -477,11 +599,12 @@ class TestCli:
             assert err.startswith("invalid input:") and "GA_full_ft_int8.json" in err
             assert {f: (out / f).read_bytes() for f in before} == before
 
-    def test_eval_uses_retrain_baseline_when_present(self, tmp_path, capsys):
+    def test_eval_uses_retrain_baseline_when_present(self, tmp_path, capsys, monkeypatch):
+        import qforget.pipeline as pipeline_mod
         from qforget.checkpoint import save_checkpoint
         from qforget.corpus import build_tokenizer
         from qforget.metrics import membership_aucs, privleak
-        from qforget.pipeline import stage_corpus
+        from qforget.pipeline import stage_corpus, stage_retrain
         cfg_path = write_config(tmp_path)
         cfg = ExperimentConfig.from_file(cfg_path)
         out = tmp_path / "out"
@@ -495,7 +618,9 @@ class TestCli:
         cell = json.loads(capsys.readouterr().out)
         assert cell["privleak"] is None and cell["privleak_holdout"] is None
 
-        save_checkpoint(retrain, out / "retrain")
+        # an untrained retrain model, recorded as the run's own
+        monkeypatch.setattr(pipeline_mod, "train_lm", lambda init, *a, **k: (init, []))
+        stage_retrain(cfg, out, split)
         assert cli_main(argv) == 0
         with_baseline = json.loads(capsys.readouterr().out)
         aucs, baseline = membership_aucs(ck, split, tok), membership_aucs(retrain, split, tok)
