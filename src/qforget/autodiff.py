@@ -3,8 +3,11 @@
 All math runs in float64 so finite-difference checks can assert tight
 tolerances. Values are dense row-major numpy arrays; a `Var` wraps one value
 plus the graph edges needed for the backward pass. Ops build the graph
-eagerly; `Var.backward()` walks it once in reverse topological order and
-accumulates gradients on every node (leaves included).
+eagerly; `Var.backward()` walks it once in reverse topological order, adds
+each leaf's gradient into that leaf's `.grad`, and consumes every other node
+as it goes. `ItemSum` is a loss written as constant scales over a sum of
+per-item graphs; its `backward` holds one item's graph at a time, which is
+how a training step's memory stays that of one item whatever the batch size.
 
 Quantized precision is simulated explicitly elsewhere; nothing in this module
 ever narrows storage.
@@ -46,21 +49,31 @@ class Var:
         return self.value.shape
 
     def backward(self) -> None:
-        """Accumulate d(self)/d(node) into .grad for every node in the graph.
+        """Add d(self)/d(leaf) into .grad of every leaf of the graph, then
+        consume the graph.
 
-        Requires a scalar root. Each node's backward closure fires exactly
-        once, after all its consumers have contributed (reverse topological
-        order), so fan-out gradients sum correctly.
+        Requires a scalar root. Each node's closure fires exactly once, after
+        all its consumers have contributed (reverse topological order), so
+        fan-out gradients sum correctly. A parent's gradient is allocated
+        when its first consumer fires. A leaf (a node without parents) keeps
+        its gradient, and a later backward through it adds to it: that is
+        how per-item gradients sum over a batch. Every other node drops its
+        gradient, closure and parent links once it has fired, so a second
+        backward over a consumed graph raises ContractError.
         """
         if self.value.size != 1:
             raise ContractError(f"backward() needs a scalar root, got shape {self.shape}")
         order = _toposort(self)
-        for node in order:
-            node.grad = np.zeros_like(node.value)
-        self.grad = np.ones_like(self.value)
+        ones = np.ones_like(self.value)
+        self.grad = ones if self.grad is None else self.grad + ones
         for node in reversed(order):
-            if node._backward is not None:
-                node._backward(node.grad)
+            if not node.parents:
+                continue
+            for p in node.parents:
+                if p.grad is None:
+                    p.grad = np.zeros_like(p.value)
+            node._backward(node.grad)
+            node.grad = node._backward = node.parents = None
 
 
 def _toposort(root: Var) -> list:
@@ -75,6 +88,8 @@ def _toposort(root: Var) -> list:
             continue
         if id(node) in visited:
             continue
+        if node.parents is None:
+            raise ContractError("backward() reached a node that an earlier backward() consumed")
         visited.add(id(node))
         stack.append((node, True))
         for p in node.parents:
@@ -376,6 +391,58 @@ def log_sigmoid(z: Var) -> Var:
 
     out._backward = bwd
     return out
+
+
+# ---------------------------------------------------------------------------
+# Losses summed over items
+# ---------------------------------------------------------------------------
+
+
+class ItemSum:
+    """c_k * (... c_1 * (c_0 * (piece_1 + ... + piece_n))): a scalar loss as
+    constant scales over a sum of per-item pieces.
+
+    Each piece is a zero-argument callable that builds one item's scalar
+    graph. `graph` builds the whole sum as one graph. `backward` never does:
+    it builds, differentiates and drops one item at a time, so it holds one
+    item's graph whatever the number of items. Its leaf gradients are still
+    bit-identical to `graph().backward()`'s: that backward hands each piece
+    the gradient c_k * ... * c_0 through scale and add nodes, and it runs
+    the pieces' subgraphs one after another in item order, as the per-item
+    chains scale(...scale(piece, c_0)..., c_k) do.
+    """
+
+    def __init__(self, pieces, scales):
+        self.pieces = list(pieces)
+        self.scales = tuple(float(c) for c in scales)
+
+    def scaled(self, c: float) -> "ItemSum":
+        return ItemSum(self.pieces, self.scales + (float(c),))
+
+    def graph(self) -> Var:
+        total = None
+        for piece in self.pieces:
+            p = piece()
+            total = p if total is None else add(total, p)
+        for c in self.scales:
+            total = scale(total, c)
+        return total
+
+    def backward(self, *outer: float) -> float:
+        """Add into the leaves the gradient of self, scaled further by each
+        of `outer` in turn, one piece at a time; return self's value, formed
+        with graph()'s float operations."""
+        chain = self.scales + tuple(float(c) for c in outer)
+        total = None
+        for piece in self.pieces:
+            root = piece()
+            total = root.value if total is None else total + root.value
+            for c in chain:
+                root = scale(root, c)
+            root.backward()
+        for c in self.scales:
+            total = total * c
+        return float(total)
 
 
 # ---------------------------------------------------------------------------

@@ -9,23 +9,26 @@ machinery target.
 Two forwards share one architecture and one token check. `forward_graph`
 builds the model from autodiff primitives, one sequence at a time: it is the
 training forward, and every training loss reads its logit rows through
-`continuations`. `infer` is the grad-free inference forward on plain arrays,
-batched over a block of equal-length sequences, and every evaluation entry
-point (`forward_logits`, `token_log_probs`, greedy decoding) runs on it;
-batched scoring and decoding run each block's shared prompt prefix once
-(_prefill). Both read every weight from one parameter map; LoRA reaches
+`scored_rows`. Each training loss is an autodiff.ItemSum with one piece per
+batch item (`row_mean` for per-row means such as `nll_loss`), so a training
+step holds one item's graph at a time. `infer` is the grad-free inference
+forward on plain arrays, batched over a block of equal-length sequences, and
+every evaluation entry point (`forward_logits`, `token_log_probs`, greedy
+decoding) runs on it; batched scoring and decoding run each block's shared
+prompt prefix once (_prefill). Both read every weight from one parameter map; LoRA reaches
 them only through lora.merge.
 """
 
 import math
+from functools import partial
 
 import numpy as np
 
 from . import seeding
-from .autodiff import (_GELU_C, _GELU_K, Var, _logsumexp, _normalize_rows,
-                       _softmax_, add, concat_cols, cross_entropy, embed, gelu,
-                       layer_norm, linear, matmul, scale, slice_cols, slice_rows,
-                       softmax_rows)
+from .autodiff import (_GELU_C, _GELU_K, ItemSum, Var, _logsumexp,
+                       _normalize_rows, _softmax_, add, concat_cols, cross_entropy,
+                       embed, gelu, layer_norm, linear, matmul, scale, slice_cols,
+                       slice_rows, softmax_rows)
 from .checkpoint import Checkpoint, ModelConfig, param_schema
 from .errors import ContractError, InputError
 from .lora import merge
@@ -62,7 +65,7 @@ def init_model(cfg: ModelConfig) -> Checkpoint:
 
 
 def make_param_vars(ck: Checkpoint) -> dict:
-    """Fresh graph leaves over the checkpoint's parameter arrays."""
+    """Fresh graph leaves, without gradients, over the checkpoint's parameter arrays."""
     return {name: Var(arr) for name, arr in ck.params.items()}
 
 
@@ -236,13 +239,12 @@ def forward_logits(ck: Checkpoint, tokens, adapters=None) -> np.ndarray:
     return infer(ck.params, ck.config, [tokens])[0]
 
 
-def continuations(pv: dict, cfg: ModelConfig, batch) -> list:
-    """(ids, start, scored logit rows) of every item of a training batch.
+def continuations(batch) -> list:
+    """(ids, start) of every item of a training batch, checked.
 
     An item is a sequence, scored from its first prediction row, or an
     (ids, start) pair, scored from prediction row `start` on (a continuation
-    given its prompt). The rows are forward_graph's logits for prediction
-    rows start..len-2, whose targets are ids[start + 1:].
+    given its prompt).
     """
     if not batch:
         raise ContractError("empty batch")
@@ -255,24 +257,50 @@ def continuations(pv: dict, cfg: ModelConfig, batch) -> list:
             raise ContractError("sequence needs at least 2 tokens")
         if not 0 <= start < m:
             raise ContractError(f"loss start {start} outside prediction rows [0, {m})")
-        out.append((ids, start, slice_rows(forward_graph(pv, cfg, ids), start, m)))
+        out.append((ids, start))
     return out
 
 
+def scored_rows(pv: dict, cfg: ModelConfig, ids: list, start: int) -> Var:
+    """forward_graph's logits for prediction rows start..len-2 of one item,
+    whose targets are ids[start + 1:]."""
+    return slice_rows(forward_graph(pv, cfg, ids), start, len(ids) - 1)
+
+
+def row_mean(pv: dict, cfg: ModelConfig, batch, row_loss) -> ItemSum:
+    """Mean of a per-row loss over the scored rows of a batch of sequences
+    or (ids, start) pairs (see continuations).
+
+    row_loss(ids, start, rows) is the mean over one item's scored rows; the
+    item's piece weighs it by its row count, and the sum is scaled by
+    1/positions.
+    """
+    items = continuations(batch)
+
+    def piece(ids, start):
+        rows = scored_rows(pv, cfg, ids, start)
+        return scale(row_loss(ids, start, rows), float(rows.shape[0]))
+
+    return ItemSum([partial(piece, ids, start) for ids, start in items],
+                   (1.0 / _positions(items),))
+
+
+def nll_loss(pv: dict, cfg: ModelConfig, batch) -> ItemSum:
+    """Mean next-token cross-entropy over the scored rows of a batch."""
+    return row_mean(pv, cfg, batch,
+                    lambda ids, start, rows: cross_entropy(rows, ids[start + 1:]))
+
+
 def nll_graph(pv: dict, cfg: ModelConfig, batch):
-    """Mean next-token cross-entropy over the scored rows of a batch of
-    sequences or (ids, start) pairs (see continuations).
+    """nll_loss as one graph.
 
     Returns (scalar Var, number of scored positions).
     """
-    total = None
-    positions = 0
-    for ids, start, rows in continuations(pv, cfg, batch):
-        n = rows.shape[0]
-        piece = scale(cross_entropy(rows, ids[start + 1:]), float(n))
-        total = piece if total is None else add(total, piece)
-        positions += n
-    return scale(total, 1.0 / positions), positions
+    return nll_loss(pv, cfg, batch).graph(), _positions(continuations(batch))
+
+
+def _positions(items: list) -> int:
+    return sum(len(ids) - 1 - start for ids, start in items)
 
 
 def token_log_probs(ck: Checkpoint, tokens) -> np.ndarray:

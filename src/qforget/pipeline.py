@@ -294,6 +294,8 @@ def stage_unlearn(cfg: ExperimentConfig, out: Path, split: CorpusSplit,
         final = result.merged()
         save_checkpoint(final, path)
         _write_jsonl(path.parent / "log.jsonl", result.log)
+        for stale in ("adapters.json", "adapters.bin"):  # the pre-manifest lora format
+            (path.parent / stale).unlink(missing_ok=True)
         return final
     return _cached(cfg, out, f"runs/{run_tag(ucfg)}/model.json", load_checkpoint, make)
 

@@ -1,4 +1,12 @@
-"""Adam and the plain language-model training loop (pretraining / retraining)."""
+"""Adam and the one optimisation loop that pretraining, retraining and
+unlearning share.
+
+`optimize` runs the steps: each one accumulates its batch's gradients one
+item at a time (autodiff.ItemSum.backward), so a step holds one item's graph
+whatever the batch size; it then checks the loss, maps the gradients onto the
+trainable arrays and takes an Adam step. `train_lm` (next-token prediction)
+and `unlearn.unlearn_run` are its two callers.
+"""
 
 import math
 
@@ -7,7 +15,7 @@ import numpy as np
 from .checkpoint import Checkpoint
 from .corpus import Tokenizer, text_batches
 from .errors import DivergenceError
-from .model import make_param_vars, nll_graph
+from .model import make_param_vars, nll_loss
 
 
 class Adam:
@@ -39,6 +47,31 @@ def grad_norm(grads: dict) -> float:
     return math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
 
 
+def optimize(params: dict, lr: float, steps, accumulate, grad_map=None, *,
+             loss_key: str, diverged: str) -> list:
+    """Adam over `params`, updated in place, one step per (epoch, batch) of
+    `steps`; returns the per-step log.
+
+    accumulate(batch) makes fresh leaves, adds the batch loss's gradient into
+    them, and returns (leaves by name, the step's logged values). A step
+    whose values[loss_key] is not finite raises DivergenceError(diverged)
+    before the optimizer moves. grad_map, when given, turns the leaves'
+    gradients into those of `params`; otherwise they are the same names.
+    """
+    opt = Adam(params, lr)
+    log = []
+    for step, (epoch, batch) in enumerate(steps):
+        leaves, values = accumulate(batch)
+        if not math.isfinite(values[loss_key]):
+            raise DivergenceError(diverged, step, [e[loss_key] for e in log[-5:]])
+        grads = {name: leaf.grad for name, leaf in leaves.items()}
+        if grad_map is not None:
+            grads = grad_map(grads)
+        opt.step(grads)
+        log.append({"epoch": epoch, "step": step, **values, "grad_norm": grad_norm(grads)})
+    return log
+
+
 def train_lm(ck: Checkpoint, texts: list, tok: Tokenizer, lr: float,
              epochs: int, batch_size: int, seed: int) -> tuple:
     """Train a copy of `ck` on next-token prediction over the given texts.
@@ -47,21 +80,13 @@ def train_lm(ck: Checkpoint, texts: list, tok: Tokenizer, lr: float,
     epoch e shuffles with stream (seed, e).
     """
     out = ck.copy()
-    opt = Adam(out.params, lr)
-    log = []
-    step = 0
-    for epoch in range(epochs):
-        for batch in text_batches(texts, tok, batch_size, seed + epoch):
-            pv = make_param_vars(out)
-            loss, _ = nll_graph(pv, out.config, batch)
-            value = float(loss.value)
-            if not math.isfinite(value):
-                raise DivergenceError("pretraining loss is not finite",
-                                      step, [e["loss"] for e in log[-5:]])
-            loss.backward()
-            grads = {name: pv[name].grad for name in out.params}
-            opt.step(grads)
-            log.append({"epoch": epoch, "step": step, "loss": value,
-                        "grad_norm": grad_norm(grads)})
-            step += 1
+
+    def accumulate(batch):
+        pv = make_param_vars(out)
+        return pv, {"loss": nll_loss(pv, out.config, batch).backward()}
+
+    steps = ((epoch, batch) for epoch in range(epochs)
+             for batch in text_batches(texts, tok, batch_size, seed + epoch))
+    log = optimize(out.params, lr, steps, accumulate, loss_key="loss",
+                   diverged="pretraining loss is not finite")
     return out, log

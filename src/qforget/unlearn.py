@@ -6,6 +6,13 @@ combined with a retain-set regularizer (GDR: plain cross-entropy descent;
 KLR: KL toward the frozen reference distribution). The combined objective is
 L_forget + lam * L_retain.
 
+Each term is an autodiff.ItemSum with one piece per batch item. A run step
+(`step_losses`) backpropagates the forget items, then the retain items, one
+at a time, so it holds one item's graph; `objective` and the loss_*
+functions build the same terms as one graph, with the same gradients and
+values bit for bit. Runs go through training.optimize, the loop that
+pretraining also uses.
+
 A run optimizes either every parameter (full_ft, on a copy of the starting
 checkpoint that the run owns) or only adapter factors (lora, over read-only
 views of the starting checkpoint's arrays, differentiated through
@@ -14,20 +21,20 @@ starting checkpoint itself, which no run writes.
 """
 
 import itertools
-import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
-from .autodiff import (Var, _softmax_, add, kl_divergence_rows, log_sigmoid,
-                       log_softmax_rows, scale, target_log_probs, vsum)
+from .autodiff import (ItemSum, Var, _softmax_, add, kl_divergence_rows,
+                       log_sigmoid, log_softmax_rows, scale, target_log_probs, vsum)
 from .checkpoint import Checkpoint, blob_crc32
 from .corpus import CorpusSplit, Tokenizer, build_tokenizer, conditional_batches
-from .errors import ConfigError, ContractError, DivergenceError
+from .errors import ConfigError, ContractError
 from .lora import LoraConfig, attach, factor_grads, merge
-from .model import (continuations, forward_logits, make_param_vars, nll_graph,
-                    token_log_probs)
-from .training import Adam, grad_norm
+from .model import (continuations, forward_logits, make_param_vars, nll_loss,
+                    row_mean, scored_rows, token_log_probs)
+from .training import optimize
 
 METHODS = ("GA", "NPO", "GA_GDR", "GA_KLR", "NPO_GDR", "NPO_KLR")
 MODES = ("full_ft", "lora")
@@ -79,14 +86,40 @@ class UnlearnResult:
 
 
 # ---------------------------------------------------------------------------
-# Objectives (graph-level; callers hold the parameter Vars)
+# Objectives (callers hold the parameter Vars). Each term is an ItemSum; the
+# loss_* functions and `objective` are the same terms as one graph.
 # ---------------------------------------------------------------------------
+
+
+def _ga(pv: dict, cfg, forget_batch) -> ItemSum:
+    return nll_loss(pv, cfg, forget_batch).scaled(-1.0)
+
+
+def _npo(pv: dict, cfg, forget_batch, ref: Checkpoint, beta: float) -> ItemSum:
+    items = continuations(forget_batch)
+
+    def piece(ids, start):
+        lp = vsum(target_log_probs(scored_rows(pv, cfg, ids, start), ids[start + 1:]))
+        ref_lp = float(token_log_probs(ref, ids)[start:].sum())
+        ratio = add(lp, Var(-ref_lp))
+        return scale(log_sigmoid(scale(ratio, -beta)), -2.0 / beta)
+
+    return ItemSum([partial(piece, ids, start) for ids, start in items],
+                   (1.0 / len(items),))
+
+
+def _klr(pv: dict, cfg, retain_batch, ref: Checkpoint) -> ItemSum:
+    def kl(ids, start, rows):
+        p_ref = forward_logits(ref, ids)[start:-1]
+        _softmax_(p_ref)
+        return kl_divergence_rows(p_ref, log_softmax_rows(rows))
+
+    return row_mean(pv, cfg, retain_batch, kl)
 
 
 def loss_ga(pv: dict, cfg, forget_batch) -> Var:
     """Negated NLL on the forget set: minimizing it maximizes cross-entropy."""
-    nll, _ = nll_graph(pv, cfg, forget_batch)
-    return scale(nll, -1.0)
+    return _ga(pv, cfg, forget_batch).graph()
 
 
 def loss_npo(pv: dict, cfg, forget_batch, ref: Checkpoint, beta: float) -> Var:
@@ -96,54 +129,61 @@ def loss_npo(pv: dict, cfg, forget_batch, ref: Checkpoint, beta: float) -> Var:
     frozen reference. Penalties fade as a sequence's likelihood drops below
     the reference's, which is what keeps NPO bounded.
     """
-    items = continuations(pv, cfg, forget_batch)
-    total = None
-    for ids, start, rows in items:
-        lp = vsum(target_log_probs(rows, ids[start + 1:]))
-        ref_lp = float(token_log_probs(ref, ids)[start:].sum())
-        ratio = add(lp, Var(-ref_lp))
-        term = scale(log_sigmoid(scale(ratio, -beta)), -2.0 / beta)
-        total = term if total is None else add(total, term)
-    return scale(total, 1.0 / len(items))
+    return _npo(pv, cfg, forget_batch, ref, beta).graph()
 
 
 def loss_gdr(pv: dict, cfg, retain_batch) -> Var:
     """Plain NLL on the retain set (identical to the training loss)."""
-    nll, _ = nll_graph(pv, cfg, retain_batch)
-    return nll
+    return nll_loss(pv, cfg, retain_batch).graph()
 
 
 def loss_klr(pv: dict, cfg, retain_batch, ref: Checkpoint) -> Var:
     """Mean over retain positions of KL(reference || current)."""
-    total = None
-    positions = 0
-    for ids, start, rows in continuations(pv, cfg, retain_batch):
-        n = rows.shape[0]
-        p_ref = forward_logits(ref, ids)[start:-1]
-        _softmax_(p_ref)
-        piece = scale(kl_divergence_rows(p_ref, log_softmax_rows(rows)), float(n))
-        total = piece if total is None else add(total, piece)
-        positions += n
-    return scale(total, 1.0 / positions)
+    return _klr(pv, cfg, retain_batch, ref).graph()
+
+
+def terms(ucfg: UnlearnConfig, pv: dict, cfg, forget_batch, retain_batch,
+          ref: Checkpoint) -> tuple:
+    """(forget term, retain term or None) of the configured method; the
+    objective is forget + lam * retain."""
+    if ucfg.method.startswith("NPO"):
+        forget = _npo(pv, cfg, forget_batch, ref, ucfg.beta)
+    else:
+        forget = _ga(pv, cfg, forget_batch)
+    if ucfg.lam == 0.0:
+        return forget, None
+    if retain_batch is None:
+        raise ContractError(f"{ucfg.method} with lam > 0 needs a retain batch")
+    if ucfg.method.endswith("GDR"):
+        return forget, nll_loss(pv, cfg, retain_batch)
+    return forget, _klr(pv, cfg, retain_batch, ref)
 
 
 def objective(ucfg: UnlearnConfig, pv: dict, cfg, forget_batch, retain_batch,
               ref: Checkpoint) -> tuple:
     """(L_forget + lam * L_retain, forget term, retain term or None) for the
-    configured method."""
-    if ucfg.method.startswith("NPO"):
-        forget = loss_npo(pv, cfg, forget_batch, ref, ucfg.beta)
-    else:
-        forget = loss_ga(pv, cfg, forget_batch)
-    if ucfg.lam == 0.0:
+    configured method, as one graph."""
+    forget, retain = terms(ucfg, pv, cfg, forget_batch, retain_batch, ref)
+    forget = forget.graph()
+    if retain is None:
         return forget, forget, None
-    if retain_batch is None:
-        raise ContractError(f"{ucfg.method} with lam > 0 needs a retain batch")
-    if ucfg.method.endswith("GDR"):
-        retain = loss_gdr(pv, cfg, retain_batch)
-    else:
-        retain = loss_klr(pv, cfg, retain_batch, ref)
+    retain = retain.graph()
     return add(forget, scale(retain, ucfg.lam)), forget, retain
+
+
+def step_losses(ucfg: UnlearnConfig, pv: dict, cfg, forget_batch, retain_batch,
+                ref: Checkpoint) -> dict:
+    """The objective's gradient added into pv's leaves one item at a time,
+    forget items before retain items; returns the step's logged losses.
+
+    Gradients and losses are bit-identical to those of `objective`'s graph.
+    """
+    forget, retain = terms(ucfg, pv, cfg, forget_batch, retain_batch, ref)
+    f = forget.backward()
+    if retain is None:
+        return {"loss_forget": f, "loss_retain": None, "total": f}
+    r = retain.backward(ucfg.lam)
+    return {"loss_forget": f, "loss_retain": r, "total": f + r * float(ucfg.lam)}
 
 
 # ---------------------------------------------------------------------------
@@ -189,38 +229,26 @@ def unlearn_run(f_target: Checkpoint, split: CorpusSplit, ucfg: UnlearnConfig,
         work.provenance = provenance
         trainable = work.params
 
-    opt = Adam(trainable, ucfg.lr)
-    log = []
-    step = 0
-    for epoch in range(ucfg.epochs):
-        forget_batches = conditional_batches(split.forget, tok, ucfg.batch_size,
-                                             ucfg.seed + epoch)
-        retain_cycle = None
-        if ucfg.lam > 0.0:
-            retain_cycle = itertools.cycle(
-                conditional_batches(split.retain, tok, ucfg.batch_size,
-                                    ucfg.seed + _RETAIN_SEED_OFFSET + epoch))
-        for fb in forget_batches:
-            rb = next(retain_cycle) if retain_cycle is not None else None
-            pv = make_param_vars(work if adapters is None else merge(work, adapters))
-            total, forget, retain = objective(ucfg, pv, cfg, fb, rb, f_target)
-            value = float(total.value)
-            if not math.isfinite(value):
-                raise DivergenceError(
-                    f"{ucfg.method} loss became non-finite", step,
-                    [e["total"] for e in log[-5:]])
-            total.backward()
-            grads = {name: var.grad for name, var in pv.items()}
-            if adapters is not None:
-                grads = factor_grads(adapters, grads)
-            opt.step(grads)
-            log.append({
-                "epoch": epoch, "step": step,
-                "loss_forget": float(forget.value),
-                "loss_retain": float(retain.value) if retain is not None else None,
-                "total": value, "grad_norm": grad_norm(grads),
-            })
-            step += 1
+    def steps():
+        for epoch in range(ucfg.epochs):
+            forget_batches = conditional_batches(split.forget, tok, ucfg.batch_size,
+                                                 ucfg.seed + epoch)
+            retain_cycle = None
+            if ucfg.lam > 0.0:
+                retain_cycle = itertools.cycle(
+                    conditional_batches(split.retain, tok, ucfg.batch_size,
+                                        ucfg.seed + _RETAIN_SEED_OFFSET + epoch))
+            for fb in forget_batches:
+                rb = next(retain_cycle) if retain_cycle is not None else None
+                yield epoch, (fb, rb)
+
+    def accumulate(batch):
+        pv = make_param_vars(work if adapters is None else merge(work, adapters))
+        return pv, step_losses(ucfg, pv, cfg, *batch, f_target)
+
+    log = optimize(trainable, ucfg.lr, steps(), accumulate,
+                   None if adapters is None else partial(factor_grads, adapters),
+                   loss_key="total", diverged=f"{ucfg.method} loss became non-finite")
 
     if adapters is not None:  # freeze contract: the base stays byte-identical
         changed = [name for name, crc in _crc_by_name(work.params).items()

@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from qforget.autodiff import (Var, add, concat_cols, cross_entropy, embed,
-                              gelu, grad_check, kl_divergence_rows,
+from qforget.autodiff import (ItemSum, Var, add, concat_cols, cross_entropy,
+                              embed, gelu, grad_check, kl_divergence_rows,
                               layer_norm, linear, log_sigmoid,
                               log_softmax_rows, matmul, mul, scale,
                               slice_cols, slice_rows, softmax_rows,
@@ -131,6 +131,60 @@ class TestBackward:
     def test_matmul_shape_error_names_shapes(self):
         with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 3\)"):
             matmul(Var(np.ones((2, 3))), Var(np.ones((2, 3))))
+
+    def test_intermediates_are_consumed(self):
+        x, w = Var(np.arange(6.0).reshape(2, 3)), Var(np.ones((4, 3)))
+        h = linear(x, w)
+        g = gelu(h)
+        out = vsum(mul(g, g))
+        out.backward()
+        for node in (h, g, out):
+            assert node.grad is None and node._backward is None and node.parents is None
+        assert x.grad.shape == (2, 3) and w.grad.shape == (4, 3)
+        assert x.parents == () and w.parents == ()
+
+    def test_leaf_gradients_sum_over_graphs(self):
+        a = Var(np.array([1.0, -2.0]))
+        assert a.grad is None
+        vsum(mul(a, a)).backward()          # 2a
+        scale(vsum(a), 3.0).backward()      # 3
+        np.testing.assert_array_equal(a.grad, [5.0, -1.0])
+
+    def test_second_backward_over_consumed_graph_raises(self):
+        a = Var(np.array(2.0))
+        b = mul(a, a)
+        out = scale(b, 3.0)
+        out.backward()
+        with pytest.raises(ContractError, match="consumed"):
+            out.backward()
+        with pytest.raises(ContractError, match="consumed"):
+            add(b, a).backward()  # a new root over a consumed node
+        np.testing.assert_array_equal(a.grad, 12.0)
+
+
+class TestItemSum:
+    @staticmethod
+    def pieces(a):
+        rows = [np.array([0.5, -1.0]), np.array([2.0, 0.25]), np.array([-3.0, 1.5])]
+        return [lambda r=r: vsum(mul(a, Var(r))) for r in rows] + \
+               [lambda: vsum(gelu(mul(a, a)))]
+
+    def test_backward_equals_whole_graph_bit_for_bit(self):
+        start = np.array([0.3, -0.7])
+        a, b = Var(start.copy()), Var(start.copy())
+        whole = ItemSum(self.pieces(a), (1.0 / 7.0, -1.0)).graph()
+        whole.backward()
+        value = ItemSum(self.pieces(b), (1.0 / 7.0, -1.0)).backward()
+        assert value == float(whole.value)
+        assert np.array_equal(a.grad, b.grad)
+
+    def test_outer_scale_reaches_gradient_not_value(self):
+        start = np.array([0.3, -0.7])
+        a, b = Var(start.copy()), Var(start.copy())
+        whole = ItemSum(self.pieces(a), (0.5,)).graph()
+        scale(whole, 10.0).backward()
+        assert ItemSum(self.pieces(b), (0.5,)).backward(10.0) == float(whole.value)
+        assert np.array_equal(a.grad, b.grad)
 
 
 class TestGradCheck:

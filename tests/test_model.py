@@ -11,7 +11,7 @@ from qforget.errors import ConfigError, ContractError, InputError
 import qforget.model as model_mod
 from qforget.model import (MAX_ROWS, _prefill, continuations, forward_graph,
                            forward_logits, greedy_decode_batch, infer,
-                           init_model, make_param_vars, nll_graph,
+                           init_model, make_param_vars, nll_graph, scored_rows,
                            token_log_probs, token_log_probs_batch)
 
 TINY = ModelConfig(vocab_size=11, d_model=8, n_layers=1, n_heads=2, d_ff=16,
@@ -360,11 +360,12 @@ class TestContinuations:
         ck = perturbed(TINY)
         pv = make_param_vars(ck)
         batch = [[1, 4, 7, 2, 9], ([3, 6, 2, 8, 5], 2), ([2, 5, 1], 0), [7, 3]]
-        got = continuations(pv, ck.config, batch)
+        got = continuations(batch)
         expected = [([1, 4, 7, 2, 9], 0), ([3, 6, 2, 8, 5], 2), ([2, 5, 1], 0), ([7, 3], 0)]
-        assert [(ids, start) for ids, start, _ in got] == expected
-        for ids, start, rows in got:
+        assert got == expected
+        for ids, start in got:
             full = forward_graph(pv, ck.config, ids).value
+            rows = scored_rows(pv, ck.config, ids, start)
             assert np.array_equal(rows.value, full[start:len(ids) - 1])
 
     @pytest.mark.parametrize("batch, match", [
@@ -374,9 +375,8 @@ class TestContinuations:
         ([([1, 4, 7], -1)], "outside prediction rows"),
     ])
     def test_contract_errors(self, batch, match):
-        ck = init_model(TINY)
         with pytest.raises(ContractError, match=match):
-            continuations(make_param_vars(ck), ck.config, batch)
+            continuations(batch)
 
     def test_pair_start_restricts_nll(self):
         # a pair's loss is the mean over its continuation rows only

@@ -283,6 +283,20 @@ class TestReuse:
         run_pipeline(cfg, copy)
         assert calls == counted
 
+    def test_stale_adapter_files_removed_when_run_is_recomputed(self, copy, run_dir, calls):
+        # a lora run stored in the format from before the manifest, next to
+        # its merged model: recomputing the run leaves the fresh layout
+        run = copy / "runs" / "GA_GDR_lora"
+        (run / "adapters.json").write_text("{}")
+        (run / "adapters.bin").write_bytes(b"\0" * 16)
+        manifest = json.loads((copy / "manifest.json").read_text())
+        del manifest["runs/GA_GDR_lora/model.json"]
+        (copy / "manifest.json").write_text(json.dumps(manifest, indent=1, sort_keys=True))
+        run_pipeline(ExperimentConfig.from_dict(json.loads(json.dumps(MINI))), copy)
+        assert calls == {"train_lm": 0, "unlearn_run": 1, "evaluate_checkpoint": 0,
+                         "analyze_pair": 0}
+        assert _files(copy) == _files(run_dir)
+
 
 def _tiny_models(cfg, split):
     """Untrained (target, retrain) pair sized for `split`'s tokenizer."""

@@ -1,0 +1,115 @@
+"""The shared optimisation loop: divergence before any step, the gradient
+map, and a step's memory bounded by one item's graph."""
+
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from qforget import training
+from qforget.autodiff import Var, mul, scale, vsum
+from qforget.checkpoint import ModelConfig
+from qforget.corpus import CorpusSplit, build_tokenizer, generate_corpus
+from qforget.errors import DivergenceError
+from qforget.lora import LoraConfig
+from qforget.model import init_model
+from qforget.training import optimize, train_lm
+from qforget.unlearn import UnlearnConfig, unlearn_run
+
+
+def quadratic_step(params, losses):
+    """accumulate() for losses[t] * sum(w^2) at step t, logging losses[t]."""
+    def accumulate(t):
+        leaves = {"w": Var(params["w"])}
+        scale(vsum(mul(leaves["w"], leaves["w"])), losses[t]).backward()
+        return leaves, {"loss": losses[t]}
+    return accumulate
+
+
+class TestOptimize:
+    def test_log_records_each_step(self):
+        params = {"w": np.array([1.0, -2.0])}
+        log = optimize(params, 0.1, [(0, 0), (0, 1), (1, 2)],
+                       quadratic_step(params, [1.0, 0.5, 0.25]),
+                       loss_key="loss", diverged="x")
+        assert [list(e) for e in log] == [["epoch", "step", "loss", "grad_norm"]] * 3
+        assert [(e["epoch"], e["step"], e["loss"]) for e in log] == \
+            [(0, 0, 1.0), (0, 1, 0.5), (1, 2, 0.25)]
+        assert log[0]["grad_norm"] == pytest.approx(2.0 * math.sqrt(5.0))
+        assert not np.array_equal(params["w"], [1.0, -2.0])
+
+    def test_divergence_raises_before_the_optimizer_moves(self, monkeypatch):
+        stepped = []
+        real = training.Adam.step
+        monkeypatch.setattr(training.Adam, "step",
+                            lambda opt, grads: stepped.append(1) or real(opt, grads))
+        params = {"w": np.array([1.0, -2.0])}
+        with pytest.raises(DivergenceError, match="went non-finite") as exc:
+            optimize(params, 0.1, [(0, 0), (0, 1), (0, 2)],
+                     quadratic_step(params, [1.0, 0.5, math.inf]),
+                     loss_key="loss", diverged="went non-finite")
+        assert exc.value.step == 2 and exc.value.last_losses == [1.0, 0.5]
+        assert stepped == [1, 1]
+
+    def test_grad_map_feeds_the_optimizer(self):
+        params = {"w": np.array([1.0, -2.0])}
+        seen = []
+
+        def grad_map(grads):
+            seen.append(grads["w"].copy())
+            return {"w": np.zeros(2)}
+        log = optimize(params, 0.1, [(0, 0)], quadratic_step(params, [1.0]), grad_map,
+                       loss_key="loss", diverged="x")
+        np.testing.assert_array_equal(seen[0], [2.0, -4.0])
+        assert log[0]["grad_norm"] == 0.0
+        np.testing.assert_array_equal(params["w"], [1.0, -2.0])
+
+
+class TestStepMemory:
+    """One step's traced peak is that of one item's graph, not the batch's.
+
+    The model has the default config's shapes. Every item has the same
+    length, so batch 2 and batch 32 hold the same largest item graph.
+    """
+
+    @classmethod
+    def setup_class(cls):
+        cls.split = generate_corpus(0, 32, 32, 2)
+        cls.tok = build_tokenizer(cls.split)
+        cfg = ModelConfig(vocab_size=len(cls.tok), d_model=128, n_layers=2, n_heads=4,
+                          d_ff=512, context_len=32, seed=0)
+        cls.target = init_model(cfg)
+        cls.texts = [r.sentence for r in cls.split.forget]
+        assert len({len(cls.tok.frame(t)) for t in cls.texts}) == 1
+
+    @staticmethod
+    def traced_peak(fn) -> int:
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            fn()
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    def test_train_lm_step(self):
+        def step(b):
+            _, log = train_lm(self.target, self.texts[:b], self.tok, lr=1e-3, epochs=1,
+                              batch_size=b, seed=0)
+            assert len(log) == 1
+        small, large = self.traced_peak(lambda: step(2)), self.traced_peak(lambda: step(32))
+        assert large <= 1.1 * small, (small, large)
+
+    @pytest.mark.parametrize("method, mode", [("NPO_KLR", "full_ft"), ("GA_GDR", "lora")])
+    def test_unlearn_run_step(self, method, mode):
+        lora = LoraConfig(rank=4, alpha=8.0) if mode == "lora" else None
+
+        def step(b):
+            split = CorpusSplit(self.split.forget[:b], self.split.retain[:b],
+                                self.split.holdout)
+            ucfg = UnlearnConfig(method=method, lr=1e-3, epochs=1, lam=1.0, mode=mode,
+                                 lora=lora, batch_size=b)
+            assert len(unlearn_run(self.target, split, ucfg, self.tok).log) == 1
+        small, large = self.traced_peak(lambda: step(2)), self.traced_peak(lambda: step(32))
+        assert large <= 1.1 * small, (small, large)

@@ -9,10 +9,10 @@ from qforget.autodiff import Var, grad_check
 from qforget.checkpoint import ModelConfig
 from qforget.corpus import build_tokenizer, conditional_frame, generate_corpus
 from qforget.errors import ConfigError, ContractError, DivergenceError
-from qforget.lora import LoraConfig
-from qforget.model import init_model, make_param_vars, nll_graph
+from qforget.lora import LoraConfig, attach, factor_grads, merge
+from qforget.model import init_model, make_param_vars, nll_graph, nll_loss
 from qforget.unlearn import (UnlearnConfig, loss_ga, loss_gdr, loss_klr,
-                             loss_npo, objective, unlearn_run)
+                             loss_npo, objective, step_losses, unlearn_run)
 
 TINY = ModelConfig(vocab_size=11, d_model=8, n_layers=1, n_heads=2, d_ff=16,
                    context_len=8, seed=3)
@@ -255,6 +255,56 @@ class TestObjectiveGradients:
             assert worst < 1e-4, (label, worst)
 
 
+class TestItemByItem:
+    """A step's per-item accumulation gives the whole-batch graph's gradients
+    and losses bit for bit."""
+
+    FB = [([1, 4, 7, 2, 9], 2), [3, 6, 2, 8], ([5, 1, 8, 10, 3, 2], 3)]
+    RB = [[2, 5, 1, 10], [7, 3, 9, 4, 1], ([6, 2, 9], 1)]
+
+    @staticmethod
+    def leaves(mode):
+        ck = generic_model(11)
+        if mode == "full_ft":
+            return ck, None, make_param_vars(ck)
+        ads = attach(ck, LoraConfig(rank=2, alpha=4.0, seed=5))
+        gen = np.random.default_rng(8)
+        for ad in ads.values():
+            ad.B = gen.normal(0, 0.1, ad.B.shape)
+        return ck, ads, make_param_vars(merge(ck, ads))
+
+    def test_nll(self):
+        _, _, whole = self.leaves("full_ft")
+        _, _, items = self.leaves("full_ft")
+        loss, _ = nll_graph(whole, TINY, self.FB)
+        loss.backward()
+        assert nll_loss(items, TINY, self.FB).backward() == float(loss.value)
+        for name, leaf in whole.items():
+            assert np.array_equal(items[name].grad, leaf.grad), name
+
+    @pytest.mark.parametrize("mode", ["full_ft", "lora"])
+    @pytest.mark.parametrize("method", ["GA", "NPO", "GA_GDR", "GA_KLR", "NPO_GDR", "NPO_KLR"])
+    def test_methods(self, method, mode):
+        lam = 0.0 if method in ("GA", "NPO") else 2.5
+        lora = LoraConfig(rank=2, alpha=4.0, seed=5) if mode == "lora" else None
+        ucfg = UnlearnConfig(method=method, lr=1e-3, epochs=1, lam=lam, mode=mode, lora=lora)
+        ref = generic_model(9)
+        ck, ads, whole = self.leaves(mode)
+        _, _, items = self.leaves(mode)
+        total, forget, retain = objective(ucfg, whole, TINY, self.FB, self.RB, ref)
+        total.backward()
+        got = step_losses(ucfg, items, TINY, self.FB, self.RB, ref)
+        assert got == {"loss_forget": float(forget.value),
+                       "loss_retain": None if retain is None else float(retain.value),
+                       "total": float(total.value)}
+        for name, leaf in whole.items():
+            assert np.array_equal(items[name].grad, leaf.grad), name
+        if ads is not None:
+            mapped = factor_grads(ads, {n: v.grad for n, v in items.items()})
+            expected = factor_grads(ads, {n: v.grad for n, v in whole.items()})
+            assert all(np.array_equal(mapped[k], expected[k]) for k in expected)
+
+
 class TestUnlearnRun:
     def setup_method(self):
         self.split = generate_corpus(5, 4, 8, 2)
@@ -284,7 +334,7 @@ class TestUnlearnRun:
         # an adapter factor that aliases a base weight lets the optimizer
         # write through to the frozen base; the run must refuse it before
         # its first step
-        from qforget import unlearn
+        from qforget import training, unlearn
         from qforget.lora import attach
 
         def aliasing_attach(ck, cfg):
@@ -295,7 +345,7 @@ class TestUnlearnRun:
 
         steps = []
         monkeypatch.setattr(unlearn, "attach", aliasing_attach)
-        monkeypatch.setattr(unlearn.Adam, "step", lambda opt, grads: steps.append(1))
+        monkeypatch.setattr(training.Adam, "step", lambda opt, grads: steps.append(1))
         ucfg = UnlearnConfig(method="GA", lr=1e-2, epochs=2, mode="lora",
                              lora=LoraConfig(rank=2, alpha=4.0), batch_size=2, seed=0)
         with pytest.raises(ContractError, match="block0.mlp_up"):
@@ -306,13 +356,13 @@ class TestUnlearnRun:
         # a write through the caller's own arrays reaches the shared base;
         # the before/after CRC compare names the weight
         from qforget import unlearn
-        real = unlearn.objective
+        real = unlearn.terms
 
-        def writing_objective(ucfg, pv, cfg, fb, rb, ref):
+        def writing_terms(ucfg, pv, cfg, fb, rb, ref):
             self.target.params["block0.attn_v"][0, 0] += 1.0
             return real(ucfg, pv, cfg, fb, rb, ref)
 
-        monkeypatch.setattr(unlearn, "objective", writing_objective)
+        monkeypatch.setattr(unlearn, "terms", writing_terms)
         ucfg = UnlearnConfig(method="GA", lr=1e-2, epochs=1, mode="lora",
                              lora=LoraConfig(rank=2, alpha=4.0), batch_size=2, seed=0)
         with pytest.raises(ContractError, match=r"\['block0.attn_v'\]"):
