@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import seeding
-from .checkpoint import ATTN_ROLES, Checkpoint, MLP_ROLES
+from .checkpoint import ATTN_ROLES, Checkpoint, MLP_ROLES, ModelConfig, param_schema
 from .errors import ConfigError, SchemaError
 
 TARGET_MODES = ("all_linear", "mlp_only", "attn_only")
@@ -66,14 +66,22 @@ def target_names(ck: Checkpoint, cfg: LoraConfig) -> list:
     return [f"block{i}.{role}" for i in range(ck.config.n_layers) for role in roles]
 
 
+def check_rank(cfg: LoraConfig, mcfg: ModelConfig) -> None:
+    """The rank rule: a rank is at most the smaller side of every weight it
+    targets in a model of config `mcfg`."""
+    roles = _ROLES_BY_MODE[cfg.targets]
+    for name, shape in param_schema(mcfg).items():
+        if name.partition(".")[2] in roles and cfg.rank > min(shape):
+            raise ConfigError(f"rank {cfg.rank} exceeds min dim {min(shape)} of {name}")
+
+
 def attach(ck: Checkpoint, cfg: LoraConfig) -> dict:
     """One adapter per targeted layer; initial update is exactly zero."""
+    check_rank(cfg, ck.config)
     gen = seeding.rng(cfg.seed, seeding.LORA)
     adapters = {}
     for name in target_names(ck, cfg):
         d, k = ck.params[name].shape
-        if cfg.rank > min(d, k):
-            raise ConfigError(f"rank {cfg.rank} exceeds min dim {min(d, k)} of {name}")
         adapters[name] = LoraAdapter(
             name=name,
             A=gen.normal(0.0, cfg.init_std, size=(cfg.rank, k)),

@@ -16,6 +16,7 @@ the artifact, writes it, and only then records the key.
 
 import functools
 import hashlib
+import itertools
 import json
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -26,12 +27,12 @@ from .checkpoint import (Checkpoint, ModelConfig, load_checkpoint, read_json,
 from .corpus import (CorpusSplit, build_tokenizer, check_split_sizes, generate_corpus,
                      load_corpus, qa_text, save_corpus)
 from .errors import ConfigError, ContractError, GateError, SchemaError
-from .lora import LoraConfig
+from .lora import LoraConfig, check_rank
 from .masking import analyze_pair
 from .metrics import (MetricProtocol, evaluate_checkpoint, membership_aucs,
                       utilitypres, vermem)
 from .model import init_model
-from .quantizer import QuantSpec, quantize_model
+from .quantizer import QuantSpec, check_fits, quantize_model
 from .training import train_lm
 from .unlearn import UnlearnConfig, unlearn_run
 
@@ -72,8 +73,9 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        """Fill each given section from the defaults and validate the result,
-        so a malformed config fails before any stage runs."""
+        """Fill each given section from the defaults and validate the result
+        by building its plan, so a malformed config fails before any stage
+        runs."""
         if not isinstance(raw, dict):
             raise ConfigError("config must be a JSON object")
         unknown = set(raw) - set(cls.__dataclass_fields__)
@@ -99,16 +101,17 @@ class ExperimentConfig:
                 raise ConfigError("pretrain needs lr > 0, epochs >= 0, batch_size >= 1")
             cfg.model_config(vocab_size=1)
             cfg.protocol()
-            evaluated_models(cfg)
-            specs_by_precision(cfg)
-            for run in sweep_grid(cfg) if cfg.sweep else ():
-                cfg.unlearn_config(run)
+            plan_keys(cfg)
         except (TypeError, ContractError) as exc:
             raise ConfigError(f"bad config: {exc}") from exc
         return cfg
 
     def quant_specs(self) -> list:
-        return [QuantSpec(**q) for q in self.quant]
+        """The quant specs, each checked to fit the model's linear weights."""
+        specs = [QuantSpec(**q) for q in self.quant]
+        for spec in specs:
+            check_fits(spec, self.model_config(vocab_size=1))
+        return specs
 
     def protocol(self) -> MetricProtocol:
         return MetricProtocol(**self.metrics)
@@ -118,13 +121,16 @@ class ExperimentConfig:
 
     def unlearn_config(self, run: dict) -> UnlearnConfig:
         """A run description as an UnlearnConfig; a run without a seed takes
-        the experiment's."""
+        the experiment's, and an adapter's rank must fit the model."""
         try:
             lora = run.get("lora")
-            return UnlearnConfig(**{"seed": self.seed, **run,
+            ucfg = UnlearnConfig(**{"seed": self.seed, **run,
                                     "lora": None if lora is None else LoraConfig(**lora)})
         except (AttributeError, TypeError) as exc:
             raise ConfigError(f"bad run description {run!r}: {exc}") from exc
+        if ucfg.lora is not None:
+            check_rank(ucfg.lora, self.model_config(vocab_size=1))
+        return ucfg
 
 
 def run_tag(ucfg: UnlearnConfig) -> str:
@@ -155,10 +161,31 @@ def specs_by_precision(cfg: ExperimentConfig) -> dict:
     return {p: table.get(p) for p in PRECISIONS if p == "full" or p in table}
 
 
+def run_path(cfg: ExperimentConfig, run: dict) -> str:
+    """The model entry of a run or sweep point: runs/<tag>/model.json when
+    its filled-in config equals a configured run's (as JSON, so 8 and 8.0
+    differ), else sweep/<h>/model.json, <h> the first 12 hex digits of the
+    SHA-256 of that config's JSON."""
+    ucfg = cfg.unlearn_config(run)
+    filled = json.dumps(asdict(ucfg), sort_keys=True)
+    if any(json.dumps(asdict(other), sort_keys=True) == filled
+           for other in map(cfg.unlearn_config, cfg.runs)):
+        return f"runs/{run_tag(ucfg)}/model.json"
+    return f"sweep/{hashlib.sha256(filled.encode()).hexdigest()[:12]}/model.json"
+
+
 def plan_keys(cfg: ExperimentConfig) -> dict:
     """Manifest entry (path in the run directory) -> key of every artifact
-    `run` writes. A key is a SHA-256 of the package version, the entry, the
-    upstream artifacts' keys and the config values its stage reads."""
+    `run` and `sweep` write. A key is a SHA-256 of the package version, the
+    entry, the upstream artifacts' keys and the config values its stage
+    reads. Every artifact lookup asks for the plan, so it is built once per
+    config value."""
+    return dict(_plan(json.dumps(vars(cfg), sort_keys=True)))
+
+
+@functools.lru_cache(maxsize=8)
+def _plan(config: str) -> dict:
+    cfg = ExperimentConfig(**json.loads(config))
     keys = {}
 
     def put(rel, *inputs):
@@ -170,14 +197,21 @@ def plan_keys(cfg: ExperimentConfig) -> dict:
     target = put("target.json", corpus, cfg.model, cfg.pretrain)
     retrain = put("retrain.json", corpus, cfg.model, cfg.pretrain)
     baseline = put("eval/retrain_aucs.json", retrain, cfg.metrics["k_percent"])
+    specs = specs_by_precision(cfg)
+    quant = [asdict(q) for q in cfg.quant_specs()]
     for name, _, _, run in evaluated_models(cfg):
         model = target
         if run is not None:
-            model = put(f"runs/{name}/model.json", target, asdict(cfg.unlearn_config(run)))
-            put(f"masking/{name}.json", model, [asdict(q) for q in cfg.quant_specs()])
-        for precision, spec in specs_by_precision(cfg).items():
+            model = put(run_path(cfg, run), target, asdict(cfg.unlearn_config(run)))
+            put(f"masking/{name}.json", model, quant)
+        for precision, spec in specs.items():
             put(f"eval/{name}_{precision}.json", model, baseline,
                 spec and asdict(spec), cfg.metrics)
+    if cfg.sweep:
+        points = [put(run_path(cfg, run), target, asdict(cfg.unlearn_config(run)))
+                  for run in sweep_grid(cfg)]
+        if "int4" in specs:
+            put("sweep.json", points, cfg.sweep, asdict(specs["int4"]), cfg.metrics)
     return keys
 
 
@@ -285,8 +319,9 @@ def stage_retrain(cfg: ExperimentConfig, out: Path, split: CorpusSplit) -> Check
 
 def stage_unlearn(cfg: ExperimentConfig, out: Path, split: CorpusSplit,
                   target: Checkpoint, run: dict) -> Checkpoint:
-    """One unlearning run; returns the checkpoint to evaluate, the merged
-    model for lora, since merging always precedes quantization."""
+    """One unlearning run or sweep point, stored under run_path; returns the
+    checkpoint to evaluate, the merged model for lora, since merging always
+    precedes quantization."""
     ucfg = cfg.unlearn_config(run)
 
     def make(path):
@@ -297,7 +332,7 @@ def stage_unlearn(cfg: ExperimentConfig, out: Path, split: CorpusSplit,
         for stale in ("adapters.json", "adapters.bin"):  # the pre-manifest lora format
             (path.parent / stale).unlink(missing_ok=True)
         return final
-    return _cached(cfg, out, f"runs/{run_tag(ucfg)}/model.json", load_checkpoint, make)
+    return _cached(cfg, out, run_path(cfg, run), load_checkpoint, make)
 
 
 def retrain_baseline(cfg: ExperimentConfig, out: Path, retrain: Checkpoint,
@@ -360,6 +395,18 @@ def stage_eval(cfg: ExperimentConfig, out: Path, split: CorpusSplit, tok,
             for precision, spec in specs_by_precision(cfg).items()}
 
 
+def read_masking(path) -> dict:
+    """A cached masking report's crossing fraction per spec; one without
+    per-spec aggregates is a SchemaError naming the file."""
+    report = read_json(path)
+    agg = report.get("aggregates") if isinstance(report, dict) else None
+    if not isinstance(agg, list) or not all(
+            isinstance(a, dict) and isinstance(a.get("spec"), str)
+            and type(a.get("crossing_fraction")) in (int, float) for a in agg):
+        raise SchemaError(f"{path}: not a masking report with per-spec aggregates")
+    return {a["spec"]: a["crossing_fraction"] for a in agg}
+
+
 def stage_masking(cfg: ExperimentConfig, out: Path, target: Checkpoint,
                   name: str, ck: Checkpoint) -> None:
     """masking/<name>.csv and .json: analyze_pair of the target and `ck`."""
@@ -367,7 +414,7 @@ def stage_masking(cfg: ExperimentConfig, out: Path, target: Checkpoint,
         report = analyze_pair(target, ck, cfg.quant_specs())
         write_atomic(path.with_suffix(".csv"), report.to_csv())
         write_atomic(path, report.to_json())
-    _cached(cfg, out, f"masking/{name}.json", lambda path: None, make)
+    _cached(cfg, out, f"masking/{name}.json", read_masking, make)
 
 
 def stage_report(cfg: ExperimentConfig, out: Path) -> dict:
@@ -390,8 +437,7 @@ def stage_report(cfg: ExperimentConfig, out: Path) -> dict:
                 missing.append(f"{name}_{precision}")
         rel = f"masking/{name}.json"
         if run is not None and is_current(cfg, out, rel):
-            agg = read_json(out / rel)["aggregates"]
-            crossing[name] = {a["spec"]: a["crossing_fraction"] for a in agg}
+            crossing[name] = read_masking(out / rel)
     report = {
         "protocol": cfg.protocol().to_dict(),
         "rows": rows,
@@ -450,19 +496,11 @@ def sweep_grid(cfg: ExperimentConfig) -> list:
     sw = cfg.sweep
     if not sw:
         raise ConfigError("config has no sweep section")
-    runs = []
-    for method in sw["methods"]:
-        for lr in sw["lrs"]:
-            for rank in sw["ranks"]:
-                for rel in sw["alpha_ratios"]:
-                    for lam in sw["lams"]:
-                        runs.append({
-                            "method": method, "mode": "lora", "lr": lr,
-                            "epochs": sw["epochs"], "lam": lam,
-                            "lora": {"rank": rank, "alpha": rel * rank,
-                                     "targets": sw["targets"], "seed": cfg.seed},
-                        })
-    return runs
+    return [{"method": method, "mode": "lora", "lr": lr, "epochs": sw["epochs"], "lam": lam,
+             "lora": {"rank": rank, "alpha": rel * rank, "targets": sw["targets"],
+                      "seed": cfg.seed}}
+            for method, lr, rank, rel, lam in itertools.product(
+                sw["methods"], sw["lrs"], sw["ranks"], sw["alpha_ratios"], sw["lams"])]
 
 
 def sweep_best(cells: list) -> dict:
@@ -480,39 +518,49 @@ def sweep_best(cells: list) -> dict:
 
 
 def run_sweep(cfg: ExperimentConfig, out: Path) -> dict:
-    """Grid over adapter hyperparameters; pick each method's config by
-    sweep_best.
+    """sweep.json: every grid point trained as a run (stage_unlearn), scored
+    at full and int4 precision, and each method's point picked by
+    sweep_best. A point that is a configured run reuses that run's model.
 
     The selection scalar is a reporting convention of this tool, recorded in
     the summary header.
     """
     grid = sweep_grid(cfg)
-    if "int4" not in specs_by_precision(cfg):
+    int4 = specs_by_precision(cfg).get("int4")
+    if int4 is None:
         raise ConfigError("a sweep selects on int4 cells; configure a 4-bit quant spec")
     out = Path(out)
-    split = stage_corpus(cfg, out)
-    target = stage_pretrain(cfg, out, split)
-    tok = build_tokenizer(split)
-    results = []
-    for index, run in enumerate(grid):
-        # full and int4 VerMem/UtilityPres, the only metrics the selection
-        # reads (so no retrain baseline is needed)
-        final = unlearn_run(target, split, cfg.unlearn_config(run), tok).merged()
-        row = {"index": index, "run": run}
-        int4 = quantize_model(final, specs_by_precision(cfg)["int4"])
-        for precision, ck in (("full", final), ("int4", int4)):
-            row[f"vermem_{precision}"] = vermem(ck, split.forget, tok, cfg.protocol())
-            row[f"utilitypres_{precision}"] = utilitypres(ck, split.retain, tok)
-        results.append(row)
 
-    summary = {
-        "selection": "maximize utilitypres_int4 subject to "
-                     "vermem_int4 <= vermem_full + 5; ties by config order",
-        "cells": results,
-        "best": sweep_best(results),
-    }
-    write_atomic(out / "sweep.json", json.dumps(summary, indent=1, sort_keys=True))
-    return summary
+    def load(path):
+        summary = read_json(path)
+        if not isinstance(summary, dict) or sorted(summary) != ["best", "cells", "selection"] \
+                or not isinstance(summary["cells"], list) or not isinstance(summary["best"], dict):
+            raise SchemaError(f"{path}: not a sweep summary of selection, cells and best")
+        return summary
+
+    def make(path):
+        split = stage_corpus(cfg, out)
+        target = stage_pretrain(cfg, out, split)
+        tok = build_tokenizer(split)
+        cells = []
+        for index, run in enumerate(grid):
+            # full and int4 VerMem/UtilityPres, the only metrics the selection
+            # reads (so no retrain baseline is needed)
+            final = stage_unlearn(cfg, out, split, target, run)
+            row = {"index": index, "run": run}
+            for precision, ck in (("full", final), ("int4", quantize_model(final, int4))):
+                row[f"vermem_{precision}"] = vermem(ck, split.forget, tok, cfg.protocol())
+                row[f"utilitypres_{precision}"] = utilitypres(ck, split.retain, tok)
+            cells.append(row)
+        summary = {
+            "selection": "maximize utilitypres_int4 subject to "
+                         "vermem_int4 <= vermem_full + 5; ties by config order",
+            "cells": cells,
+            "best": sweep_best(cells),
+        }
+        write_atomic(path, json.dumps(summary, indent=1, sort_keys=True))
+        return summary
+    return _cached(cfg, out, "sweep.json", load, make)
 
 
 def _write_jsonl(path: Path, rows: list) -> None:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checkpoint import Checkpoint, linear_param_names
+from .checkpoint import Checkpoint, ModelConfig, linear_param_names, param_schema
 from .errors import ConfigError, ShapeError
 
 
@@ -71,6 +71,22 @@ def bin_index(w, s, bits: int):
     return clipped if clipped.ndim else int(clipped)
 
 
+def _group_len(cols: int, spec: QuantSpec) -> int:
+    """The length of a group in a row of `cols` weights, which it must divide."""
+    g = cols if spec.group_size is None else spec.group_size
+    if cols % g != 0:
+        raise ConfigError(f"group size {g} does not divide row length {cols}")
+    return g
+
+
+def check_fits(spec: QuantSpec, mcfg: ModelConfig) -> None:
+    """Raise ConfigError unless `spec` can quantize every linear weight of a
+    model of config `mcfg`."""
+    schema = param_schema(mcfg)
+    for name in linear_param_names(mcfg):
+        _group_len(schema[name][1], spec)
+
+
 def _grouped_view(w: np.ndarray, spec: QuantSpec) -> np.ndarray:
     """(rows, n_groups, group_len) view of a 1-D or 2-D tensor."""
     if w.ndim == 1:
@@ -78,9 +94,7 @@ def _grouped_view(w: np.ndarray, spec: QuantSpec) -> np.ndarray:
     if w.ndim != 2:
         raise ConfigError(f"quantization expects 1-D or 2-D tensors, got {w.ndim}-D")
     rows, cols = w.shape
-    g = cols if spec.group_size is None else spec.group_size
-    if cols % g != 0:
-        raise ConfigError(f"group size {g} does not divide row length {cols}")
+    g = _group_len(cols, spec)
     return w.reshape(rows, cols // g, g)
 
 

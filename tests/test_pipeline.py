@@ -181,6 +181,18 @@ def _files(root: Path) -> dict:
     return {str(f.relative_to(root)): f.read_bytes() for f in root.rglob("*") if f.is_file()}
 
 
+def count_calls(monkeypatch, names) -> dict:
+    """name -> number of calls, counted from now, of each named pipeline-module function."""
+    import qforget.pipeline as pipeline_mod
+    counts = dict.fromkeys(names, 0)
+    for fname in names:
+        def counting(*args, _real=getattr(pipeline_mod, fname), _name=fname, **kwargs):
+            counts[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(pipeline_mod, fname, counting)
+    return counts
+
+
 class TestReuse:
     """A run directory reuses an artifact only under the key the plan gives
     it; each edit recomputes exactly what reads the edited values."""
@@ -189,14 +201,7 @@ class TestReuse:
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        import qforget.pipeline as pipeline_mod
-        counts = dict.fromkeys(self.COMPUTE, 0)
-        for fname in self.COMPUTE:
-            def counting(*args, _real=getattr(pipeline_mod, fname), _name=fname, **kwargs):
-                counts[_name] += 1
-                return _real(*args, **kwargs)
-            monkeypatch.setattr(pipeline_mod, fname, counting)
-        return counts
+        return count_calls(monkeypatch, self.COMPUTE)
 
     @pytest.fixture
     def copy(self, run_dir, tmp_path):
@@ -482,6 +487,12 @@ class TestCli:
         ("pretrain", {"epochs": -1}),
         ("corpus", {"retain_duplication": 0}),
         ("corpus", {"forget_duplication": 0}),
+        # a group of 24 divides neither d_model 32 nor d_ff 64
+        ("quant", [{"bits": 8, "group_size": None}, {"bits": 4, "group_size": 24}]),
+        # rank 40 exceeds d_model 32, the smaller side of every targeted weight
+        ("runs", [MINI["runs"][0], dict(MINI["runs"][1],
+                                        lora=dict(MINI["runs"][1]["lora"], rank=40))]),
+        ("sweep", dict(MINI["sweep"], ranks=[40])),
     ])
     def test_malformed_config_exits_2_and_writes_nothing(self, tmp_path, capsys,
                                                           section, value):
@@ -613,6 +624,28 @@ class TestCli:
             assert err.startswith("invalid input:") and "GA_full_ft_int8.json" in err
             assert {f: (out / f).read_bytes() for f in before} == before
 
+    @pytest.mark.parametrize("edit", [
+        lambda report: {},
+        lambda report: {**report, "aggregates": [
+            {k: v for k, v in agg.items() if k != "crossing_fraction"}
+            for agg in report["aggregates"]]},
+    ], ids=["empty", "no_crossing_fraction"])
+    def test_malformed_masking_file_exit_code(self, tmp_path, run_dir, capsys, edit):
+        # a masking file under its planned key that lacks the per-spec
+        # crossing fractions: exit 5 naming it, and no report file written
+        import shutil
+        out = tmp_path / "out"
+        shutil.copytree(run_dir, out)
+        path = out / "masking" / "GA_full_ft.json"
+        path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+        before = {f: (out / f).read_bytes() for f in ("report.json", "report.csv")}
+        cfg_path = write_config(tmp_path)
+        for command in ("report", "run"):
+            assert cli_main(["--config", str(cfg_path), "--out", str(out), command]) == 5
+            err = capsys.readouterr().err
+            assert err.startswith("invalid input:") and "GA_full_ft.json" in err
+            assert {f: (out / f).read_bytes() for f in before} == before
+
     def test_eval_uses_retrain_baseline_when_present(self, tmp_path, capsys, monkeypatch):
         import qforget.pipeline as pipeline_mod
         from qforget.checkpoint import save_checkpoint
@@ -698,6 +731,86 @@ class TestCli:
 
 
 class TestSweep:
+    COMPUTE = ("train_lm", "unlearn_run", "vermem", "utilitypres")
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        return count_calls(monkeypatch, self.COMPUTE)
+
+    @staticmethod
+    def _cfg(lrs=(3e-3,)):
+        # MINI with a grid of three points around its lora run: the run takes
+        # the default batch size, as grid points do, so point 2 (alpha 4.0
+        # at rank 2) is that run with every default filled in
+        raw = json.loads(json.dumps(MINI))
+        del raw["runs"][1]["batch_size"]
+        raw["sweep"] = {"methods": ["GA_GDR"], "lrs": list(lrs), "ranks": [2],
+                        "alpha_ratios": [0.5, 1.0, 2.0], "lams": [1.0], "epochs": 2,
+                        "targets": "all_linear"}
+        return ExperimentConfig.from_dict(raw)
+
+    @pytest.fixture
+    def after_run(self, run_dir, tmp_path):
+        """A copy of run_dir after `run` of the _cfg variant."""
+        import shutil
+        out = tmp_path / "out"
+        shutil.copytree(run_dir, out)
+        run_pipeline(self._cfg(), out)
+        return out
+
+    @staticmethod
+    def _reset(calls):
+        calls.update(dict.fromkeys(calls, 0))
+
+    def test_sweep_after_run_trains_every_point_but_the_run(self, after_run, calls):
+        self._reset(calls)
+        model = (after_run / "runs" / "GA_GDR_lora" / "model.bin").read_bytes()
+        summary = run_sweep(self._cfg(), after_run)
+        assert calls == {"train_lm": 0, "unlearn_run": 2, "vermem": 6, "utilitypres": 6}
+        assert [cell["index"] for cell in summary["cells"]] == [0, 1, 2]
+        assert len(list((after_run / "sweep").iterdir())) == 2
+        assert (after_run / "runs" / "GA_GDR_lora" / "model.bin").read_bytes() == model
+
+    def test_second_sweep_computes_nothing(self, after_run, calls):
+        run_sweep(self._cfg(), after_run)
+        before = _files(after_run)
+        self._reset(calls)
+        run_sweep(self._cfg(), after_run)
+        assert calls == dict.fromkeys(self.COMPUTE, 0)
+        assert _files(after_run) == before
+
+    def test_added_lr_trains_only_new_points(self, after_run, calls):
+        first = run_sweep(self._cfg(), after_run)
+        self._reset(calls)
+        second = run_sweep(self._cfg(lrs=(3e-3, 1e-3)), after_run)
+        # the sweep summary is one artifact, so every point is scored again
+        assert calls == {"train_lm": 0, "unlearn_run": 3, "vermem": 12, "utilitypres": 12}
+        assert second["cells"][:3] == first["cells"]
+
+    def test_sweep_artifacts_are_in_the_manifest(self, after_run):
+        from qforget.pipeline import plan_keys, read_manifest, run_path
+        cfg = self._cfg()
+        run_sweep(cfg, after_run)
+        paths = [run_path(cfg, run) for run in sweep_grid(cfg)]
+        assert paths[2] == "runs/GA_GDR_lora/model.json"
+        assert all(p.startswith("sweep/") for p in paths[:2]) and paths[0] != paths[1]
+        manifest, keys = read_manifest(after_run), plan_keys(cfg)
+        for rel in paths + ["sweep.json"]:
+            assert manifest[rel] == keys[rel] and (after_run / rel).exists(), rel
+
+    def test_malformed_sweep_summary_exit_code(self, tmp_path, run_dir, capsys):
+        import shutil
+        out = tmp_path / "out"
+        shutil.copytree(run_dir, out)
+        cfg_path = write_config(tmp_path)
+        argv = ["--config", str(cfg_path), "--out", str(out), "sweep"]
+        assert cli_main(argv) == 0
+        for bad in ({}, {"selection": "", "cells": 5, "best": {}}):
+            (out / "sweep.json").write_text(json.dumps(bad))
+            assert cli_main(argv) == 5
+            err = capsys.readouterr().err
+            assert err.startswith("invalid input:") and "sweep.json" in err
+
     def test_singleton_grid_selects_itself(self, tmp_path):
         cfg = ExperimentConfig.from_dict(json.loads(json.dumps(MINI)))
         grid = sweep_grid(cfg)
