@@ -24,24 +24,23 @@ _DTYPE = "<f8"  # every stored tensor: little-endian float64
 @dataclass
 class ModelConfig:
     vocab_size: int
-    d_model: int = 64
-    n_layers: int = 2
-    n_heads: int = 2
-    d_ff: int = 256
-    context_len: int = 64
-    seed: int = 0
+    d_model: int
+    n_layers: int
+    n_heads: int
+    d_ff: int
+    context_len: int
+    seed: int
 
     def __post_init__(self):
         for name in ("vocab_size", "d_model", "n_layers", "n_heads", "d_ff", "context_len"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive")
+            value = getattr(self, name)
+            if not is_count(value) or value == 0:
+                raise ConfigError(f"{name} must be a positive integer, got {value!r}")
+        check_seed(self.seed)
         if self.d_model % self.n_heads != 0:
             raise ConfigError(f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
         if self.context_len < 2:
             raise ConfigError("context_len must be at least 2")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 # Linear-layer roles addressable for quantization and adapter targeting.
@@ -175,7 +174,7 @@ def _read_container(stem: Path) -> tuple:
             raise SchemaError(f"{stem}: tensor {entry['name']} has dtype "
                               f"{entry['dtype']!r}; only {_DTYPE!r} is stored")
         ofs, length, shape = entry["offset"], entry["length"], entry["shape"]
-        if not (_is_count(ofs) and isinstance(shape, list) and all(map(_is_count, shape))
+        if not (is_count(ofs) and isinstance(shape, list) and all(map(is_count, shape))
                 and length == 8 * math.prod(shape)):
             raise SchemaError(f"{stem}: manifest entry {entry['name']} has offset {ofs} "
                               f"and length {length} for shape {shape}")
@@ -186,8 +185,15 @@ def _read_container(stem: Path) -> tuple:
     return tensors, manifest
 
 
-def _is_count(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool) and x >= 0
+def is_count(x) -> bool:
+    """Whether x is a non-negative int (JSON true is not one)."""
+    return type(x) is int and x >= 0
+
+
+def check_seed(seed) -> None:
+    """The one seed rule, for model, run and adapter seeds alike."""
+    if not is_count(seed):
+        raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
 
 
 def save_checkpoint(ck: Checkpoint, stem) -> None:
@@ -195,7 +201,7 @@ def save_checkpoint(ck: Checkpoint, stem) -> None:
     ck.validate()
     _write_container(Path(stem), ck.params, {
         "kind": "checkpoint",
-        "config": ck.config.to_dict(),
+        "config": asdict(ck.config),
         "provenance": ck.provenance,
     })
 

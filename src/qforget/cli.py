@@ -39,8 +39,8 @@ def _parser() -> argparse.ArgumentParser:
 
 def _dispatch(ns) -> None:
     cfg = ExperimentConfig.from_file(ns.config)
-    if ns.seed is not None:
-        cfg.seed = ns.seed
+    if ns.seed is not None:  # checked like a seed in the file
+        cfg = ExperimentConfig.from_dict({**vars(cfg), "seed": ns.seed})
     out = Path(ns.out)
     if ns.command in ("run", "report"):
         report = (run_pipeline if ns.command == "run" else stage_report)(cfg, out)
@@ -80,9 +80,9 @@ def _dispatch(ns) -> None:
         if ck.provenance.startswith("unlearn") and ":lora" in ck.provenance \
                 and ":merged" not in ck.provenance:
             raise ConfigError("refusing to quantize an unmerged adapter run; merge first")
-        qck = quantize_model(ck, QuantSpec(bits, group))
-        save_checkpoint(qck, f"{stem}_int{bits}")
-        print(f"quantized checkpoint saved: {stem}_int{bits}")
+        spec = QuantSpec(bits, group)
+        save_checkpoint(quantize_model(ck, spec), f"{stem}_{spec.name}")
+        print(f"quantized checkpoint saved: {stem}_{spec.name}")
     elif ns.command == "analyze":
         if len(ns.args) < 2:
             raise ConfigError("analyze needs two checkpoint stems")

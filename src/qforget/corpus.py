@@ -183,6 +183,12 @@ def qa_text(rec: FactRecord) -> str:
     return f"{rec.question} {rec.answer}"
 
 
+# Every record has these lengths: an entity is two words, an attribute or value word one.
+_SAMPLE = FactRecord.make(ENTITY_POOL[0], ATTRIBUTE_POOL[0], " ".join(VALUE_POOL[:VALUE_WORDS]))
+SENTENCE_WORDS = len(_SAMPLE.sentence.split())
+MAX_FRAME = 2 + max(SENTENCE_WORDS, len(qa_text(_SAMPLE).split()))  # bos + longest text + eos
+
+
 def fact_prompt(rec: FactRecord) -> str:
     """The sentence up to (excluding) its value phrase: the x of an (x, y) pair."""
     return f"{rec.entity} {rec.attribute} is"

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import seeding
-from .checkpoint import ATTN_ROLES, Checkpoint, MLP_ROLES, ModelConfig, param_schema
+from .checkpoint import (ATTN_ROLES, MLP_ROLES, Checkpoint, ModelConfig, check_seed,
+                         param_schema)
 from .errors import ConfigError, SchemaError
 
 TARGET_MODES = ("all_linear", "mlp_only", "attn_only")
@@ -42,6 +43,9 @@ class LoraConfig:
             raise ConfigError("alpha must be > 0")
         if self.targets not in TARGET_MODES:
             raise ConfigError(f"targets must be one of {TARGET_MODES}")
+        if not self.init_std > 0:  # A = 0 would keep both factors at zero
+            raise ConfigError("init_std must be > 0")
+        check_seed(self.seed)
 
 
 @dataclass

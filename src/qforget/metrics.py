@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checkpoint import Checkpoint
+from .checkpoint import Checkpoint, is_count
 from .corpus import Tokenizer
 from .errors import ConfigError, ContractError
 from .model import greedy_decode_batch, token_log_probs_batch
@@ -27,15 +27,15 @@ from .model import greedy_decode_batch, token_log_probs_batch
 
 @dataclass(frozen=True)
 class MetricProtocol:
-    k_percent: float = 20.0          # min-k% fraction
-    prefix_len: int | None = None    # None: per-sentence ceil(len/2)
+    k_percent: float          # min-k% fraction
+    prefix_len: int | None    # None: per-sentence ceil(len/2)
 
     def __post_init__(self):
-        if not 0.0 < self.k_percent <= 100.0:
-            raise ConfigError(f"k_percent must be in (0, 100], got {self.k_percent}")
-
-    def to_dict(self) -> dict:
-        return {"k_percent": self.k_percent, "prefix_len": self.prefix_len}
+        k, p = self.k_percent, self.prefix_len
+        if type(k) not in (int, float) or not 0.0 < k <= 100.0:
+            raise ConfigError(f"k_percent must be a number in (0, 100], got {k!r}")
+        if p is not None and not is_count(p):
+            raise ConfigError(f"prefix_len must be null or an integer >= 0, got {p!r}")
 
 
 def lcs_length(a, b) -> int:
@@ -74,8 +74,7 @@ def _prefix_length(n_tokens: int, protocol: MetricProtocol) -> int:
     return (n_tokens + 1) // 2  # ceil(n/2)
 
 
-def vermem(ck: Checkpoint, records, tok: Tokenizer,
-           protocol: MetricProtocol = MetricProtocol()) -> float:
+def vermem(ck: Checkpoint, records, tok: Tokenizer, protocol: MetricProtocol) -> float:
     """Mean ROUGE-L F1 (x100) of greedy continuations against true suffixes.
 
     Each sentence is split at its prefix length; the model is prompted with
@@ -148,7 +147,7 @@ def _membership_scores(ck: Checkpoint, records, tok: Tokenizer, k_percent: float
     return min_k_scores(ck, [tok.frame(rec.sentence) for rec in records], k_percent)
 
 
-def membership_aucs(ck: Checkpoint, split, tok: Tokenizer, k_percent: float = 20.0) -> dict:
+def membership_aucs(ck: Checkpoint, split, tok: Tokenizer, k_percent: float) -> dict:
     """Min-k% membership-inference AUC of one model, keyed by the privleak
     field it feeds: forget records are the members, retain records
     ("privleak") or holdout records ("privleak_holdout") the nonmembers.
@@ -173,7 +172,7 @@ def privleak(auc_unlearn: float, auc_retrain: float) -> float | None:
 
 
 def evaluate_checkpoint(ck: Checkpoint, split, tok: Tokenizer, baseline: dict | None,
-                        protocol: MetricProtocol = MetricProtocol()) -> dict:
+                        protocol: MetricProtocol) -> dict:
     """All four metrics for one checkpoint (plus the holdout privleak variant).
 
     baseline: the retrain model's membership_aucs. Without one the privleak

@@ -11,12 +11,13 @@ builds the model from autodiff primitives, one sequence at a time: it is the
 training forward, and every training loss reads its logit rows through
 `scored_rows`. Each training loss is an autodiff.ItemSum with one piece per
 batch item (`row_mean` for per-row means such as `nll_loss`), so a training
-step holds one item's graph at a time. `infer` is the grad-free inference
-forward on plain arrays, batched over a block of equal-length sequences, and
-every evaluation entry point (`forward_logits`, `token_log_probs`, greedy
-decoding) runs on it; batched scoring and decoding run each block's shared
-prompt prefix once (_prefill). Both read every weight from one parameter map; LoRA reaches
-them only through lora.merge.
+step holds one item's graph at a time; its `graph()` is the loss as one graph.
+`infer` is the grad-free inference forward on plain arrays, batched over a
+block of equal-length sequences, and every evaluation entry point
+(`forward_logits`, `token_log_probs`, greedy decoding) runs on it; batched
+scoring and decoding run each block's shared prompt prefix once (_prefill).
+Both read every weight from one parameter map; LoRA reaches them only
+through lora.merge.
 """
 
 import math
@@ -281,26 +282,14 @@ def row_mean(pv: dict, cfg: ModelConfig, batch, row_loss) -> ItemSum:
         rows = scored_rows(pv, cfg, ids, start)
         return scale(row_loss(ids, start, rows), float(rows.shape[0]))
 
-    return ItemSum([partial(piece, ids, start) for ids, start in items],
-                   (1.0 / _positions(items),))
+    positions = sum(len(ids) - 1 - start for ids, start in items)
+    return ItemSum([partial(piece, ids, start) for ids, start in items], (1.0 / positions,))
 
 
 def nll_loss(pv: dict, cfg: ModelConfig, batch) -> ItemSum:
     """Mean next-token cross-entropy over the scored rows of a batch."""
     return row_mean(pv, cfg, batch,
                     lambda ids, start, rows: cross_entropy(rows, ids[start + 1:]))
-
-
-def nll_graph(pv: dict, cfg: ModelConfig, batch):
-    """nll_loss as one graph.
-
-    Returns (scalar Var, number of scored positions).
-    """
-    return nll_loss(pv, cfg, batch).graph(), _positions(continuations(batch))
-
-
-def _positions(items: list) -> int:
-    return sum(len(ids) - 1 - start for ids, start in items)
 
 
 def token_log_probs(ck: Checkpoint, tokens) -> np.ndarray:

@@ -24,8 +24,8 @@ from pathlib import Path
 from . import __version__
 from .checkpoint import (Checkpoint, ModelConfig, load_checkpoint, read_json,
                          save_checkpoint, write_atomic)
-from .corpus import (CorpusSplit, build_tokenizer, check_split_sizes, generate_corpus,
-                     load_corpus, qa_text, save_corpus)
+from .corpus import (MAX_FRAME, SENTENCE_WORDS, CorpusSplit, build_tokenizer,
+                     check_split_sizes, generate_corpus, load_corpus, qa_text, save_corpus)
 from .errors import ConfigError, ContractError, GateError, SchemaError
 from .lora import LoraConfig, check_rank
 from .masking import analyze_pair
@@ -99,8 +99,12 @@ class ExperimentConfig:
                 raise ConfigError("corpus duplication factors must be >= 1")
             if p["lr"] <= 0 or p["epochs"] < 0 or p["batch_size"] < 1:
                 raise ConfigError("pretrain needs lr > 0, epochs >= 0, batch_size >= 1")
-            cfg.model_config(vocab_size=1)
-            cfg.protocol()
+            if not all(type(p[g]) in (int, float) for g in ("gate_vermem", "gate_utility")):
+                raise ConfigError("pretrain gates must be numbers")
+            if cfg.model_config(vocab_size=1).context_len < MAX_FRAME:
+                raise ConfigError(f"context_len must hold a framed corpus text ({MAX_FRAME})")
+            if (cfg.protocol().prefix_len or 0) >= SENTENCE_WORDS:
+                raise ConfigError(f"prefix_len must be below the sentence length {SENTENCE_WORDS}")
             plan_keys(cfg)
         except (TypeError, ContractError) as exc:
             raise ConfigError(f"bad config: {exc}") from exc
@@ -439,7 +443,7 @@ def stage_report(cfg: ExperimentConfig, out: Path) -> dict:
         if run is not None and is_current(cfg, out, rel):
             crossing[name] = read_masking(out / rel)
     report = {
-        "protocol": cfg.protocol().to_dict(),
+        "protocol": asdict(cfg.protocol()),
         "rows": rows,
         "crossing_fractions": crossing,
         "missing": missing,

@@ -37,6 +37,12 @@ class QuantSpec:
             raise ConfigError("group_size must be >= 1")
 
     @property
+    def name(self) -> str:
+        """int<bits>, or int<bits>_g<group_size> for a grouped spec."""
+        g = "" if self.group_size is None else f"_g{self.group_size}"
+        return f"int{self.bits}{g}"
+
+    @property
     def label(self) -> str:
         g = "per_row" if self.group_size is None else f"g{self.group_size}"
         return f"int{self.bits}/{g}"
@@ -130,9 +136,9 @@ def quantize_model(ck: Checkpoint, spec: QuantSpec) -> Checkpoint:
     """Replace every linear weight matrix by its quantization round-trip.
 
     Embeddings and layer norms are left untouched and shared with `ck`;
-    provenance gains ":intN".
+    provenance gains ":" + spec.name.
     """
     params = dict(ck.params)
     for name in linear_param_names(ck.config):
         params[name] = fake_quant(params[name], spec)
-    return Checkpoint(params, ck.config, f"{ck.provenance}:int{spec.bits}")
+    return Checkpoint(params, ck.config, f"{ck.provenance}:{spec.name}")

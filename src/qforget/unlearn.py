@@ -6,11 +6,12 @@ combined with a retain-set regularizer (GDR: plain cross-entropy descent;
 KLR: KL toward the frozen reference distribution). The combined objective is
 L_forget + lam * L_retain.
 
-Each term is an autodiff.ItemSum with one piece per batch item. A run step
+Each term is an autodiff.ItemSum with one piece per batch item (`loss_ga`,
+`loss_npo`, `loss_klr`, and `model.nll_loss` for GDR). A run step
 (`step_losses`) backpropagates the forget items, then the retain items, one
-at a time, so it holds one item's graph; `objective` and the loss_*
-functions build the same terms as one graph, with the same gradients and
-values bit for bit. Runs go through training.optimize, the loop that
+at a time, so it holds one item's graph; `objective`, the reference it is
+checked against, builds the same terms as one graph, with the same gradients
+and values bit for bit. Runs go through training.optimize, the loop that
 pretraining also uses.
 
 A run optimizes either every parameter (full_ft, on a copy of the starting
@@ -28,7 +29,7 @@ import numpy as np
 
 from .autodiff import (ItemSum, Var, _softmax_, add, kl_divergence_rows,
                        log_sigmoid, log_softmax_rows, scale, target_log_probs, vsum)
-from .checkpoint import Checkpoint, blob_crc32
+from .checkpoint import Checkpoint, blob_crc32, check_seed
 from .corpus import CorpusSplit, Tokenizer, build_tokenizer, conditional_batches
 from .errors import ConfigError, ContractError
 from .lora import LoraConfig, attach, factor_grads, merge
@@ -71,6 +72,7 @@ class UnlearnConfig:
             raise ConfigError("lora config must be present exactly when mode='lora'")
         if self.epochs < 0 or self.lr <= 0 or self.batch_size < 1:
             raise ConfigError("epochs must be >= 0, lr > 0, batch_size >= 1")
+        check_seed(self.seed)
 
 
 @dataclass
@@ -86,16 +88,23 @@ class UnlearnResult:
 
 
 # ---------------------------------------------------------------------------
-# Objectives (callers hold the parameter Vars). Each term is an ItemSum; the
-# loss_* functions and `objective` are the same terms as one graph.
+# Objectives (callers hold the parameter Vars). Each is an ItemSum, which a
+# run step backpropagates item by item and `.graph()` builds as one graph.
 # ---------------------------------------------------------------------------
 
 
-def _ga(pv: dict, cfg, forget_batch) -> ItemSum:
+def loss_ga(pv: dict, cfg, forget_batch) -> ItemSum:
+    """Negated NLL on the forget set: minimizing it maximizes cross-entropy."""
     return nll_loss(pv, cfg, forget_batch).scaled(-1.0)
 
 
-def _npo(pv: dict, cfg, forget_batch, ref: Checkpoint, beta: float) -> ItemSum:
+def loss_npo(pv: dict, cfg, forget_batch, ref: Checkpoint, beta: float) -> ItemSum:
+    """-(2/beta) * mean over sequences of log sigma(-beta * log-likelihood ratio).
+
+    The ratio is the continuation's summed log-prob difference against the
+    frozen reference. Penalties fade as a sequence's likelihood drops below
+    the reference's, which is what keeps NPO bounded.
+    """
     items = continuations(forget_batch)
 
     def piece(ids, start):
@@ -108,7 +117,8 @@ def _npo(pv: dict, cfg, forget_batch, ref: Checkpoint, beta: float) -> ItemSum:
                    (1.0 / len(items),))
 
 
-def _klr(pv: dict, cfg, retain_batch, ref: Checkpoint) -> ItemSum:
+def loss_klr(pv: dict, cfg, retain_batch, ref: Checkpoint) -> ItemSum:
+    """Mean over retain positions of KL(reference || current)."""
     def kl(ids, start, rows):
         p_ref = forward_logits(ref, ids)[start:-1]
         _softmax_(p_ref)
@@ -117,46 +127,21 @@ def _klr(pv: dict, cfg, retain_batch, ref: Checkpoint) -> ItemSum:
     return row_mean(pv, cfg, retain_batch, kl)
 
 
-def loss_ga(pv: dict, cfg, forget_batch) -> Var:
-    """Negated NLL on the forget set: minimizing it maximizes cross-entropy."""
-    return _ga(pv, cfg, forget_batch).graph()
-
-
-def loss_npo(pv: dict, cfg, forget_batch, ref: Checkpoint, beta: float) -> Var:
-    """-(2/beta) * mean over sequences of log sigma(-beta * log-likelihood ratio).
-
-    The ratio is the continuation's summed log-prob difference against the
-    frozen reference. Penalties fade as a sequence's likelihood drops below
-    the reference's, which is what keeps NPO bounded.
-    """
-    return _npo(pv, cfg, forget_batch, ref, beta).graph()
-
-
-def loss_gdr(pv: dict, cfg, retain_batch) -> Var:
-    """Plain NLL on the retain set (identical to the training loss)."""
-    return nll_loss(pv, cfg, retain_batch).graph()
-
-
-def loss_klr(pv: dict, cfg, retain_batch, ref: Checkpoint) -> Var:
-    """Mean over retain positions of KL(reference || current)."""
-    return _klr(pv, cfg, retain_batch, ref).graph()
-
-
 def terms(ucfg: UnlearnConfig, pv: dict, cfg, forget_batch, retain_batch,
           ref: Checkpoint) -> tuple:
     """(forget term, retain term or None) of the configured method; the
     objective is forget + lam * retain."""
     if ucfg.method.startswith("NPO"):
-        forget = _npo(pv, cfg, forget_batch, ref, ucfg.beta)
+        forget = loss_npo(pv, cfg, forget_batch, ref, ucfg.beta)
     else:
-        forget = _ga(pv, cfg, forget_batch)
+        forget = loss_ga(pv, cfg, forget_batch)
     if ucfg.lam == 0.0:
         return forget, None
     if retain_batch is None:
         raise ContractError(f"{ucfg.method} with lam > 0 needs a retain batch")
-    if ucfg.method.endswith("GDR"):
+    if ucfg.method.endswith("GDR"):  # GDR is plain NLL on the retain set
         return forget, nll_loss(pv, cfg, retain_batch)
-    return forget, _klr(pv, cfg, retain_batch, ref)
+    return forget, loss_klr(pv, cfg, retain_batch, ref)
 
 
 def objective(ucfg: UnlearnConfig, pv: dict, cfg, forget_batch, retain_batch,

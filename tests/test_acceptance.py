@@ -23,11 +23,10 @@ from qforget.metrics import (MetricProtocol, auc_roc, knowmem, membership_aucs,
                              min_k_scores, privleak, rouge_l_f1, utilitypres,
                              vermem)
 from qforget.model import (forward_graph, forward_logits, init_model, make_param_vars,
-                           nll_graph)
+                           nll_loss)
 from qforget.pipeline import ExperimentConfig, run_pipeline
 from qforget.quantizer import QuantSpec, bin_index, dequantize, quantize, quantize_model
-from qforget.unlearn import (UnlearnConfig, loss_ga, loss_gdr, loss_klr,
-                             loss_npo, unlearn_run)
+from qforget.unlearn import UnlearnConfig, loss_ga, loss_klr, loss_npo, unlearn_run
 
 CONFIG_PATH = Path(__file__).resolve().parents[1] / "configs" / "default.json"
 ACCEPTANCE_METHODS = {("GA", "full_ft"), ("GA_GDR", "full_ft"), ("GA_GDR", "lora")}
@@ -126,7 +125,7 @@ def test_criterion_02_masking_theorem():
     q0, qu = quantize_model(ck0, spec), quantize_model(cku, spec)
     for name in linear_param_names(cfg):
         assert q0.params[name].tobytes() == qu.params[name].tobytes()
-    proto = MetricProtocol(prefix_len=4)
+    proto = MetricProtocol(k_percent=20.0, prefix_len=4)
     assert vermem(q0, split.forget, tok, proto) == vermem(qu, split.forget, tok, proto)
     assert knowmem(q0, split.forget, tok) == knowmem(qu, split.forget, tok)
     assert utilitypres(q0, split.retain, tok) == utilitypres(qu, split.retain, tok)
@@ -190,11 +189,11 @@ def test_criterion_03_gradient_suite():
     fb = [[1, 4, 7, 2, 9], [3, 6, 2, 8]]
     rb = [[2, 5, 1, 10], [7, 3, 9, 4, 1]]
     losses = {
-        "NLL": lambda pv: nll_graph(pv, cfg, fb)[0],
-        "GA": lambda pv: loss_ga(pv, cfg, fb),
-        "NPO": lambda pv: loss_npo(pv, cfg, fb, ref, 0.1),
-        "GDR": lambda pv: loss_gdr(pv, cfg, rb),
-        "KLR": lambda pv: loss_klr(pv, cfg, rb, ref),
+        "NLL": lambda pv: nll_loss(pv, cfg, fb).graph(),
+        "GA": lambda pv: loss_ga(pv, cfg, fb).graph(),
+        "NPO": lambda pv: loss_npo(pv, cfg, fb, ref, 0.1).graph(),
+        "GDR": lambda pv: nll_loss(pv, cfg, rb).graph(),
+        "KLR": lambda pv: loss_klr(pv, cfg, rb, ref).graph(),
     }
     for label, fn in losses.items():
         worst = 0.0
@@ -218,7 +217,7 @@ def test_criterion_04_npo_analytic_anchors():
     for name in ck.params:
         ck.params[name] = ck.params[name] + gen.normal(0, 0.25, ck.params[name].shape)
     fb = [[1, 4, 7, 2, 9], [3, 6, 2, 8]]
-    loss = loss_npo(make_param_vars(ck), cfg, fb, ck, 0.1)
+    loss = loss_npo(make_param_vars(ck), cfg, fb, ck, 0.1).graph()
     assert abs(float(loss.value) - 20 * math.log(2)) < 1e-9
 
     def flat_grad(fn):
@@ -226,8 +225,8 @@ def test_criterion_04_npo_analytic_anchors():
         fn(pv).backward()
         return np.concatenate([pv[n].grad.ravel() for n in ck.params])
 
-    g_npo = flat_grad(lambda pv: loss_npo(pv, cfg, [fb[0]], ck, 1e-4))
-    g_ga = flat_grad(lambda pv: loss_ga(pv, cfg, [fb[0]]))
+    g_npo = flat_grad(lambda pv: loss_npo(pv, cfg, [fb[0]], ck, 1e-4).graph())
+    g_ga = flat_grad(lambda pv: loss_ga(pv, cfg, [fb[0]]).graph())
     cos = float(g_npo @ g_ga / (np.linalg.norm(g_npo) * np.linalg.norm(g_ga)))
     assert cos > 0.999
 
@@ -288,8 +287,8 @@ def test_criterion_06_metric_anchors():
     cfg = ModelConfig(vocab_size=len(tok), d_model=16, n_layers=1, n_heads=2,
                       d_ff=32, context_len=24, seed=0)
     ck = init_model(cfg)
-    baseline = membership_aucs(ck, split, tok)
-    assert privleak(membership_aucs(ck, split, tok)["privleak"], baseline["privleak"]) == 0.0
+    baseline = membership_aucs(ck, split, tok, 20.0)
+    assert privleak(membership_aucs(ck, split, tok, 20.0)["privleak"], baseline["privleak"]) == 0.0
     report_pass(6, "metric anchors: ROUGE 2/3, AUC 0.75, min-k -3.5, privleak(f,f)=0")
 
 

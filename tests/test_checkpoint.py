@@ -3,6 +3,7 @@
 import json
 import os
 import re
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -67,7 +68,7 @@ class TestCorruption:
         bad.params["block0.attn_q"] = bad.params["block0.attn_q"][:4]
         from qforget.checkpoint import _write_container
         _write_container(stem, bad.params, {
-            "kind": "checkpoint", "config": CFG.to_dict(), "provenance": ""})
+            "kind": "checkpoint", "config": asdict(CFG), "provenance": ""})
         with pytest.raises(SchemaError, match="block0.attn_q"):
             load_checkpoint(stem)
 
@@ -77,7 +78,7 @@ class TestCorruption:
         del bad.params["lm_head"]
         from qforget.checkpoint import _write_container
         _write_container(stem, bad.params, {
-            "kind": "checkpoint", "config": CFG.to_dict(), "provenance": ""})
+            "kind": "checkpoint", "config": asdict(CFG), "provenance": ""})
         with pytest.raises(SchemaError):
             load_checkpoint(stem)
 

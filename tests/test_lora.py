@@ -9,7 +9,7 @@ from qforget.errors import ConfigError
 from qforget.lora import (LoraAdapter, LoraConfig, attach, factor_grads, merge,
                           target_names)
 from qforget.model import (forward_graph, forward_logits, init_model, make_param_vars,
-                           nll_graph)
+                           nll_loss)
 
 CFG = ModelConfig(vocab_size=32, d_model=16, n_layers=2, n_heads=2, d_ff=32,
                   context_len=16, seed=1)
@@ -135,7 +135,7 @@ class TestMerge:
 def merged_nll(ck, ads, batch):
     """(batch NLL over leaves of the merged weights, those leaves)."""
     pv = make_param_vars(merge(ck, ads))
-    return nll_graph(pv, ck.config, batch)[0], pv
+    return nll_loss(pv, ck.config, batch).graph(), pv
 
 
 def factor_grads_of(ck, ads, batch):
@@ -191,7 +191,7 @@ class TestAdapterGradients:
             a, b = Var(ad.A), Var(ad.B)
             pv[name] = add(pv[name], scale(matmul(b, a), ad.scaling))
             leaves[name + ".A"], leaves[name + ".B"] = a, b
-        nll_graph(pv, ck.config, batch)[0].backward()
+        nll_loss(pv, ck.config, batch).graph().backward()
         grads = factor_grads_of(ck, ads, batch)
         assert list(grads) == list(leaves)
         for key, leaf in leaves.items():

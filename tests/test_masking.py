@@ -146,7 +146,7 @@ class TestExactCoincidence:
         for name in linear_param_names(cfg):
             assert q0.params[name].tobytes() == qu.params[name].tobytes()
 
-        proto = MetricProtocol(prefix_len=2)
+        proto = MetricProtocol(k_percent=20.0, prefix_len=2)
         assert vermem(q0, split.forget, tok, proto) == vermem(qu, split.forget, tok, proto)
         assert knowmem(q0, split.forget, tok) == knowmem(qu, split.forget, tok)
         assert utilitypres(q0, split.retain, tok) == utilitypres(qu, split.retain, tok)

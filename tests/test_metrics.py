@@ -151,8 +151,8 @@ class TestPrivleak:
 
     def test_same_model_is_zero(self):
         ck = init_model(self.cfg)
-        baseline = membership_aucs(ck, self.split, self.tok)
-        aucs = membership_aucs(ck, self.split, self.tok)
+        baseline = membership_aucs(ck, self.split, self.tok, 20.0)
+        aucs = membership_aucs(ck, self.split, self.tok, 20.0)
         for key in ("privleak", "privleak_holdout"):
             assert privleak(aucs[key], baseline[key]) == 0.0
 
@@ -164,7 +164,7 @@ class TestPrivleak:
         ck = init_model(self.cfg)
         from qforget.metrics import _membership_scores
         members = _membership_scores(ck, self.split.forget, self.tok, 20.0)
-        got = membership_aucs(ck, self.split, self.tok)
+        got = membership_aucs(ck, self.split, self.tok, 20.0)
         assert got == {
             "privleak": auc_roc(members, _membership_scores(ck, self.split.retain,
                                                             self.tok, 20.0)),
@@ -177,8 +177,8 @@ class TestPrivleak:
         cfg2 = ModelConfig(vocab_size=len(self.tok), d_model=16, n_layers=1,
                            n_heads=2, d_ff=32, context_len=24, seed=1)
         b = init_model(cfg2)
-        auc_u = membership_aucs(a, self.split, self.tok)["privleak"]
-        auc_r = membership_aucs(b, self.split, self.tok)["privleak"]
+        auc_u = membership_aucs(a, self.split, self.tok, 20.0)["privleak"]
+        auc_r = membership_aucs(b, self.split, self.tok, 20.0)["privleak"]
         got = privleak(auc_u, auc_r)
         assert (got < 0) == (auc_u < auc_r)
         assert got == pytest.approx(100.0 * (auc_u - auc_r) / auc_r)
@@ -191,9 +191,10 @@ class TestPrivleak:
         # a fully separable forget-vs-retain baseline leaves only that ratio
         # undefined; the holdout variant is still a number
         ck = init_model(self.cfg)
-        auc_holdout = membership_aucs(ck, self.split, self.tok)["privleak_holdout"]
+        auc_holdout = membership_aucs(ck, self.split, self.tok, 20.0)["privleak_holdout"]
         cell = evaluate_checkpoint(ck, self.split, self.tok,
-                                   {"privleak": 0.0, "privleak_holdout": auc_holdout})
+                                   {"privleak": 0.0, "privleak_holdout": auc_holdout},
+                                   MetricProtocol(k_percent=20.0, prefix_len=None))
         assert cell["privleak"] is None
         assert cell["privleak_holdout"] == 0.0
 
@@ -208,7 +209,8 @@ class TestGenerationMetrics:
     def test_untrained_model_scores_low(self):
         ck = init_model(self.cfg)
         assert knowmem(ck, self.split.forget, self.tok) < 15.0
-        assert vermem(ck, self.split.forget, self.tok, MetricProtocol(prefix_len=4)) < 15.0
+        proto = MetricProtocol(k_percent=20.0, prefix_len=4)
+        assert vermem(ck, self.split.forget, self.tok, proto) < 15.0
 
     def test_deterministic(self):
         ck = init_model(self.cfg)
@@ -229,7 +231,7 @@ class TestGenerationMetrics:
                               stream_texts(self.split.forget, 2)
                               + stream_texts(self.split.retain, 2),
                               self.tok, lr=2e-3, epochs=60, batch_size=8, seed=0)
-        proto = MetricProtocol(prefix_len=4)
+        proto = MetricProtocol(k_percent=20.0, prefix_len=4)
         assert vermem(trained, self.split.forget, self.tok, proto) >= 90.0
         assert knowmem(trained, self.split.retain, self.tok) >= 60.0
 
@@ -237,7 +239,7 @@ class TestGenerationMetrics:
         ck = init_model(self.cfg)
         ck.params["lm_head"] = np.zeros_like(ck.params["lm_head"])
         # argmax is always token 0 (pad), which never appears in sentences
-        got = vermem(ck, self.split.forget, self.tok, MetricProtocol(prefix_len=4))
+        got = vermem(ck, self.split.forget, self.tok, MetricProtocol(k_percent=20.0, prefix_len=4))
         assert got == 0.0
 
     def test_vermem_skips_short_sentences_with_warning(self):
@@ -247,16 +249,16 @@ class TestGenerationMetrics:
                                 self.split.forget[1].attribute,
                                 self.split.forget[2].value.split()[0])
         mixed = [short] + list(self.split.forget)
-        proto = MetricProtocol(prefix_len=6)  # short sentence has 6 tokens
+        proto = MetricProtocol(k_percent=20.0, prefix_len=6)  # short sentence has 6 tokens
         with pytest.warns(UserWarning, match="skipped 1"):
             got = vermem(ck, mixed, self.tok, proto)
         assert 0.0 <= got <= 100.0
         with pytest.raises(ContractError), pytest.warns(UserWarning, match="skipped 1"):
-            vermem(ck, [short], self.tok, MetricProtocol(prefix_len=6))
+            vermem(ck, [short], self.tok, MetricProtocol(k_percent=20.0, prefix_len=6))
 
     def test_single_token_comparison_boundary(self):
         # prefix_len = len(sentence) - 1 leaves a one-token comparison
-        proto = MetricProtocol(prefix_len=8)
+        proto = MetricProtocol(k_percent=20.0, prefix_len=8)
         ck = init_model(self.cfg)
         got = vermem(ck, self.split.forget, self.tok, proto)
         assert 0.0 <= got <= 100.0

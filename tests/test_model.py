@@ -11,7 +11,7 @@ from qforget.errors import ConfigError, ContractError, InputError
 import qforget.model as model_mod
 from qforget.model import (MAX_ROWS, _prefill, continuations, forward_graph,
                            forward_logits, greedy_decode_batch, infer,
-                           init_model, make_param_vars, nll_graph, scored_rows,
+                           init_model, make_param_vars, nll_loss, scored_rows,
                            token_log_probs, token_log_probs_batch)
 
 TINY = ModelConfig(vocab_size=11, d_model=8, n_layers=1, n_heads=2, d_ff=16,
@@ -52,12 +52,15 @@ class TestInit:
         assert any(not np.array_equal(a.params[n], b.params[n]) for n in a.params)
 
     def test_config_validation(self):
-        with pytest.raises(ConfigError):
-            ModelConfig(vocab_size=8, d_model=10, n_heads=4)
-        with pytest.raises(ConfigError):
-            ModelConfig(vocab_size=8, context_len=1)
-        with pytest.raises(ConfigError):
-            ModelConfig(vocab_size=0)
+        good = dict(vocab_size=8, d_model=10, n_layers=1, n_heads=2, d_ff=16,
+                    context_len=8, seed=0)
+        ModelConfig(**good)
+        bad = [("n_heads", 4),  # d_model 10 is not divisible by 4
+               ("context_len", 1), ("vocab_size", 0), ("d_model", 10.0),
+               ("n_layers", True), ("seed", -1), ("seed", 1.5)]
+        for field, value in bad:
+            with pytest.raises(ConfigError):
+                ModelConfig(**{**good, field: value})
 
 
 class TestForward:
@@ -276,7 +279,7 @@ class TestPrefill:
         assert all(p[:4] == prompts[0][:4] for p in prompts)
         assert len({p[4] for p in prompts}) == n
         ck = init_model(ModelConfig(vocab_size=len(tok), d_model=16, n_layers=1,
-                                    n_heads=2, d_ff=32, context_len=24))
+                                    n_heads=2, d_ff=32, context_len=24, seed=0))
         knowmem(ck, records, tok)
         prefill = sum(rows * new for rows, new, past in infer_calls if past < t)
         assert prefill == 4 + n * (t - 4)
@@ -296,8 +299,8 @@ class TestPrefill:
 class TestNll:
     def test_init_loss_near_uniform(self):
         ck = init_model(small_config())
-        loss, _ = nll_graph(make_param_vars(ck), ck.config,
-                            [[1, 5, 9, 3, 2, 7, 8], [4, 6, 2, 9]])
+        loss = nll_loss(make_param_vars(ck), ck.config,
+                        [[1, 5, 9, 3, 2, 7, 8], [4, 6, 2, 9]]).graph()
         loss = float(loss.value)
         assert abs(loss - math.log(64)) < 0.3
 
@@ -312,7 +315,7 @@ class TestNll:
         loss_val = None
         for _ in range(200):
             pv = {n: Var(a) for n, a in ck.params.items()}
-            loss, _ = nll_graph(pv, ck.config, batch)
+            loss = nll_loss(pv, ck.config, batch).graph()
             loss.backward()
             opt.step({n: pv[n].grad for n in ck.params})
             loss_val = float(loss.value)
@@ -320,7 +323,7 @@ class TestNll:
 
     def test_empty_batch(self):
         with pytest.raises(ContractError):
-            nll_graph(make_param_vars(init_model(TINY)), TINY, [])
+            nll_loss(make_param_vars(init_model(TINY)), TINY, [])
 
     def test_ragged_batch_is_position_weighted_mean(self):
         # sequences of different lengths share a batch unpadded; each
@@ -329,13 +332,10 @@ class TestNll:
         short, long = [1, 4, 7], [2, 5, 3, 8, 6]
 
         def nll(batch):
-            loss, n = nll_graph(make_param_vars(ck), ck.config, batch)
-            return float(loss.value), n
+            return float(nll_loss(make_param_vars(ck), ck.config, batch).graph().value)
 
-        both, n = nll([short, long])
-        (a, na), (b, nb) = nll([short]), nll([long])
-        assert (n, na, nb) == (6, 2, 4)
-        assert math.isclose(both, (na * a + nb * b) / n, rel_tol=1e-12)
+        both, a, b = nll([short, long]), nll([short]), nll([long])
+        assert math.isclose(both, (2 * a + 4 * b) / 6, rel_tol=1e-12)
 
     def test_whole_model_gradient(self):
         # d_model=8, V=11, 1 layer: full NLL against central differences
@@ -348,7 +348,7 @@ class TestNll:
         for name in ck.params:
             def f(v, name=name):
                 pv = {n: (v if n == name else Var(ck.params[n])) for n in ck.params}
-                return nll_graph(pv, ck.config, batch)[0]
+                return nll_loss(pv, ck.config, batch).graph()
             worst = max(worst, grad_check(f, ck.params[name], 1e-5))
         assert worst < 1e-4, worst
 
@@ -382,9 +382,8 @@ class TestContinuations:
         # a pair's loss is the mean over its continuation rows only
         ck = perturbed(TINY)
         seq = [1, 4, 7, 2, 9]
-        loss, n = nll_graph(make_param_vars(ck), ck.config, [(seq, 2)])
+        loss = nll_loss(make_param_vars(ck), ck.config, [(seq, 2)]).graph()
         lp = token_log_probs(ck, seq)
-        assert n == 2
         assert math.isclose(float(loss.value), -float(lp[2:].mean()), rel_tol=1e-12)
 
 
@@ -411,7 +410,7 @@ class TestDecode:
         opt = Adam(ck.params, 3e-3)
         for _ in range(150):
             pv = {n: Var(a) for n, a in ck.params.items()}
-            loss, _ = nll_graph(pv, ck.config, [sentence])
+            loss = nll_loss(pv, ck.config, [sentence]).graph()
             loss.backward()
             opt.step({n: pv[n].grad for n in ck.params})
         half = len(sentence) // 2

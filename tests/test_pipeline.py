@@ -136,7 +136,7 @@ class TestEndToEnd:
         split = load_corpus(run_dir / "corpus.jsonl")
         tok = build_tokenizer(split)
         retrain = load_checkpoint(run_dir / "retrain")
-        got = vermem(retrain, split.forget, tok, MetricProtocol(prefix_len=4))
+        got = vermem(retrain, split.forget, tok, MetricProtocol(k_percent=20.0, prefix_len=4))
         assert got < 10.0
 
     def test_report_marks_missing_cells(self, run_dir):
@@ -493,6 +493,25 @@ class TestCli:
         ("runs", [MINI["runs"][0], dict(MINI["runs"][1],
                                         lora=dict(MINI["runs"][1]["lora"], rank=40))]),
         ("sweep", dict(MINI["sweep"], ranks=[40])),
+        # a sentence is 9 words, so a prefix is an int in [0, 9)
+        ("metrics", {"prefix_len": 100}),
+        ("metrics", {"prefix_len": 9}),
+        ("metrics", {"prefix_len": "4"}),
+        ("metrics", {"prefix_len": -3}),
+        ("metrics", {"prefix_len": True}),
+        ("metrics", {"k_percent": True}),
+        ("pretrain", {"gate_vermem": "60"}),
+        ("pretrain", {"gate_utility": True}),
+        ("model", {"d_model": 32.0}),
+        ("model", {"n_layers": True}),
+        # a framed question + answer is 15 tokens long
+        ("model", dict(MINI["model"], context_len=14)),
+        ("seed", -1),
+        ("seed", 1.5),
+        ("runs", [dict(MINI["runs"][0], seed=-2)]),
+        ("runs", [dict(MINI["runs"][1], lora=dict(MINI["runs"][1]["lora"], seed=-1))]),
+        ("runs", [dict(MINI["runs"][1], lora=dict(MINI["runs"][1]["lora"], init_std=-1.0))]),
+        ("runs", [dict(MINI["runs"][1], lora=dict(MINI["runs"][1]["lora"], init_std=0.0))]),
     ])
     def test_malformed_config_exits_2_and_writes_nothing(self, tmp_path, capsys,
                                                           section, value):
@@ -502,6 +521,13 @@ class TestCli:
         path.write_text(json.dumps(raw))
         out = tmp_path / "out"
         assert cli_main(["--config", str(path), "--out", str(out), "pretrain"]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_negative_seed_override_exits_2_and_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        argv = ["--config", str(write_config(tmp_path)), "--out", str(out), "--seed", "-1"]
+        assert cli_main(argv + ["pretrain"]) == 2
         assert capsys.readouterr().err.startswith("config error:")
         assert not out.exists() or not any(out.iterdir())
 
@@ -529,7 +555,7 @@ class TestCli:
         cfg_path = write_config(tmp_path)
         stem = tmp_path / "ck"
         save_checkpoint(init_model(ModelConfig(vocab_size=8, d_model=8, n_layers=1,
-                                               n_heads=2, d_ff=16, context_len=4)), stem)
+                                               n_heads=2, d_ff=16, context_len=4, seed=0)), stem)
         blob = stem.with_suffix(".bin").read_bytes()
         stem.with_suffix(".bin").write_bytes(blob[:-16])
         code = cli_main(["--config", str(cfg_path), "--out", str(tmp_path / "o"),
@@ -545,7 +571,7 @@ class TestCli:
         cfg_path = write_config(tmp_path)
         stem = tmp_path / "ck"
         save_checkpoint(init_model(ModelConfig(vocab_size=8, d_model=8, n_layers=1,
-                                               n_heads=2, d_ff=16, context_len=4)), stem)
+                                               n_heads=2, d_ff=16, context_len=4, seed=0)), stem)
         text = stem.with_suffix(".json").read_bytes()
         stem.with_suffix(".json").write_bytes(text[:50])
         with pytest.raises(SchemaError):
@@ -581,7 +607,7 @@ class TestCli:
         cfg_path = write_config(tmp_path)
         stem = tmp_path / "ck"
         save_checkpoint(init_model(ModelConfig(vocab_size=8, d_model=8, n_layers=1,
-                                               n_heads=2, d_ff=16, context_len=4)), stem)
+                                               n_heads=2, d_ff=16, context_len=4, seed=0)), stem)
         code = cli_main(["--config", str(cfg_path), "--out", str(tmp_path / "o"),
                          "analyze", str(stem), str(tmp_path / "absent")])
         assert code == 5
@@ -670,7 +696,8 @@ class TestCli:
         stage_retrain(cfg, out, split)
         assert cli_main(argv) == 0
         with_baseline = json.loads(capsys.readouterr().out)
-        aucs, baseline = membership_aucs(ck, split, tok), membership_aucs(retrain, split, tok)
+        aucs = membership_aucs(ck, split, tok, 20.0)
+        baseline = membership_aucs(retrain, split, tok, 20.0)
         for key in ("privleak", "privleak_holdout"):
             assert with_baseline[key] is not None
             assert with_baseline[key] == privleak(aucs[key], baseline[key])
@@ -702,13 +729,30 @@ class TestCli:
         from qforget.model import init_model
         cfg_path = write_config(tmp_path)
         ck = init_model(ModelConfig(vocab_size=8, d_model=8, n_layers=1,
-                                    n_heads=2, d_ff=16, context_len=4))
+                                    n_heads=2, d_ff=16, context_len=4, seed=0))
         ck.provenance = "unlearn:GA_GDR:lora"
         stem = tmp_path / "raw"
         save_checkpoint(ck, stem)
         code = cli_main(["--config", str(cfg_path), "--out", str(tmp_path),
                          "quantize", str(stem), "4"])
         assert code == 2
+
+    def test_quantize_names_the_group_size(self, tmp_path):
+        from qforget.checkpoint import ModelConfig, load_checkpoint, save_checkpoint
+        from qforget.model import init_model
+        cfg_path = write_config(tmp_path)
+        ck = init_model(ModelConfig(vocab_size=8, d_model=32, n_layers=1,
+                                    n_heads=2, d_ff=64, context_len=4, seed=0))
+        ck.provenance = "target"
+        stem = tmp_path / "target"
+        save_checkpoint(ck, stem)
+        for args in (["4", "16"], ["4"]):
+            assert cli_main(["--config", str(cfg_path), "--out", str(tmp_path),
+                             "quantize", str(stem), *args]) == 0
+        grouped = load_checkpoint(tmp_path / "target_int4_g16")
+        per_row = load_checkpoint(tmp_path / "target_int4")
+        assert (grouped.provenance, per_row.provenance) == ("target:int4_g16", "target:int4")
+        assert not np.array_equal(grouped.params["lm_head"], per_row.params["lm_head"])
 
     @pytest.mark.parametrize("args", [["four"], ["4", "sixteen"]], ids=["bits", "group"])
     def test_quantize_non_integer_arguments_exit_2(self, tmp_path, capsys, args):

@@ -188,7 +188,7 @@ class TestQuantizedSerialization:
         expected = quantize_model(ck, QuantSpec(4, 16))
         save_checkpoint(expected, tmp_path / "q")
         loaded = load_checkpoint(tmp_path / "q")
-        assert loaded.provenance == "target:int4"
+        assert loaded.provenance == "target:int4_g16"
         for name in ck.params:
             assert loaded.params[name].tobytes() == expected.params[name].tobytes()
         manifest = json.loads((tmp_path / "q.json").read_text())

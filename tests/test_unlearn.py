@@ -10,9 +10,9 @@ from qforget.checkpoint import ModelConfig
 from qforget.corpus import build_tokenizer, conditional_frame, generate_corpus
 from qforget.errors import ConfigError, ContractError, DivergenceError
 from qforget.lora import LoraConfig, attach, factor_grads, merge
-from qforget.model import init_model, make_param_vars, nll_graph, nll_loss
-from qforget.unlearn import (UnlearnConfig, loss_ga, loss_gdr, loss_klr,
-                             loss_npo, objective, step_losses, unlearn_run)
+from qforget.model import init_model, make_param_vars, nll_loss
+from qforget.unlearn import (UnlearnConfig, loss_ga, loss_klr, loss_npo, objective,
+                             step_losses, unlearn_run)
 
 TINY = ModelConfig(vocab_size=11, d_model=8, n_layers=1, n_heads=2, d_ff=16,
                    context_len=8, seed=3)
@@ -59,25 +59,25 @@ class TestConfig:
 class TestGA:
     def test_uniform_logits_value(self):
         ck = uniform_model()
-        loss = loss_ga(make_param_vars(ck), ck.config, FB)
+        loss = loss_ga(make_param_vars(ck), ck.config, FB).graph()
         np.testing.assert_allclose(float(loss.value), -math.log(11), rtol=1e-12)
 
     def test_is_negated_nll(self):
         ck = generic_model()
         pv = make_param_vars(ck)
-        ga = float(loss_ga(pv, ck.config, FB).value)
-        nll = float(nll_graph(make_param_vars(ck), ck.config, FB)[0].value)
+        ga = float(loss_ga(pv, ck.config, FB).graph().value)
+        nll = float(nll_loss(make_param_vars(ck), ck.config, FB).graph().value)
         assert ga == -nll
 
     def test_single_step_increases_forget_ce(self):
         from qforget.training import Adam
         ck = generic_model()
-        before = float(nll_graph(make_param_vars(ck), ck.config, FB)[0].value)
+        before = float(nll_loss(make_param_vars(ck), ck.config, FB).graph().value)
         opt = Adam(ck.params, 1e-4)
         pv = make_param_vars(ck)
-        loss_ga(pv, ck.config, FB).backward()
+        loss_ga(pv, ck.config, FB).graph().backward()
         opt.step({n: pv[n].grad for n in ck.params})
-        after = float(nll_graph(make_param_vars(ck), ck.config, FB)[0].value)
+        after = float(nll_loss(make_param_vars(ck), ck.config, FB).graph().value)
         assert after > before
 
 
@@ -85,7 +85,7 @@ class TestNPO:
     def test_value_at_reference(self):
         # theta = theta_ref: ratio 0, loss = (2/beta) ln 2
         ck = generic_model()
-        loss = loss_npo(make_param_vars(ck), ck.config, FB, ck, 0.1)
+        loss = loss_npo(make_param_vars(ck), ck.config, FB, ck, 0.1).graph()
         np.testing.assert_allclose(float(loss.value), 20 * math.log(2), atol=1e-9)
 
     def test_gradient_direction_matches_ga_at_small_beta(self):
@@ -96,8 +96,8 @@ class TestNPO:
             fn(pv).backward()
             return np.concatenate([pv[n].grad.ravel() for n in ck.params])
 
-        g_npo = flat_grad(lambda pv: loss_npo(pv, ck.config, [FB[0]], ck, 1e-4))
-        g_ga = flat_grad(lambda pv: loss_ga(pv, ck.config, [FB[0]]))
+        g_npo = flat_grad(lambda pv: loss_npo(pv, ck.config, [FB[0]], ck, 1e-4).graph())
+        g_ga = flat_grad(lambda pv: loss_ga(pv, ck.config, [FB[0]]).graph())
         cos = g_npo @ g_ga / (np.linalg.norm(g_npo) * np.linalg.norm(g_ga))
         assert cos > 0.999
 
@@ -135,31 +135,33 @@ class TestNPO:
 class TestRegularizers:
     def test_gdr_equals_nll_bitwise(self):
         ck = generic_model()
-        gdr = float(loss_gdr(make_param_vars(ck), ck.config, RB).value)
-        nll = float(nll_graph(make_param_vars(ck), ck.config, RB)[0].value)
+        ucfg = UnlearnConfig(method="GA_GDR", lr=1e-4, epochs=1, lam=1.0)
+        _, _, gdr = objective(ucfg, make_param_vars(ck), ck.config, FB, RB, ck)
+        gdr = float(gdr.value)
+        nll = float(nll_loss(make_param_vars(ck), ck.config, RB).graph().value)
         assert gdr == nll
         assert gdr >= 0.0
 
     def test_klr_zero_at_reference(self):
         ck = generic_model()
-        loss = loss_klr(make_param_vars(ck), ck.config, RB, ck)
+        loss = loss_klr(make_param_vars(ck), ck.config, RB, ck).graph()
         np.testing.assert_allclose(float(loss.value), 0.0, atol=1e-12)
 
     def test_klr_nonnegative(self):
         ck, ref = generic_model(1), generic_model(2)
-        assert float(loss_klr(make_param_vars(ck), ck.config, RB, ref).value) >= 0.0
+        assert float(loss_klr(make_param_vars(ck), ck.config, RB, ref).graph().value) >= 0.0
 
     def test_klr_decreases_when_trained_alone(self):
         from qforget.training import Adam
         ck, ref = generic_model(1), generic_model(2)
-        start = float(loss_klr(make_param_vars(ck), ck.config, RB, ref).value)
+        start = float(loss_klr(make_param_vars(ck), ck.config, RB, ref).graph().value)
         opt = Adam(ck.params, 1e-3)
         for _ in range(10):
             pv = make_param_vars(ck)
-            loss = loss_klr(pv, ck.config, RB, ref)
+            loss = loss_klr(pv, ck.config, RB, ref).graph()
             loss.backward()
             opt.step({n: pv[n].grad for n in ck.params})
-        assert float(loss_klr(make_param_vars(ck), ck.config, RB, ref).value) < start
+        assert float(loss_klr(make_param_vars(ck), ck.config, RB, ref).graph().value) < start
 
 
 class TestLossStarts:
@@ -170,25 +172,25 @@ class TestLossStarts:
     def test_out_of_range_start_rejected(self, start):
         ck = generic_model()
         batch = [([1, 4, 7, 2, 9], start)]
-        for fn in (lambda pv: loss_ga(pv, ck.config, batch),
-                   lambda pv: loss_npo(pv, ck.config, batch, ck, 0.1),
-                   lambda pv: loss_gdr(pv, ck.config, batch),
-                   lambda pv: loss_klr(pv, ck.config, batch, ck)):
+        for fn in (lambda pv: loss_ga(pv, ck.config, batch).graph(),
+                   lambda pv: loss_npo(pv, ck.config, batch, ck, 0.1).graph(),
+                   lambda pv: nll_loss(pv, ck.config, batch).graph(),
+                   lambda pv: loss_klr(pv, ck.config, batch, ck).graph()):
             with pytest.raises(ContractError, match="outside prediction rows"):
                 fn(make_param_vars(ck))
 
     def test_empty_batch_rejected(self):
         ck = generic_model()
-        for fn in (lambda pv: loss_npo(pv, ck.config, [], ck, 0.1),
-                   lambda pv: loss_klr(pv, ck.config, [], ck)):
+        for fn in (lambda pv: loss_npo(pv, ck.config, [], ck, 0.1).graph(),
+                   lambda pv: loss_klr(pv, ck.config, [], ck).graph()):
             with pytest.raises(ContractError, match="empty batch"):
                 fn(make_param_vars(ck))
 
     def test_pair_at_start_zero_is_plain_sequence(self):
         ck, ref = generic_model(1), generic_model(2)
         pairs = [(seq, 0) for seq in FB]
-        for fn in (lambda b: loss_npo(make_param_vars(ck), ck.config, b, ref, 0.1),
-                   lambda b: loss_klr(make_param_vars(ck), ck.config, b, ref)):
+        for fn in (lambda b: loss_npo(make_param_vars(ck), ck.config, b, ref, 0.1).graph(),
+                   lambda b: loss_klr(make_param_vars(ck), ck.config, b, ref).graph()):
             assert float(fn(pairs).value) == float(fn(FB).value)
 
 
@@ -197,7 +199,7 @@ class TestTotalLoss:
         ck = generic_model()
         ucfg = UnlearnConfig(method="GA", lr=1e-4, epochs=1, lam=0.0)
         total, forget, retain = objective(ucfg, make_param_vars(ck), ck.config, FB, None, ck)
-        bare = loss_ga(make_param_vars(ck), ck.config, FB)
+        bare = loss_ga(make_param_vars(ck), ck.config, FB).graph()
         assert float(total.value) == float(bare.value)
         assert total is forget and retain is None
 
@@ -224,8 +226,8 @@ class TestTotalLoss:
 
         ucfg = UnlearnConfig(method="GA_GDR", lr=1e-4, epochs=1, lam=lam)
         g_total = flat(lambda pv: objective(ucfg, pv, ck.config, FB, RB, ck)[0])
-        g_f = flat(lambda pv: loss_ga(pv, ck.config, FB))
-        g_r = flat(lambda pv: loss_gdr(pv, ck.config, RB))
+        g_f = flat(lambda pv: loss_ga(pv, ck.config, FB).graph())
+        g_r = flat(lambda pv: nll_loss(pv, ck.config, RB).graph())
         np.testing.assert_allclose(g_total, g_f + lam * g_r, rtol=1e-12, atol=1e-15)
 
 
@@ -245,10 +247,10 @@ class TestObjectiveGradients:
         ck = generic_model(11)
         ref = generic_model(9)
         checks = {
-            "GA": lambda pv: loss_ga(pv, ck.config, FB),
-            "NPO": lambda pv: loss_npo(pv, ck.config, FB, ref, 0.1),
-            "GDR": lambda pv: loss_gdr(pv, ck.config, RB),
-            "KLR": lambda pv: loss_klr(pv, ck.config, RB, ref),
+            "GA": lambda pv: loss_ga(pv, ck.config, FB).graph(),
+            "NPO": lambda pv: loss_npo(pv, ck.config, FB, ref, 0.1).graph(),
+            "GDR": lambda pv: nll_loss(pv, ck.config, RB).graph(),
+            "KLR": lambda pv: loss_klr(pv, ck.config, RB, ref).graph(),
         }
         for label, fn in checks.items():
             worst = self._worst(fn, ck)
@@ -276,7 +278,7 @@ class TestItemByItem:
     def test_nll(self):
         _, _, whole = self.leaves("full_ft")
         _, _, items = self.leaves("full_ft")
-        loss, _ = nll_graph(whole, TINY, self.FB)
+        loss = nll_loss(whole, TINY, self.FB).graph()
         loss.backward()
         assert nll_loss(items, TINY, self.FB).backward() == float(loss.value)
         for name, leaf in whole.items():
@@ -445,7 +447,7 @@ class TestUnlearnRun:
 
         def conditional_ce(ck, records):
             pairs = [conditional_frame(r, self.tok) for r in records]
-            return float(nll_graph(make_param_vars(ck), ck.config, pairs)[0].value)
+            return float(nll_loss(make_param_vars(ck), ck.config, pairs).graph().value)
 
         f0 = conditional_ce(trained, self.split.forget)
         r0 = conditional_ce(trained, self.split.retain)
