@@ -131,96 +131,81 @@ def matmul(a: Var, b: Var) -> Var:
     """a (m, k) @ b (k, n) -> (m, n)."""
     if a.value.ndim != 2 or b.value.ndim != 2 or a.value.shape[1] != b.value.shape[0]:
         raise ShapeError(f"matmul: incompatible shapes {a.value.shape} x {b.value.shape}")
-    out = Var(a.value @ b.value, (a, b), "matmul")
 
     def bwd(g):
         a.grad += g @ b.value.T
         b.grad += a.value.T @ g
 
-    out._backward = bwd
-    return out
+    return Var(a.value @ b.value, (a, b), "matmul", bwd)
 
 
 def linear(x: Var, w: Var) -> Var:
     """x (m, k) @ w.T for w (n, k) -> (m, n). Also computes q @ k.T scores."""
     if x.value.ndim != 2 or w.value.ndim != 2 or x.value.shape[1] != w.value.shape[1]:
         raise ShapeError(f"linear: incompatible shapes {x.value.shape} x {w.value.shape}^T")
-    out = Var(x.value @ w.value.T, (x, w), "linear")
 
     def bwd(g):
         x.grad += g @ w.value
         w.grad += g.T @ x.value
 
-    out._backward = bwd
-    return out
+    return Var(x.value @ w.value.T, (x, w), "linear", bwd)
 
 
 def add(a: Var, b: Var) -> Var:
     """Elementwise a + b, same shape."""
     if a.value.shape != b.value.shape:
         raise ShapeError(f"add: shape mismatch {a.value.shape} vs {b.value.shape}")
-    out = Var(a.value + b.value, (a, b), "add")
 
     def bwd(g):
         a.grad += g
         b.grad += g
 
-    out._backward = bwd
-    return out
+    return Var(a.value + b.value, (a, b), "add", bwd)
 
 
 def mul(a: Var, b: Var) -> Var:
     """Elementwise a * b, same shape."""
     if a.value.shape != b.value.shape:
         raise ShapeError(f"mul: shape mismatch {a.value.shape} vs {b.value.shape}")
-    out = Var(a.value * b.value, (a, b), "mul")
 
     def bwd(g):
         a.grad += g * b.value
         b.grad += g * a.value
 
-    out._backward = bwd
-    return out
+    return Var(a.value * b.value, (a, b), "mul", bwd)
 
 
 def scale(a: Var, c: float) -> Var:
     """a * c for a python scalar c."""
     c = float(c)
-    out = Var(a.value * c, (a,), "scale")
 
     def bwd(g):
         a.grad += g * c
 
-    out._backward = bwd
-    return out
+    return Var(a.value * c, (a,), "scale", bwd)
 
 
 def slice_rows(a: Var, start: int, stop: int) -> Var:
     """a[start:stop] along axis 0."""
-    out = Var(a.value[start:stop], (a,), "slice_rows")
 
     def bwd(g):
         a.grad[start:stop] += g
 
-    out._backward = bwd
-    return out
+    return Var(a.value[start:stop], (a,), "slice_rows", bwd)
 
 
 def slice_cols(a: Var, start: int, stop: int) -> Var:
     """a[:, start:stop]."""
-    out = Var(a.value[:, start:stop], (a,), "slice_cols")
 
     def bwd(g):
         a.grad[:, start:stop] += g
 
-    out._backward = bwd
-    return out
+    return Var(a.value[:, start:stop], (a,), "slice_cols", bwd)
 
 
 def concat_cols(parts: list) -> Var:
     """hstack of 2-D Vars with equal row counts."""
     widths = [p.value.shape[1] for p in parts]
-    out = Var(np.concatenate([p.value for p in parts], axis=1), tuple(parts), "concat_cols")
 
     def bwd(g):
         ofs = 0
@@ -228,26 +213,23 @@ def concat_cols(parts: list) -> Var:
             p.grad += g[:, ofs:ofs + w]
             ofs += w
 
-    out._backward = bwd
-    return out
+    value = np.concatenate([p.value for p in parts], axis=1)
+    return Var(value, tuple(parts), "concat_cols", bwd)
 
 
 def embed(table: Var, ids) -> Var:
     """Gather rows: table (V, d), ids (T,) -> (T, d)."""
     idx = np.asarray(ids, dtype=np.int64)
-    out = Var(table.value[idx], (table,), "embed")
 
     def bwd(g):
         np.add.at(table.grad, idx, g)
 
-    out._backward = bwd
-    return out
+    return Var(table.value[idx], (table,), "embed", bwd)
 
 
 def layer_norm(x: Var, gain: Var, bias: Var) -> Var:
     """Row-wise layer norm: normalize each row of x (m, d), then gain*xhat+bias."""
     xhat, inv_std = _normalize_rows(x.value)
-    out = Var(xhat * gain.value + bias.value, (x, gain, bias), "layer_norm")
 
     def bwd(g):
         gain.grad += (g * xhat).sum(axis=0)
@@ -259,8 +241,7 @@ def layer_norm(x: Var, gain: Var, bias: Var) -> Var:
             - xhat * (gx * xhat).mean(axis=1, keepdims=True)
         )
 
-    out._backward = bwd
-    return out
+    return Var(xhat * gain.value + bias.value, (x, gain, bias), "layer_norm", bwd)
 
 
 def gelu(x: Var) -> Var:
@@ -268,39 +249,33 @@ def gelu(x: Var) -> Var:
     v = x.value
     u = _GELU_C * (v + _GELU_K * v**3)
     t = np.tanh(u)
-    out = Var(0.5 * v * (1.0 + t), (x,), "gelu")
 
     def bwd(g):
         du = _GELU_C * (1.0 + 3.0 * _GELU_K * v**2)
         x.grad += g * (0.5 * (1.0 + t) + 0.5 * v * (1.0 - t**2) * du)
 
-    out._backward = bwd
-    return out
+    return Var(0.5 * v * (1.0 + t), (x,), "gelu", bwd)
 
 
 def softmax_rows(logits: Var) -> Var:
     """Row-stochastic softmax with max subtraction; rows sum to 1."""
     p = logits.value.copy()
     _softmax_(p)
-    out = Var(p, (logits,), "softmax")
 
     def bwd(g):
         logits.grad += p * (g - (g * p).sum(axis=1, keepdims=True))
 
-    out._backward = bwd
-    return out
+    return Var(p, (logits,), "softmax", bwd)
 
 
 def log_softmax_rows(logits: Var) -> Var:
     """Row-wise log softmax, stable via logsumexp."""
     logp = logits.value - _logsumexp(logits.value)
-    out = Var(logp, (logits,), "log_softmax")
 
     def bwd(g):
         logits.grad += g - np.exp(logp) * g.sum(axis=1, keepdims=True)
 
-    out._backward = bwd
-    return out
+    return Var(logp, (logits,), "log_softmax", bwd)
 
 
 def cross_entropy(logits: Var, targets) -> Var:
@@ -314,15 +289,13 @@ def cross_entropy(logits: Var, targets) -> Var:
     z = logits.value
     lse = _logsumexp(z)
     losses = lse[:, 0] - z[np.arange(m), idx]
-    out = Var(losses.mean(), (logits,), "cross_entropy")
 
     def bwd(g):
         p = np.exp(z - lse)
         p[np.arange(m), idx] -= 1.0
         logits.grad += (float(g) / m) * p
 
-    out._backward = bwd
-    return out
+    return Var(losses.mean(), (logits,), "cross_entropy", bwd)
 
 
 def target_log_probs(logits: Var, targets) -> Var:
@@ -334,26 +307,22 @@ def target_log_probs(logits: Var, targets) -> Var:
         raise IndexError(f"target_log_probs: target id out of range for vocab {vocab}")
     z = logits.value
     lse = _logsumexp(z)
-    out = Var(z[np.arange(m), idx] - lse[:, 0], (logits,), "target_log_probs")
 
     def bwd(g):
         p = np.exp(z - lse) * (-g[:, None])
         p[np.arange(m), idx] += g
         logits.grad += p
 
-    out._backward = bwd
-    return out
+    return Var(z[np.arange(m), idx] - lse[:, 0], (logits,), "target_log_probs", bwd)
 
 
 def vsum(a: Var) -> Var:
     """Sum of all elements -> scalar."""
-    out = Var(a.value.sum(), (a,), "vsum")
 
     def bwd(g):
         a.grad += g
 
-    out._backward = bwd
-    return out
+    return Var(a.value.sum(), (a,), "vsum", bwd)
 
 
 def kl_divergence_rows(p_ref: np.ndarray, log_q: Var) -> Var:
@@ -368,20 +337,17 @@ def kl_divergence_rows(p_ref: np.ndarray, log_q: Var) -> Var:
     m = p.shape[0]
     plogp = np.where(p > 0, p * np.log(np.where(p > 0, p, 1.0)), 0.0)
     val = (plogp - p * log_q.value).sum() / m
-    out = Var(val, (log_q,), "kl")
 
     def bwd(g):
         log_q.grad += (-float(g) / m) * p
 
-    out._backward = bwd
-    return out
+    return Var(val, (log_q,), "kl", bwd)
 
 
 def log_sigmoid(z: Var) -> Var:
     """Numerically stable log sigma(z) = -log(1 + exp(-z)), elementwise."""
     v = z.value
     out_val = np.where(v >= 0, -np.log1p(np.exp(-np.abs(v))), v - np.log1p(np.exp(-np.abs(v))))
-    out = Var(out_val, (z,), "log_sigmoid")
 
     def bwd(g):
         # d/dz log sigma(z) = sigma(-z)
@@ -389,8 +355,7 @@ def log_sigmoid(z: Var) -> Var:
         sig_neg = np.where(v >= 0, e / (1.0 + e), 1.0 / (1.0 + e))
         z.grad += g * sig_neg
 
-    out._backward = bwd
-    return out
+    return Var(out_val, (z,), "log_sigmoid", bwd)
 
 
 # ---------------------------------------------------------------------------

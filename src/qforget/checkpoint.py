@@ -10,8 +10,9 @@ run-directory artifact too.
 import json
 import math
 import os
+import sys
 import zlib
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,60 @@ import numpy as np
 from .errors import ChecksumError, ConfigError, SchemaError
 
 _DTYPE = "<f8"  # every stored tensor: little-endian float64
+
+
+def is_count(x) -> bool:
+    """Whether x is a non-negative int (JSON true is not one)."""
+    return type(x) is int and x >= 0
+
+
+def _is_number(x) -> bool:
+    """Whether x is an int or float that a finite float can hold (JSON true
+    is not one)."""
+    return type(x) in (int, float) and abs(x) <= sys.float_info.max
+
+
+# kind -> (test, what a value of the kind is); JSON true/false is never a number
+KINDS = {
+    "count": (is_count, "an integer >= 0"),
+    "positive count": (lambda x: is_count(x) and x > 0, "an integer >= 1"),
+    "number": (_is_number, "a finite number"),
+    "positive number": (lambda x: _is_number(x) and x > 0, "a finite number > 0"),
+    "name": (lambda x: type(x) is str, "a string"),  # its owner checks which
+    "object": (lambda x: isinstance(x, dict) or is_dataclass(x), "an object"),
+}
+
+# The kind of every config field. A field name has one kind wherever it
+# appears: a config section, a run, a lora object, a model, quant or metric spec.
+FIELD_KINDS = {field: kind for kind, fields in {
+    "count": "seed epochs prefix_len",
+    "positive count": "vocab_size d_model n_layers n_heads d_ff context_len n_forget n_retain "
+                      "n_holdout forget_duplication retain_duplication batch_size rank bits "
+                      "group_size",
+    "positive number": "lr beta alpha alpha_ratio init_std k_percent",
+    "number": "lam gate_vermem gate_utility",
+    "name": "method mode targets",
+    "object": "lora",
+}.items() for field in fields.split()}
+NULLABLE = ("prefix_len", "group_size", "lora")
+# sweep list -> the field each of its values is
+LISTS = {"methods": "method", "lrs": "lr", "ranks": "rank", "alpha_ratios": "alpha_ratio",
+         "lams": "lam"}
+
+
+def check_fields(values) -> None:
+    """The one type and sign check of config values: ConfigError unless each
+    field of `values` (a dict or a config dataclass) holds a value of its
+    kind, or null where NULLABLE allows it; a sweep list holds a list of them."""
+    for name, value in (values if isinstance(values, dict) else vars(values)).items():
+        test, what = KINDS[FIELD_KINDS[LISTS.get(name, name)]]
+        if name in LISTS:
+            ok = isinstance(value, list) and all(map(test, value))
+            what = f"a list, each {what}"
+        else:
+            ok = value is None and name in NULLABLE or test(value)
+        if not ok:
+            raise ConfigError(f"{name} must be {what}, got {value!r}")
 
 
 @dataclass
@@ -32,11 +87,7 @@ class ModelConfig:
     seed: int
 
     def __post_init__(self):
-        for name in ("vocab_size", "d_model", "n_layers", "n_heads", "d_ff", "context_len"):
-            value = getattr(self, name)
-            if not is_count(value) or value == 0:
-                raise ConfigError(f"{name} must be a positive integer, got {value!r}")
-        check_seed(self.seed)
+        check_fields(self)
         if self.d_model % self.n_heads != 0:
             raise ConfigError(f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
         if self.context_len < 2:
@@ -183,17 +234,6 @@ def _read_container(stem: Path) -> tuple:
         flat = np.frombuffer(blob, dtype=_DTYPE, count=length // 8, offset=ofs)
         tensors[entry["name"]] = flat.reshape(shape).astype(np.float64)
     return tensors, manifest
-
-
-def is_count(x) -> bool:
-    """Whether x is a non-negative int (JSON true is not one)."""
-    return type(x) is int and x >= 0
-
-
-def check_seed(seed) -> None:
-    """The one seed rule, for model, run and adapter seeds alike."""
-    if not is_count(seed):
-        raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
 
 
 def save_checkpoint(ck: Checkpoint, stem) -> None:

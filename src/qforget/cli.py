@@ -71,16 +71,13 @@ def _dispatch(ns) -> None:
             raise ConfigError("quantize needs a checkpoint stem and a bit width")
         stem = ns.args[0]
         try:
-            bits = int(ns.args[1])
-            group = int(ns.args[2]) if len(ns.args) > 2 else None
-        except ValueError as exc:
-            raise ConfigError(
-                f"quantize: bit width and group size must be integers ({exc})") from exc
+            spec = QuantSpec(*map(int, ns.args[1:3]))
+        except ValueError as exc:  # a non-integer argument, or QuantSpec's ConfigError
+            raise ConfigError(f"quantize: bit width and group size: {exc}") from exc
         ck = load_checkpoint(stem)
         if ck.provenance.startswith("unlearn") and ":lora" in ck.provenance \
                 and ":merged" not in ck.provenance:
             raise ConfigError("refusing to quantize an unmerged adapter run; merge first")
-        spec = QuantSpec(bits, group)
         save_checkpoint(quantize_model(ck, spec), f"{stem}_{spec.name}")
         print(f"quantized checkpoint saved: {stem}_{spec.name}")
     elif ns.command == "analyze":

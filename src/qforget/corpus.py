@@ -158,9 +158,6 @@ class Tokenizer:
     def encode(self, text: str) -> list:
         return [self.vocab[w] for w in text.split()]
 
-    def decode(self, ids) -> str:
-        return " ".join(self.id_to_token[int(i)] for i in ids)
-
     def frame(self, text: str) -> list:
         """bos + word ids + eos."""
         return [self.bos_id] + self.encode(text) + [self.eos_id]

@@ -14,11 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import seeding
-from .checkpoint import (ATTN_ROLES, MLP_ROLES, Checkpoint, ModelConfig, check_seed,
+from .checkpoint import (ATTN_ROLES, MLP_ROLES, Checkpoint, ModelConfig, check_fields,
                          param_schema)
 from .errors import ConfigError, SchemaError
 
-TARGET_MODES = ("all_linear", "mlp_only", "attn_only")
 # lm_head stays out of every target set; it is still quantized like any
 # other linear weight.
 _ROLES_BY_MODE = {
@@ -37,15 +36,9 @@ class LoraConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.rank < 1:
-            raise ConfigError("rank must be >= 1")
-        if self.alpha <= 0:
-            raise ConfigError("alpha must be > 0")
-        if self.targets not in TARGET_MODES:
-            raise ConfigError(f"targets must be one of {TARGET_MODES}")
-        if not self.init_std > 0:  # A = 0 would keep both factors at zero
-            raise ConfigError("init_std must be > 0")
-        check_seed(self.seed)
+        check_fields(self)  # init_std > 0: A = 0 would keep both factors at zero
+        if self.targets not in _ROLES_BY_MODE:
+            raise ConfigError(f"targets must be one of {tuple(_ROLES_BY_MODE)}")
 
 
 @dataclass

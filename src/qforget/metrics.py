@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checkpoint import Checkpoint, is_count
+from .checkpoint import Checkpoint, check_fields
 from .corpus import Tokenizer
 from .errors import ConfigError, ContractError
 from .model import greedy_decode_batch, token_log_probs_batch
@@ -31,11 +31,9 @@ class MetricProtocol:
     prefix_len: int | None    # None: per-sentence ceil(len/2)
 
     def __post_init__(self):
-        k, p = self.k_percent, self.prefix_len
-        if type(k) not in (int, float) or not 0.0 < k <= 100.0:
-            raise ConfigError(f"k_percent must be a number in (0, 100], got {k!r}")
-        if p is not None and not is_count(p):
-            raise ConfigError(f"prefix_len must be null or an integer >= 0, got {p!r}")
+        check_fields(self)
+        if self.k_percent > 100.0:
+            raise ConfigError(f"k_percent must be at most 100, got {self.k_percent!r}")
 
 
 def lcs_length(a, b) -> int:

@@ -10,8 +10,10 @@ byte-identical report files. Every artifact is written atomically
 
 One rule decides whether a stored artifact is reused: `plan_keys` derives
 each artifact's key from the config alone, and `_cached` reuses the file only
-when it exists and manifest.json records that key. Otherwise it recomputes
-the artifact, writes it, and only then records the key.
+when it exists and manifest.json records that key. Otherwise it drops the
+artifact's entry from manifest.json, recomputes and writes the artifact, and
+only then records the new key, so a crash between the two never leaves one
+config's key over another config's bytes.
 """
 
 import functools
@@ -22,11 +24,11 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from . import __version__
-from .checkpoint import (Checkpoint, ModelConfig, load_checkpoint, read_json,
+from .checkpoint import (Checkpoint, ModelConfig, check_fields, load_checkpoint, read_json,
                          save_checkpoint, write_atomic)
 from .corpus import (MAX_FRAME, SENTENCE_WORDS, CorpusSplit, build_tokenizer,
                      check_split_sizes, generate_corpus, load_corpus, qa_text, save_corpus)
-from .errors import ConfigError, ContractError, GateError, SchemaError
+from .errors import ConfigError, GateError, SchemaError
 from .lora import LoraConfig, check_rank
 from .masking import analyze_pair
 from .metrics import (MetricProtocol, evaluate_checkpoint, membership_aucs,
@@ -73,9 +75,10 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        """Fill each given section from the defaults and validate the result
-        by building its plan, so a malformed config fails before any stage
-        runs."""
+        """Fill each given section from the defaults and validate the result:
+        every section's values by their kinds (checkpoint.FIELD_KINDS), the
+        rules across fields, and the plan, so a malformed config fails before
+        any stage runs."""
         if not isinstance(raw, dict):
             raise ConfigError("config must be a JSON object")
         unknown = set(raw) - set(cls.__dataclass_fields__)
@@ -91,22 +94,16 @@ class ExperimentConfig:
                 if unknown:
                     raise ConfigError(f"unknown {name} keys: {sorted(unknown)}")
                 value = {**defaults, **value}
+                check_fields(value)
             setattr(cfg, name, value)
         try:
-            c, p = cfg.corpus, cfg.pretrain
-            check_split_sizes(c["n_forget"], c["n_retain"], c["n_holdout"])
-            if c["forget_duplication"] < 1 or c["retain_duplication"] < 1:
-                raise ConfigError("corpus duplication factors must be >= 1")
-            if p["lr"] <= 0 or p["epochs"] < 0 or p["batch_size"] < 1:
-                raise ConfigError("pretrain needs lr > 0, epochs >= 0, batch_size >= 1")
-            if not all(type(p[g]) in (int, float) for g in ("gate_vermem", "gate_utility")):
-                raise ConfigError("pretrain gates must be numbers")
+            check_split_sizes(*(cfg.corpus[n] for n in ("n_forget", "n_retain", "n_holdout")))
             if cfg.model_config(vocab_size=1).context_len < MAX_FRAME:
                 raise ConfigError(f"context_len must hold a framed corpus text ({MAX_FRAME})")
             if (cfg.protocol().prefix_len or 0) >= SENTENCE_WORDS:
                 raise ConfigError(f"prefix_len must be below the sentence length {SENTENCE_WORDS}")
             plan_keys(cfg)
-        except (TypeError, ContractError) as exc:
+        except TypeError as exc:
             raise ConfigError(f"bad config: {exc}") from exc
         return cfg
 
@@ -234,12 +231,15 @@ def is_current(cfg: ExperimentConfig, out: Path, rel: str) -> bool:
 
 
 def _cached(cfg: ExperimentConfig, out: Path, rel: str, load, make):
-    """load(out/rel) when the artifact is current; else make(out/rel), which
-    writes it, and then record its key in manifest.json."""
+    """load(out/rel) when the artifact is current; else drop its entry from
+    manifest.json, make(out/rel), which writes it, and then record its key."""
     path = Path(out) / rel
     if is_current(cfg, out, rel):
         return load(path)
     path.parent.mkdir(parents=True, exist_ok=True)
+    manifest = read_manifest(out)
+    if manifest.pop(rel, None) is not None:
+        write_atomic(Path(out) / "manifest.json", json.dumps(manifest, indent=1, sort_keys=True))
     value = make(path)
     # read again: make may have recorded upstream artifacts of its own
     manifest = {**read_manifest(out), rel: plan_keys(cfg)[rel]}

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checkpoint import Checkpoint, ModelConfig, linear_param_names, param_schema
+from .checkpoint import (Checkpoint, ModelConfig, check_fields, linear_param_names,
+                         param_schema)
 from .errors import ConfigError, ShapeError
 
 
@@ -31,10 +32,9 @@ class QuantSpec:
     group_size: int | None = None  # None = one group per output row
 
     def __post_init__(self):
+        check_fields(self)
         if self.bits not in (4, 8):
             raise ConfigError(f"bits must be 4 or 8, got {self.bits}")
-        if self.group_size is not None and self.group_size < 1:
-            raise ConfigError("group_size must be >= 1")
 
     @property
     def name(self) -> str:

@@ -29,7 +29,7 @@ import numpy as np
 
 from .autodiff import (ItemSum, Var, _softmax_, add, kl_divergence_rows,
                        log_sigmoid, log_softmax_rows, scale, target_log_probs, vsum)
-from .checkpoint import Checkpoint, blob_crc32, check_seed
+from .checkpoint import Checkpoint, blob_crc32, check_fields
 from .corpus import CorpusSplit, Tokenizer, build_tokenizer, conditional_batches
 from .errors import ConfigError, ContractError
 from .lora import LoraConfig, attach, factor_grads, merge
@@ -57,6 +57,7 @@ class UnlearnConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_fields(self)
         if self.method not in METHODS:
             raise ConfigError(f"unknown method {self.method!r}")
         if self.mode not in MODES:
@@ -66,13 +67,8 @@ class UnlearnConfig:
             raise ConfigError(f"{self.method} takes no retain term; lam must be 0")
         if not plain and self.lam <= 0.0:
             raise ConfigError(f"{self.method} needs lam > 0")
-        if self.beta <= 0.0:
-            raise ConfigError("beta must be > 0")
         if (self.lora is not None) != (self.mode == "lora"):
             raise ConfigError("lora config must be present exactly when mode='lora'")
-        if self.epochs < 0 or self.lr <= 0 or self.batch_size < 1:
-            raise ConfigError("epochs must be >= 0, lr > 0, batch_size >= 1")
-        check_seed(self.seed)
 
 
 @dataclass

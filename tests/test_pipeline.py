@@ -1,18 +1,26 @@
 """Pipeline orchestration and CLI surface on a miniature configuration."""
 
+import functools
 import json
+import math
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from qforget.checkpoint import FIELD_KINDS, KINDS, LISTS, ModelConfig
 from qforget.cli import main as cli_main
 from qforget.errors import ConfigError
+from qforget.lora import LoraConfig
+from qforget.metrics import MetricProtocol
 from qforget.pipeline import (ExperimentConfig, report_csv, run_pipeline,
                               run_sweep, stage_report, sweep_best, sweep_grid)
+from qforget.quantizer import QuantSpec
+from qforget.unlearn import UnlearnConfig
 
 MINI = {
     "seed": 0,
@@ -93,6 +101,45 @@ class TestConfig:
         raw["quant"] = [{"bits": 4}, {"bits": 4, "group_size": 16}]
         with pytest.raises(ConfigError, match="bit width"):
             ExperimentConfig.from_dict(raw)
+
+    def test_every_config_field_has_a_kind(self):
+        names = set(ExperimentConfig.SWEEP)
+        for section in vars(ExperimentConfig()).values():
+            names |= set(section) if isinstance(section, dict) else set()
+        for cls in (UnlearnConfig, LoraConfig, ModelConfig, MetricProtocol, QuantSpec):
+            names |= {f.name for f in fields(cls)}
+        assert {n for n in names if LISTS.get(n, n) not in FIELD_KINDS} == set()
+        assert set(FIELD_KINDS.values()) <= set(KINDS)
+
+
+def _at(raw: dict, where: tuple):
+    """The object at key path `where` of a config dict."""
+    return functools.reduce(lambda obj, key: obj[key], where, raw)
+
+
+# values of each kind that a config must never take for it
+BAD_VALUES = {"count": (1.5, True), "positive count": (1.5, True),
+              "number": ("1", True, math.nan), "positive number": ("1", True, math.nan)}
+
+
+def _malformed_configs():
+    """MINI with one bad value of its field's kind in one place the field
+    occurs: the seed, a section key, a field of each run, of its lora object
+    and of each quant spec, or the one value of a sweep list."""
+    places = [((), "seed")]
+    places += [((s,), key) for s in ("corpus", "model", "pretrain", "metrics", "sweep")
+               for key in MINI[s]]
+    for i, run in enumerate(MINI["runs"]):
+        places += [(("runs", i), f.name) for f in fields(UnlearnConfig)]
+        if "lora" in run:
+            places += [(("runs", i, "lora"), f.name) for f in fields(LoraConfig)]
+    places += [(("quant", i), f.name) for i in range(len(MINI["quant"]))
+               for f in fields(QuantSpec)]
+    for where, name in places:
+        for bad in BAD_VALUES.get(FIELD_KINDS[LISTS.get(name, name)], ()):
+            raw = json.loads(json.dumps(MINI))
+            _at(raw, where)[name] = [bad] if name in LISTS else bad
+            yield pytest.param(raw, id="/".join(map(str, (*where, name))) + f"={bad!r}")
 
 
 @pytest.fixture(scope="module")
@@ -300,6 +347,40 @@ class TestReuse:
         run_pipeline(ExperimentConfig.from_dict(json.loads(json.dumps(MINI))), copy)
         assert calls == {"train_lm": 0, "unlearn_run": 1, "evaluate_checkpoint": 0,
                          "analyze_pair": 0}
+        assert _files(copy) == _files(run_dir)
+
+    # a GA_full_ft whose model, masking and full cell differ from MINI's (its
+    # int4 cell can coincide: int4 masks a small update)
+    GA_LR = {"runs": lambda runs: runs[0].update(lr=3e-3)}
+
+    @pytest.mark.parametrize("rel, edit", [
+        ("runs/GA_full_ft/model.json", GA_LR),
+        ("masking/GA_full_ft.json", GA_LR),
+        ("eval/GA_full_ft_full.json", GA_LR),
+        ("eval/retrain_aucs.json", {"metrics": lambda m: m.update(k_percent=50.0)}),
+    ], ids=["run_model", "masking", "cell", "retrain_aucs"])
+    def test_crash_after_make_leaves_no_key_over_its_bytes(self, copy, run_dir, monkeypatch,
+                                                           rel, edit):
+        # an edited config dies right after writing rel; the original config
+        # must then recompute rel instead of taking the edited config's bytes
+        import qforget.pipeline as pipeline_mod
+
+        class Crash(BaseException):
+            pass
+
+        def make_then_crash(make, path):
+            make(path)
+            raise Crash
+
+        def cached(cfg, out, entry, load, make, _real=pipeline_mod._cached):
+            return _real(cfg, out, entry, load,
+                         functools.partial(make_then_crash, make) if entry == rel else make)
+
+        monkeypatch.setattr(pipeline_mod, "_cached", cached)
+        with pytest.raises(Crash):
+            run_pipeline(ExperimentConfig.from_dict(self._edited(**edit)), copy)
+        monkeypatch.undo()
+        run_pipeline(ExperimentConfig.from_dict(json.loads(json.dumps(MINI))), copy)
         assert _files(copy) == _files(run_dir)
 
 
@@ -512,17 +593,48 @@ class TestCli:
         ("runs", [dict(MINI["runs"][1], lora=dict(MINI["runs"][1]["lora"], seed=-1))]),
         ("runs", [dict(MINI["runs"][1], lora=dict(MINI["runs"][1]["lora"], init_std=-1.0))]),
         ("runs", [dict(MINI["runs"][1], lora=dict(MINI["runs"][1]["lora"], init_std=0.0))]),
+        ("pretrain", {"lr": 10 ** 400}),  # an int that no float can hold
     ])
     def test_malformed_config_exits_2_and_writes_nothing(self, tmp_path, capsys,
                                                           section, value):
-        path = tmp_path / "config.json"
         raw = value if section is None else dict(json.loads(json.dumps(MINI)),
                                                  **{section: value})
+        self._exits_2_writing_nothing(tmp_path, capsys, raw, "pretrain")
+
+    @staticmethod
+    def _exits_2_writing_nothing(tmp_path, capsys, raw, *command):
+        path = tmp_path / "config.json"
         path.write_text(json.dumps(raw))
         out = tmp_path / "out"
-        assert cli_main(["--config", str(path), "--out", str(out), "pretrain"]) == 2
+        assert cli_main(["--config", str(path), "--out", str(out), *command]) == 2
         assert capsys.readouterr().err.startswith("config error:")
         assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("raw", _malformed_configs())
+    def test_value_of_the_wrong_kind_exits_2_and_writes_nothing(self, tmp_path, capsys, raw):
+        self._exits_2_writing_nothing(tmp_path, capsys, raw, "run")
+
+    # values that were once misread: a traceback after files were written, a
+    # failure after training, or a run that exits 0
+    @pytest.mark.parametrize("command, edits", [
+        (["pretrain"], {("pretrain", "epochs"): 1.5, ("pretrain", "batch_size"): 2.5}),
+        (["pretrain"], {("corpus", "n_forget"): 4.0, ("corpus", "retain_duplication"): 2.0}),
+        (["pretrain"], {("pretrain", "epochs"): True, ("pretrain", "lr"): True}),
+        (["pretrain"], {("pretrain", "lr"): math.nan}),
+        (["pretrain"], {("pretrain", "gate_vermem"): math.nan}),
+        (["unlearn", "GA"], {("runs", 0, "batch_size"): 2.5, ("runs", 1, "lora", "rank"): 2.0}),
+        (["sweep"], {("sweep", "ranks"): [2.0], ("sweep", "epochs"): 1.5}),
+        (["unlearn", "GA"], {("runs", 0, "epochs"): True}),
+        (["run"], {("runs", 1, "lam"): True, ("runs", 1, "beta"): True,
+                   ("runs", 1, "lora", "alpha"): True}),
+        (["sweep"], {("sweep", "epochs"): True, ("sweep", "alpha_ratios"): [True]}),
+        (["pretrain"], {("quant", 0, "bits"): 8.0, ("quant", 1, "group_size"): 16.0}),
+    ])
+    def test_misread_values_exit_2_and_write_nothing(self, tmp_path, capsys, command, edits):
+        raw = json.loads(json.dumps(MINI))
+        for (*where, name), value in edits.items():
+            _at(raw, where)[name] = value
+        self._exits_2_writing_nothing(tmp_path, capsys, raw, *command)
 
     def test_negative_seed_override_exits_2_and_writes_nothing(self, tmp_path, capsys):
         out = tmp_path / "out"
