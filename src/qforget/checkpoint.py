@@ -172,6 +172,27 @@ def read_json(path):
         raise SchemaError(f"{path}: not valid JSON ({exc})") from exc
 
 
+def check_object(obj, fields: dict, where, exact: bool = False) -> dict:
+    """`obj` if it is a JSON object whose every listed field holds one of
+    its types (JSON true/false is never a number) and, with `exact`, that
+    has no other field; else a SchemaError naming `where`."""
+    if not isinstance(obj, dict):
+        raise SchemaError(f"{where}: not a JSON object")
+    for key, types in fields.items():
+        if key not in obj:
+            raise SchemaError(f"{where}: lacks {key!r}")
+        if isinstance(obj[key], bool) and bool not in types or not isinstance(obj[key], types):
+            raise SchemaError(f"{where}: {key!r} holds {obj[key]!r}")
+    if exact and set(obj) != set(fields):
+        raise SchemaError(f"{where}: unexpected fields {sorted(set(obj) - set(fields))}")
+    return obj
+
+
+def read_object(path, fields: dict, exact: bool = False) -> dict:
+    """The one reader of a cached JSON object: check_object of path's JSON."""
+    return check_object(read_json(path), fields, path, exact)
+
+
 def blob_crc32(tensors: dict) -> int:
     """CRC-32 of the float64 blob that _write_container stores for tensors,
     the `crc32` its manifest records."""
@@ -201,32 +222,26 @@ def _write_container(stem: Path, tensors: dict, meta: dict) -> None:
     write_atomic(stem.with_suffix(".json"), json.dumps(manifest, indent=1, sort_keys=True))
 
 
-_ENTRY_FIELDS = ("name", "shape", "offset", "length")
+_ENTRY_FIELDS = {"name": (str,), "shape": (list,), "offset": (int,), "length": (int,)}
 
 
 def _read_container(stem: Path) -> tuple:
     stem = Path(stem)
     try:
-        manifest = read_json(stem.with_suffix(".json"))
+        manifest = read_object(stem.with_suffix(".json"), {"crc32": (int,), "params": (list,)})
         blob = stem.with_suffix(".bin").read_bytes()
     except FileNotFoundError as exc:
         raise SchemaError(f"{stem}: missing file {exc.filename}") from exc
-    if not isinstance(manifest, dict) or "crc32" not in manifest \
-            or not isinstance(manifest.get("params"), list):
-        raise SchemaError(f"{stem}: manifest lacks crc32 or a params list")
-    if any(not isinstance(e, dict) or any(f not in e for f in _ENTRY_FIELDS)
-           for e in manifest["params"]):
-        raise SchemaError(f"{stem}: manifest entry lacks one of {_ENTRY_FIELDS}")
     if zlib.crc32(blob) != manifest["crc32"]:
         raise ChecksumError(f"{stem}: blob CRC mismatch (corrupt or truncated file)")
     tensors = {}
     for entry in manifest["params"]:
+        check_object(entry, _ENTRY_FIELDS, f"{stem}: a params entry")
         if entry.get("dtype", _DTYPE) != _DTYPE:
             raise SchemaError(f"{stem}: tensor {entry['name']} has dtype "
                               f"{entry['dtype']!r}; only {_DTYPE!r} is stored")
         ofs, length, shape = entry["offset"], entry["length"], entry["shape"]
-        if not (is_count(ofs) and isinstance(shape, list) and all(map(is_count, shape))
-                and length == 8 * math.prod(shape)):
+        if not (ofs >= 0 and all(map(is_count, shape)) and length == 8 * math.prod(shape)):
             raise SchemaError(f"{stem}: manifest entry {entry['name']} has offset {ofs} "
                               f"and length {length} for shape {shape}")
         if ofs + length > len(blob):

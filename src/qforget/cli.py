@@ -2,18 +2,22 @@
 
 Exit codes: 0 success, 2 config error, 3 training divergence, 4 gate failure,
 5 invalid input (corrupt or mismatched checkpoint, malformed corpus or metric
-cell, bad shapes or token ids).
+cell, bad shapes or token ids), 6 run directory busy (another process holds
+the lock that every command writing under --out takes).
 """
 
 import argparse
+import contextlib
+import fcntl
 import json
+import os
 import sys
 from pathlib import Path
 from types import SimpleNamespace
 
 from .checkpoint import load_checkpoint, save_checkpoint, write_atomic
 from .corpus import build_tokenizer
-from .errors import (ChecksumError, ConfigError, DivergenceError, GateError,
+from .errors import (BusyError, ChecksumError, ConfigError, DivergenceError, GateError,
                      InputError, SchemaError, ShapeError)
 from .masking import analyze_pair
 from .metrics import evaluate_checkpoint
@@ -37,75 +41,93 @@ def _parser() -> argparse.ArgumentParser:
     return p
 
 
+# command -> (fewest arguments, what they are)
+_ARGUMENTS = {"unlearn": (1, "a method (and optional mode) argument"),
+              "quantize": (2, "a checkpoint stem and a bit width"),
+              "analyze": (2, "two checkpoint stems"), "eval": (1, "a checkpoint stem")}
+
+
+@contextlib.contextmanager
+def _locked(out: Path):
+    """An exclusive flock on the run directory itself (made if absent) while
+    a command writes under it; BusyError at once if another process holds it."""
+    out.mkdir(parents=True, exist_ok=True)
+    fd = os.open(out, os.O_RDONLY)
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+    except BlockingIOError as exc:
+        os.close(fd)
+        raise BusyError(f"another process holds the lock on {out}") from exc
+    try:
+        yield
+    finally:
+        os.close(fd)  # which releases the lock
+
+
 def _dispatch(ns) -> None:
     cfg = ExperimentConfig.from_file(ns.config)
     if ns.seed is not None:  # checked like a seed in the file
         cfg = ExperimentConfig.from_dict({**vars(cfg), "seed": ns.seed})
-    out = Path(ns.out)
-    if ns.command in ("run", "report"):
-        report = (run_pipeline if ns.command == "run" else stage_report)(cfg, out)
-        print(f"report written: {out / 'report.csv'} "
-              f"({len(report['rows'])} rows, {len(report['missing'])} missing)")
-    elif ns.command == "pretrain":
-        split = stage_corpus(cfg, out)
-        ck = stage_pretrain(cfg, out, split)
-        print(f"target saved: {out / 'target'} (provenance {ck.provenance!r})")
-    elif ns.command == "retrain":
-        split = stage_corpus(cfg, out)
-        ck = stage_retrain(cfg, out, split)
-        print(f"retrain baseline saved: {out / 'retrain'}")
-    elif ns.command == "unlearn":
-        if not ns.args:
-            raise ConfigError("unlearn needs a method (and optional mode) argument")
-        tag = run_tag(SimpleNamespace(
-            method=ns.args[0], mode=ns.args[1] if len(ns.args) > 1 else UnlearnConfig.mode))
-        runs = {name: run for name, _, _, run in evaluated_models(cfg)[1:]}
-        if tag not in runs:
-            raise ConfigError(f"no configured run {tag}")
-        split = stage_corpus(cfg, out)
-        target = stage_pretrain(cfg, out, split)
-        ck = stage_unlearn(cfg, out, split, target, runs[tag])
-        print(f"unlearned checkpoint saved (provenance {ck.provenance!r})")
-    elif ns.command == "quantize":
-        if len(ns.args) < 2:
-            raise ConfigError("quantize needs a checkpoint stem and a bit width")
-        stem = ns.args[0]
+    out, args = Path(ns.out), ns.args
+    fewest, what = _ARGUMENTS.get(ns.command, (0, ""))
+    if len(args) < fewest:
+        raise ConfigError(f"{ns.command} needs {what}")
+    if ns.command == "quantize":  # writes beside its checkpoint stem, so it takes no lock
         try:
-            spec = QuantSpec(*map(int, ns.args[1:3]))
+            spec = QuantSpec(*map(int, args[1:3]))
         except ValueError as exc:  # a non-integer argument, or QuantSpec's ConfigError
             raise ConfigError(f"quantize: bit width and group size: {exc}") from exc
-        ck = load_checkpoint(stem)
+        ck = load_checkpoint(args[0])
         if ck.provenance.startswith("unlearn") and ":lora" in ck.provenance \
                 and ":merged" not in ck.provenance:
             raise ConfigError("refusing to quantize an unmerged adapter run; merge first")
-        save_checkpoint(quantize_model(ck, spec), f"{stem}_{spec.name}")
-        print(f"quantized checkpoint saved: {stem}_{spec.name}")
-    elif ns.command == "analyze":
-        if len(ns.args) < 2:
-            raise ConfigError("analyze needs two checkpoint stems")
-        ck0 = load_checkpoint(ns.args[0])
-        cku = load_checkpoint(ns.args[1])
-        report = analyze_pair(ck0, cku, cfg.quant_specs())
-        out.mkdir(parents=True, exist_ok=True)
-        write_atomic(out / "masking.csv", report.to_csv())
-        write_atomic(out / "masking.json", report.to_json())
-        print(f"masking report written under {out}")
-    elif ns.command == "eval":
-        if not ns.args:
-            raise ConfigError("eval needs a checkpoint stem")
-        stem = ns.args[0]
-        split = stage_corpus(cfg, out)
-        tok = build_tokenizer(split)
-        ck = load_checkpoint(stem)
-        baseline = None
-        if is_current(cfg, out, "retrain.json"):
-            baseline = retrain_baseline(cfg, out, stage_retrain(cfg, out, split), split, tok)
-        cell = evaluate_checkpoint(ck, split, tok, baseline, cfg.protocol())
-        print(json.dumps(cell, indent=1, sort_keys=True))
-    elif ns.command == "sweep":
-        summary = run_sweep(cfg, out)
-        print(f"sweep summary written: {out / 'sweep.json'} "
-              f"({len(summary['cells'])} cells)")
+        save_checkpoint(quantize_model(ck, spec), f"{args[0]}_{spec.name}")
+        print(f"quantized checkpoint saved: {args[0]}_{spec.name}")
+        return
+    if ns.command == "unlearn":
+        tag = run_tag(SimpleNamespace(
+            method=args[0], mode=args[1] if len(args) > 1 else UnlearnConfig.mode))
+        runs = {name: run for name, _, _, run in evaluated_models(cfg)[1:]}
+        if tag not in runs:
+            raise ConfigError(f"no configured run {tag}")
+    with _locked(out):
+        if ns.command in ("run", "report"):
+            report = (run_pipeline if ns.command == "run" else stage_report)(cfg, out)
+            print(f"report written: {out / 'report.csv'} "
+                  f"({len(report['rows'])} rows, {len(report['missing'])} missing)")
+        elif ns.command == "pretrain":
+            split = stage_corpus(cfg, out)
+            ck = stage_pretrain(cfg, out, split)
+            print(f"target saved: {out / 'target'} (provenance {ck.provenance!r})")
+        elif ns.command == "retrain":
+            split = stage_corpus(cfg, out)
+            ck = stage_retrain(cfg, out, split)
+            print(f"retrain baseline saved: {out / 'retrain'}")
+        elif ns.command == "unlearn":
+            split = stage_corpus(cfg, out)
+            target = stage_pretrain(cfg, out, split)
+            ck = stage_unlearn(cfg, out, split, target, runs[tag])
+            print(f"unlearned checkpoint saved (provenance {ck.provenance!r})")
+        elif ns.command == "analyze":
+            ck0 = load_checkpoint(args[0])
+            cku = load_checkpoint(args[1])
+            report = analyze_pair(ck0, cku, cfg.quant_specs())
+            write_atomic(out / "masking.csv", report.to_csv())
+            write_atomic(out / "masking.json", report.to_json())
+            print(f"masking report written under {out}")
+        elif ns.command == "eval":
+            split = stage_corpus(cfg, out)
+            tok = build_tokenizer(split)
+            ck = load_checkpoint(args[0])
+            baseline = None
+            if is_current(cfg, out, "retrain.json"):
+                baseline = retrain_baseline(cfg, out, stage_retrain(cfg, out, split), split, tok)
+            cell = evaluate_checkpoint(ck, split, tok, baseline, cfg.protocol())
+            print(json.dumps(cell, indent=1, sort_keys=True))
+        elif ns.command == "sweep":
+            summary = run_sweep(cfg, out)
+            print(f"sweep summary written: {out / 'sweep.json'} "
+                  f"({len(summary['cells'])} cells)")
 
 
 def main(argv=None) -> int:
@@ -125,6 +147,9 @@ def main(argv=None) -> int:
     except (ChecksumError, SchemaError, ShapeError, InputError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return 5
+    except BusyError as exc:
+        print(f"run directory busy: {exc}", file=sys.stderr)
+        return 6
     return 0
 
 

@@ -44,3 +44,7 @@ class DivergenceError(RuntimeError):
 
 class GateError(RuntimeError):
     """A pretraining acceptance gate did not pass."""
+
+
+class BusyError(RuntimeError):
+    """Another process holds the run directory's lock."""

@@ -24,11 +24,11 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from . import __version__
-from .checkpoint import (Checkpoint, ModelConfig, check_fields, load_checkpoint, read_json,
-                         save_checkpoint, write_atomic)
+from .checkpoint import (Checkpoint, ModelConfig, check_fields, check_object, load_checkpoint,
+                         read_object, save_checkpoint, write_atomic)
 from .corpus import (MAX_FRAME, SENTENCE_WORDS, CorpusSplit, build_tokenizer,
                      check_split_sizes, generate_corpus, load_corpus, qa_text, save_corpus)
-from .errors import ConfigError, GateError, SchemaError
+from .errors import ConfigError, GateError
 from .lora import LoraConfig, check_rank
 from .masking import analyze_pair
 from .metrics import (MetricProtocol, evaluate_checkpoint, membership_aucs,
@@ -175,24 +175,35 @@ def run_path(cfg: ExperimentConfig, run: dict) -> str:
     return f"sweep/{hashlib.sha256(filled.encode()).hexdigest()[:12]}/model.json"
 
 
+def plan(cfg: ExperimentConfig) -> dict:
+    """Manifest entry (path in the run directory) -> (key, name, precision)
+    of every artifact `run` and `sweep` write, in `run` order; built once per
+    config value and shared, so read-only. A key is a SHA-256 of the package
+    version, the entry, the upstream keys and the config values its stage
+    reads. An eval cell names the model and precision it serves, a masking
+    file its model."""
+    return _plan(json.dumps(vars(cfg), sort_keys=True))
+
+
 def plan_keys(cfg: ExperimentConfig) -> dict:
-    """Manifest entry (path in the run directory) -> key of every artifact
-    `run` and `sweep` write. A key is a SHA-256 of the package version, the
-    entry, the upstream artifacts' keys and the config values its stage
-    reads. Every artifact lookup asks for the plan, so it is built once per
-    config value."""
-    return dict(_plan(json.dumps(vars(cfg), sort_keys=True)))
+    """Manifest entry -> key of every planned artifact."""
+    return {rel: key for rel, (key, _, _) in plan(cfg).items()}
+
+
+def _artifact(name: str, precision: str = None) -> str:
+    """An evaluated model's eval cell at `precision`, or its masking file."""
+    return f"masking/{name}.json" if precision is None else f"eval/{name}_{precision}.json"
 
 
 @functools.lru_cache(maxsize=8)
 def _plan(config: str) -> dict:
     cfg = ExperimentConfig(**json.loads(config))
-    keys = {}
+    entries = {}
 
-    def put(rel, *inputs):
+    def put(rel, *inputs, name=None, precision=None):
         blob = json.dumps([__version__, rel, *inputs], sort_keys=True).encode()
-        keys[rel] = hashlib.sha256(blob).hexdigest()
-        return keys[rel]
+        entries[rel] = (hashlib.sha256(blob).hexdigest(), name, precision)
+        return entries[rel][0]
 
     corpus = put("corpus.jsonl", cfg.seed, cfg.corpus)
     target = put("target.json", corpus, cfg.model, cfg.pretrain)
@@ -204,25 +215,22 @@ def _plan(config: str) -> dict:
         model = target
         if run is not None:
             model = put(run_path(cfg, run), target, asdict(cfg.unlearn_config(run)))
-            put(f"masking/{name}.json", model, quant)
+            put(_artifact(name), model, quant, name=name)
         for precision, spec in specs.items():
-            put(f"eval/{name}_{precision}.json", model, baseline,
-                spec and asdict(spec), cfg.metrics)
+            put(_artifact(name, precision), model, baseline, spec and asdict(spec), cfg.metrics,
+                name=name, precision=precision)
     if cfg.sweep:
         points = [put(run_path(cfg, run), target, asdict(cfg.unlearn_config(run)))
                   for run in sweep_grid(cfg)]
         if "int4" in specs:
             put("sweep.json", points, cfg.sweep, asdict(specs["int4"]), cfg.metrics)
-    return keys
+    return entries
 
 
 def read_manifest(out: Path) -> dict:
     """manifest.json of a run directory: entry -> recorded key ({} if absent)."""
     path = Path(out) / "manifest.json"
-    manifest = read_json(path) if path.exists() else {}
-    if not isinstance(manifest, dict):
-        raise SchemaError(f"{path}: not a JSON object")
-    return manifest
+    return read_object(path, {}) if path.exists() else {}
 
 
 def is_current(cfg: ExperimentConfig, out: Path, rel: str) -> bool:
@@ -343,41 +351,23 @@ def retrain_baseline(cfg: ExperimentConfig, out: Path, retrain: Checkpoint,
                      split: CorpusSplit, tok) -> dict:
     """The retrain model's membership_aucs, PrivLeak's baseline, kept in
     eval/retrain_aucs.json, so a run directory scores its retrain model once."""
-    def load(path):
-        aucs = read_json(path)
-        if not isinstance(aucs, dict) or sorted(aucs) != ["privleak", "privleak_holdout"] \
-                or not all(isinstance(a, float) for a in aucs.values()):
-            raise SchemaError(f"{path}: not a privleak/privleak_holdout AUC pair")
-        return aucs
-
     def make(path):
         aucs = membership_aucs(retrain, split, tok, cfg.protocol().k_percent)
         write_atomic(path, json.dumps(aucs, indent=1, sort_keys=True))
         return aucs
+    load = functools.partial(read_object, exact=True,
+                             fields=dict.fromkeys(("privleak", "privleak_holdout"), (float,)))
     return _cached(cfg, out, "eval/retrain_aucs.json", load, make)
 
 
 # every field of an eval cell and the JSON types it may hold; the privleak
-# fields are null when no retrain baseline was given
+# fields are null when no retrain baseline was given. A cached cell that
+# lacks one or holds another type is a SchemaError naming the file.
 _CELL_FIELDS = {
     **dict.fromkeys(("method", "precision", "adapter"), (str,)),
     **dict.fromkeys(("vermem", "knowmem", "utilitypres"), (int, float)),
     **dict.fromkeys(("privleak", "privleak_holdout"), (int, float, type(None))),
 }
-
-
-def read_cell(path) -> dict:
-    """A cached eval cell; one that lacks a field or holds a value of the
-    wrong type is a SchemaError naming the file."""
-    cell = read_json(path)
-    if not isinstance(cell, dict):
-        raise SchemaError(f"{path}: eval cell is not a JSON object")
-    for key, types in _CELL_FIELDS.items():
-        if key not in cell:
-            raise SchemaError(f"{path}: eval cell lacks {key!r}")
-        if isinstance(cell[key], bool) or not isinstance(cell[key], types):
-            raise SchemaError(f"{path}: eval cell {key!r} holds {cell[key]!r}")
-    return cell
 
 
 def stage_eval(cfg: ExperimentConfig, out: Path, split: CorpusSplit, tok,
@@ -394,7 +384,8 @@ def stage_eval(cfg: ExperimentConfig, out: Path, split: CorpusSplit, tok,
         cell.update({"method": method, "precision": precision, "adapter": adapter})
         write_atomic(path, json.dumps(cell, indent=1, sort_keys=True))
         return cell
-    return {precision: _cached(cfg, out, f"eval/{name}_{precision}.json", read_cell,
+    load = functools.partial(read_object, fields=_CELL_FIELDS)
+    return {precision: _cached(cfg, out, _artifact(name, precision), load,
                                functools.partial(make, spec, precision))
             for precision, spec in specs_by_precision(cfg).items()}
 
@@ -402,13 +393,10 @@ def stage_eval(cfg: ExperimentConfig, out: Path, split: CorpusSplit, tok,
 def read_masking(path) -> dict:
     """A cached masking report's crossing fraction per spec; one without
     per-spec aggregates is a SchemaError naming the file."""
-    report = read_json(path)
-    agg = report.get("aggregates") if isinstance(report, dict) else None
-    if not isinstance(agg, list) or not all(
-            isinstance(a, dict) and isinstance(a.get("spec"), str)
-            and type(a.get("crossing_fraction")) in (int, float) for a in agg):
-        raise SchemaError(f"{path}: not a masking report with per-spec aggregates")
-    return {a["spec"]: a["crossing_fraction"] for a in agg}
+    aggregates = [check_object(a, {"spec": (str,), "crossing_fraction": (int, float)},
+                               f"{path}: an aggregate")
+                  for a in read_object(path, {"aggregates": (list,)})["aggregates"]]
+    return {a["spec"]: a["crossing_fraction"] for a in aggregates}
 
 
 def stage_masking(cfg: ExperimentConfig, out: Path, target: Checkpoint,
@@ -418,30 +406,28 @@ def stage_masking(cfg: ExperimentConfig, out: Path, target: Checkpoint,
         report = analyze_pair(target, ck, cfg.quant_specs())
         write_atomic(path.with_suffix(".csv"), report.to_csv())
         write_atomic(path, report.to_json())
-    _cached(cfg, out, f"masking/{name}.json", read_masking, make)
+    _cached(cfg, out, _artifact(name), read_masking, make)
 
 
 def stage_report(cfg: ExperimentConfig, out: Path) -> dict:
-    """Collect every expected metric cell into report.csv / report.json.
+    """Collect every planned metric cell, in plan order, into report.csv /
+    report.json.
 
     A cell or masking file counts only when manifest.json records the key the
     plan gives it; a missing or stale cell is listed, not fatal. The report
     is a pure function of the artifacts on disk.
     """
-    rows = []
-    missing = []
-    crossing = {}
-    precisions = specs_by_precision(cfg)
-    for name, _, _, run in evaluated_models(cfg):
-        for precision in precisions:
-            rel = f"eval/{name}_{precision}.json"
-            if is_current(cfg, out, rel):
-                rows.append(read_cell(out / rel))
-            else:
-                missing.append(f"{name}_{precision}")
-        rel = f"masking/{name}.json"
-        if run is not None and is_current(cfg, out, rel):
-            crossing[name] = read_masking(out / rel)
+    rows, missing, crossing = [], [], {}
+    manifest = read_manifest(out)
+    for rel, (key, name, precision) in plan(cfg).items():
+        current = manifest.get(rel) == key and (out / rel).exists()
+        if precision is None:  # a masking file, or no evaluated model's entry
+            if name is not None and current:
+                crossing[name] = read_masking(out / rel)
+        elif current:
+            rows.append(read_object(out / rel, _CELL_FIELDS))
+        else:
+            missing.append(f"{name}_{precision}")
     report = {
         "protocol": asdict(cfg.protocol()),
         "rows": rows,
@@ -535,13 +521,6 @@ def run_sweep(cfg: ExperimentConfig, out: Path) -> dict:
         raise ConfigError("a sweep selects on int4 cells; configure a 4-bit quant spec")
     out = Path(out)
 
-    def load(path):
-        summary = read_json(path)
-        if not isinstance(summary, dict) or sorted(summary) != ["best", "cells", "selection"] \
-                or not isinstance(summary["cells"], list) or not isinstance(summary["best"], dict):
-            raise SchemaError(f"{path}: not a sweep summary of selection, cells and best")
-        return summary
-
     def make(path):
         split = stage_corpus(cfg, out)
         target = stage_pretrain(cfg, out, split)
@@ -564,6 +543,8 @@ def run_sweep(cfg: ExperimentConfig, out: Path) -> dict:
         }
         write_atomic(path, json.dumps(summary, indent=1, sort_keys=True))
         return summary
+    load = functools.partial(read_object, exact=True,
+                             fields={"selection": (str,), "cells": (list,), "best": (dict,)})
     return _cached(cfg, out, "sweep.json", load, make)
 
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qforget.checkpoint import (ModelConfig, blob_crc32, load_checkpoint,
+from qforget.checkpoint import (ModelConfig, blob_crc32, load_checkpoint, read_object,
                                 save_checkpoint, write_atomic)
 from qforget.errors import ChecksumError, SchemaError
 from qforget.model import init_model
@@ -131,6 +131,32 @@ class TestCorruption:
         assert names == sorted(names, key=names.index)  # manifest order preserved
         offsets = [e["offset"] for e in manifest["params"]]
         assert offsets == sorted(offsets)
+
+
+class TestReadObject:
+    """The one reader of cached JSON objects."""
+
+    FIELDS = {"score": (int, float), "label": (str,)}
+
+    @pytest.mark.parametrize("obj, exact", [
+        ([], False),
+        ({"score": 1}, False),
+        ({"score": True, "label": "a"}, False),
+        ({"score": 1, "label": 2}, False),
+        ({"score": 1, "label": "a", "extra": 0}, True),
+    ], ids=["not_an_object", "lacks_field", "bool_as_number", "wrong_type", "extra_field"])
+    def test_malformed_object_is_schema_error_naming_file(self, tmp_path, obj, exact):
+        path = tmp_path / "cached.json"
+        path.write_text(json.dumps(obj))
+        with pytest.raises(SchemaError, match="cached.json"):
+            read_object(path, self.FIELDS, exact)
+
+    def test_well_formed_object_is_returned(self, tmp_path):
+        path = tmp_path / "cached.json"
+        obj = {"score": 0.5, "label": "a", "extra": None}
+        path.write_text(json.dumps(obj))
+        assert read_object(path, self.FIELDS) == obj
+        assert read_object(path, dict(self.FIELDS, extra=(type(None),)), True) == obj
 
 
 class TestAtomicWrite:

@@ -352,13 +352,17 @@ class TestReuse:
     # a GA_full_ft whose model, masking and full cell differ from MINI's (its
     # int4 cell can coincide: int4 masks a small update)
     GA_LR = {"runs": lambda runs: runs[0].update(lr=3e-3)}
+    # trained models that differ from MINI's, with gates that the target passes
+    PRETRAIN_LR = {"pretrain": lambda p: p.update(lr=3e-3, gate_vermem=0.0, gate_utility=0.0)}
 
     @pytest.mark.parametrize("rel, edit", [
         ("runs/GA_full_ft/model.json", GA_LR),
         ("masking/GA_full_ft.json", GA_LR),
         ("eval/GA_full_ft_full.json", GA_LR),
         ("eval/retrain_aucs.json", {"metrics": lambda m: m.update(k_percent=50.0)}),
-    ], ids=["run_model", "masking", "cell", "retrain_aucs"])
+        ("target.json", PRETRAIN_LR),
+        ("retrain.json", PRETRAIN_LR),
+    ], ids=["run_model", "masking", "cell", "retrain_aucs", "target", "retrain"])
     def test_crash_after_make_leaves_no_key_over_its_bytes(self, copy, run_dir, monkeypatch,
                                                            rel, edit):
         # an edited config dies right after writing rel; the original config
@@ -552,48 +556,55 @@ class TestCli:
         assert cli_main(["--config", str(bad), "--out", str(tmp_path / "o"), "run"]) == 2
 
     @pytest.mark.parametrize("section, value", [
-        ("pretrain", {"lr": 2e-3, "warmup": 10}),
-        ("model", {"d_model": 32, "n_layers": 1, "n_heads": 2, "d_ff": 64,
-                   "context_len": 24, "dropout": 0.1}),
-        ("metrics", {"k_percent": 20.0, "min_k": 5}),
-        ("metrics", {"k_percent": 0.0}),
-        ("metrics", {"k_percent": 150.0}),
-        ("quant", [{"bits": 8, "groups": 4}]),
-        ("corpus", {"n_forget": 200, "n_retain": 300, "n_holdout": 101}),
-        ("corpus", {"n_forget": 0}),
-        (None, 42),
-        ("pretrain", {"batch_size": 0}),
-        ("pretrain", {"lr": -1}),
-        ("pretrain", {"lr": 0.0}),
-        ("pretrain", {"epochs": -1}),
-        ("corpus", {"retain_duplication": 0}),
-        ("corpus", {"forget_duplication": 0}),
+        pytest.param("pretrain", {"lr": 2e-3, "warmup": 10}, id="pretrain_unknown_key"),
+        pytest.param("model", {"d_model": 32, "n_layers": 1, "n_heads": 2, "d_ff": 64,
+                               "context_len": 24, "dropout": 0.1}, id="model_unknown_key"),
+        pytest.param("metrics", {"k_percent": 20.0, "min_k": 5}, id="metrics_unknown_key"),
+        pytest.param("metrics", {"k_percent": 0.0}, id="k_percent=0"),
+        pytest.param("metrics", {"k_percent": 150.0}, id="k_percent=150"),
+        pytest.param("quant", [{"bits": 8, "groups": 4}], id="quant_unknown_key"),
+        pytest.param("corpus", {"n_forget": 200, "n_retain": 300, "n_holdout": 101},
+                     id="corpus_over_capacity"),
+        pytest.param("corpus", {"n_forget": 0}, id="n_forget=0"),
+        pytest.param(None, 42, id="not_an_object"),
+        pytest.param("pretrain", {"batch_size": 0}, id="batch_size=0"),
+        pytest.param("pretrain", {"lr": -1}, id="lr=-1"),
+        pytest.param("pretrain", {"lr": 0.0}, id="lr=0"),
+        pytest.param("pretrain", {"epochs": -1}, id="epochs=-1"),
+        pytest.param("corpus", {"retain_duplication": 0}, id="retain_duplication=0"),
+        pytest.param("corpus", {"forget_duplication": 0}, id="forget_duplication=0"),
         # a group of 24 divides neither d_model 32 nor d_ff 64
-        ("quant", [{"bits": 8, "group_size": None}, {"bits": 4, "group_size": 24}]),
+        pytest.param("quant", [{"bits": 8, "group_size": None}, {"bits": 4, "group_size": 24}],
+                     id="group_size=24"),
         # rank 40 exceeds d_model 32, the smaller side of every targeted weight
-        ("runs", [MINI["runs"][0], dict(MINI["runs"][1],
-                                        lora=dict(MINI["runs"][1]["lora"], rank=40))]),
-        ("sweep", dict(MINI["sweep"], ranks=[40])),
+        pytest.param("runs", [MINI["runs"][0], dict(MINI["runs"][1],
+                                                    lora=dict(MINI["runs"][1]["lora"], rank=40))],
+                     id="rank=40"),
+        pytest.param("sweep", dict(MINI["sweep"], ranks=[40]), id="sweep_ranks=40"),
         # a sentence is 9 words, so a prefix is an int in [0, 9)
-        ("metrics", {"prefix_len": 100}),
-        ("metrics", {"prefix_len": 9}),
-        ("metrics", {"prefix_len": "4"}),
-        ("metrics", {"prefix_len": -3}),
-        ("metrics", {"prefix_len": True}),
-        ("metrics", {"k_percent": True}),
-        ("pretrain", {"gate_vermem": "60"}),
-        ("pretrain", {"gate_utility": True}),
-        ("model", {"d_model": 32.0}),
-        ("model", {"n_layers": True}),
+        pytest.param("metrics", {"prefix_len": 100}, id="prefix_len=100"),
+        pytest.param("metrics", {"prefix_len": 9}, id="prefix_len=9"),
+        pytest.param("metrics", {"prefix_len": "4"}, id="prefix_len='4'"),
+        pytest.param("metrics", {"prefix_len": -3}, id="prefix_len=-3"),
+        # the other fields of these sections take their defaults, not MINI's
+        pytest.param("pretrain", {"gate_vermem": "60"}, id="gate_vermem='60'"),
+        pytest.param("pretrain", {"gate_utility": True}, id="gate_utility=True"),
+        pytest.param("model", {"d_model": 32.0}, id="d_model=32.0"),
+        pytest.param("model", {"n_layers": True}, id="n_layers=True"),
         # a framed question + answer is 15 tokens long
-        ("model", dict(MINI["model"], context_len=14)),
-        ("seed", -1),
-        ("seed", 1.5),
-        ("runs", [dict(MINI["runs"][0], seed=-2)]),
-        ("runs", [dict(MINI["runs"][1], lora=dict(MINI["runs"][1]["lora"], seed=-1))]),
-        ("runs", [dict(MINI["runs"][1], lora=dict(MINI["runs"][1]["lora"], init_std=-1.0))]),
-        ("runs", [dict(MINI["runs"][1], lora=dict(MINI["runs"][1]["lora"], init_std=0.0))]),
-        ("pretrain", {"lr": 10 ** 400}),  # an int that no float can hold
+        pytest.param("model", dict(MINI["model"], context_len=14), id="context_len=14"),
+        pytest.param("seed", -1, id="seed=-1"),
+        pytest.param("runs", [dict(MINI["runs"][0], seed=-2)], id="run_seed=-2"),
+        pytest.param("runs", [dict(MINI["runs"][1], lora=dict(MINI["runs"][1]["lora"], seed=-1))],
+                     id="lora_seed=-1"),
+        pytest.param("runs", [dict(MINI["runs"][1],
+                                   lora=dict(MINI["runs"][1]["lora"], init_std=-1.0))],
+                     id="init_std=-1"),
+        pytest.param("runs", [dict(MINI["runs"][1],
+                                   lora=dict(MINI["runs"][1]["lora"], init_std=0.0))],
+                     id="init_std=0"),
+        # an int that no float can hold
+        pytest.param("pretrain", {"lr": 10 ** 400}, id="lr=10**400"),
     ])
     def test_malformed_config_exits_2_and_writes_nothing(self, tmp_path, capsys,
                                                           section, value):
@@ -783,6 +794,41 @@ class TestCli:
             err = capsys.readouterr().err
             assert err.startswith("invalid input:") and "GA_full_ft.json" in err
             assert {f: (out / f).read_bytes() for f in before} == before
+
+    # a child process that holds the lock on the directory argv[1] until its
+    # stdin closes
+    HOLD = ("import fcntl, os, sys; fcntl.flock(os.open(sys.argv[1], os.O_RDONLY), "
+            "fcntl.LOCK_EX); print('held', flush=True); sys.stdin.read()")
+
+    @pytest.fixture
+    def held(self, run_dir, tmp_path):
+        """A copy of run_dir whose lock another process holds."""
+        import shutil
+        out = tmp_path / "out"
+        shutil.copytree(run_dir, out)
+        with subprocess.Popen([sys.executable, "-c", self.HOLD, str(out)],
+                              stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True) as child:
+            assert child.stdout.readline() == "held\n"
+            yield out  # leaving the block closes the child's stdin and waits for it
+
+    @pytest.mark.parametrize("command", [
+        ["run"], ["report"], ["pretrain"], ["retrain"], ["unlearn", "GA"], ["sweep"],
+        ["eval", "{out}/runs/GA_full_ft/model"],
+        ["analyze", "{out}/target", "{out}/runs/GA_full_ft/model"],
+    ], ids=lambda command: command[0])
+    def test_held_lock_exits_6_and_writes_nothing(self, held, tmp_path, capsys, command):
+        # an edited run, so that a command that ignored the lock would write
+        runs = TestReuse._edited(**TestReuse.GA_LR)["runs"]
+        before = _files(held)
+        argv = ["--config", str(write_config(tmp_path, {"runs": runs})), "--out", str(held)]
+        assert cli_main(argv + [arg.format(out=held) for arg in command]) == 6
+        assert capsys.readouterr().err.startswith("run directory busy:")
+        assert _files(held) == before
+
+    def test_quantize_takes_no_lock(self, held, tmp_path):
+        argv = ["--config", str(write_config(tmp_path)), "--out", str(held)]
+        assert cli_main(argv + ["quantize", str(held / "target"), "4"]) == 0
+        assert (held / "target_int4.json").exists()
 
     def test_eval_uses_retrain_baseline_when_present(self, tmp_path, capsys, monkeypatch):
         import qforget.pipeline as pipeline_mod
