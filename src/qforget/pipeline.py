@@ -415,7 +415,9 @@ def stage_report(cfg: ExperimentConfig, out: Path) -> dict:
 
     A cell or masking file counts only when manifest.json records the key the
     plan gives it; a missing or stale cell is listed, not fatal. The report
-    is a pure function of the artifacts on disk.
+    is a pure function of the artifacts on disk. Both report files are
+    removed after every input is read and before either is written, so the
+    two never come from different configs.
     """
     rows, missing, crossing = [], [], {}
     manifest = read_manifest(out)
@@ -434,6 +436,8 @@ def stage_report(cfg: ExperimentConfig, out: Path) -> dict:
         "crossing_fractions": crossing,
         "missing": missing,
     }
+    for name in ("report.json", "report.csv"):
+        (out / name).unlink(missing_ok=True)
     write_atomic(out / "report.json", json.dumps(report, indent=1, sort_keys=True))
     write_atomic(out / "report.csv", report_csv(rows, missing))
     return report

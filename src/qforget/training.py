@@ -4,8 +4,10 @@ unlearning share.
 `optimize` runs the steps: each one accumulates its batch's gradients one
 item at a time (autodiff.ItemSum.backward), so a step holds one item's graph
 whatever the batch size; it then checks the loss, maps the gradients onto the
-trainable arrays and takes an Adam step. `train_lm` (next-token prediction)
-and `unlearn.unlearn_run` are its two callers.
+trainable arrays and takes an Adam step. The loop holds one step's leaves and
+gradients at a time: it drops them before the next step builds its own.
+`train_lm` (next-token prediction) and `unlearn.unlearn_run` are its two
+callers.
 """
 
 import math
@@ -57,6 +59,9 @@ def optimize(params: dict, lr: float, steps, accumulate, grad_map=None, *,
     whose values[loss_key] is not finite raises DivergenceError(diverged)
     before the optimizer moves. grad_map, when given, turns the leaves'
     gradients into those of `params`; otherwise they are the same names.
+    Once a step's update and log entry are done, the loop drops its leaves
+    and gradients (and so any merged adapter weights the leaves wrap) before
+    the next accumulate, so it holds one step's state at a time.
     """
     opt = Adam(params, lr)
     log = []
@@ -69,6 +74,7 @@ def optimize(params: dict, lr: float, steps, accumulate, grad_map=None, *,
             grads = grad_map(grads)
         opt.step(grads)
         log.append({"epoch": epoch, "step": step, **values, "grad_norm": grad_norm(grads)})
+        del leaves, grads
     return log
 
 

@@ -308,6 +308,27 @@ class TestReuse:
         assert len(report["rows"]) == 6
         assert set(report["crossing_fractions"]) == {"GA_GDR_lora"}
 
+    def test_crash_between_report_files_leaves_no_stale_csv(self, copy, monkeypatch):
+        # the report of an edited run dies right after report.json is
+        # written: the previous config's report.csv must not stay beside it
+        import qforget.pipeline as pipeline_mod
+
+        class Crash(BaseException):
+            pass
+
+        def write_then_crash(path, data, _real=pipeline_mod.write_atomic):
+            _real(path, data)
+            if Path(path).name == "report.json":
+                raise Crash
+
+        monkeypatch.setattr(pipeline_mod, "write_atomic", write_then_crash)
+        raw = self._edited(runs=lambda runs: runs[0].update(lr=1e-4))
+        with pytest.raises(Crash):
+            stage_report(ExperimentConfig.from_dict(raw), copy)
+        report = json.loads((copy / "report.json").read_text())
+        assert report["missing"] == ["GA_full_ft_full", "GA_full_ft_int8", "GA_full_ft_int4"]
+        assert not (copy / "report.csv").exists()
+
     def test_seed_override_reuses_nothing(self, copy, tmp_path, calls):
         cfg_path = write_config(tmp_path)
         fresh = tmp_path / "fresh"
@@ -355,16 +376,19 @@ class TestReuse:
     # trained models that differ from MINI's, with gates that the target passes
     PRETRAIN_LR = {"pretrain": lambda p: p.update(lr=3e-3, gate_vermem=0.0, gate_utility=0.0)}
 
-    @pytest.mark.parametrize("rel, edit", [
-        ("runs/GA_full_ft/model.json", GA_LR),
-        ("masking/GA_full_ft.json", GA_LR),
-        ("eval/GA_full_ft_full.json", GA_LR),
-        ("eval/retrain_aucs.json", {"metrics": lambda m: m.update(k_percent=50.0)}),
-        ("target.json", PRETRAIN_LR),
-        ("retrain.json", PRETRAIN_LR),
-    ], ids=["run_model", "masking", "cell", "retrain_aucs", "target", "retrain"])
-    def test_crash_after_make_leaves_no_key_over_its_bytes(self, copy, run_dir, monkeypatch,
-                                                           rel, edit):
+    @pytest.mark.parametrize("rel, command, edit", [
+        ("runs/GA_full_ft/model.json", run_pipeline, GA_LR),
+        ("masking/GA_full_ft.json", run_pipeline, GA_LR),
+        ("eval/GA_full_ft_full.json", run_pipeline, GA_LR),
+        ("eval/retrain_aucs.json", run_pipeline, {"metrics": lambda m: m.update(k_percent=50.0)}),
+        ("target.json", run_pipeline, PRETRAIN_LR),
+        ("retrain.json", run_pipeline, PRETRAIN_LR),
+        ("corpus.jsonl", run_pipeline, {"corpus": lambda c: c.update(n_holdout=4)}),
+        ("sweep.json", run_sweep, {"metrics": lambda m: m.update(prefix_len=1)}),
+    ], ids=["run_model", "masking", "cell", "retrain_aucs", "target", "retrain", "corpus",
+            "sweep"])
+    def test_crash_after_make_leaves_no_key_over_its_bytes(self, copy, monkeypatch,
+                                                           rel, command, edit):
         # an edited config dies right after writing rel; the original config
         # must then recompute rel instead of taking the edited config's bytes
         import qforget.pipeline as pipeline_mod
@@ -380,12 +404,17 @@ class TestReuse:
             return _real(cfg, out, entry, load,
                          functools.partial(make_then_crash, make) if entry == rel else make)
 
+        def mini():
+            return ExperimentConfig.from_dict(json.loads(json.dumps(MINI)))
+
+        command(mini(), copy)
+        before = _files(copy)
         monkeypatch.setattr(pipeline_mod, "_cached", cached)
         with pytest.raises(Crash):
-            run_pipeline(ExperimentConfig.from_dict(self._edited(**edit)), copy)
+            command(ExperimentConfig.from_dict(self._edited(**edit)), copy)
         monkeypatch.undo()
-        run_pipeline(ExperimentConfig.from_dict(json.loads(json.dumps(MINI))), copy)
-        assert _files(copy) == _files(run_dir)
+        command(mini(), copy)
+        assert _files(copy) == before
 
 
 def _tiny_models(cfg, split):

@@ -1,18 +1,20 @@
 """The shared optimisation loop: divergence before any step, the gradient
-map, and a step's memory bounded by one item's graph."""
+map, a step's memory bounded by one item's graph, and one step's state held
+at a time."""
 
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
-from qforget import training
+from qforget import training, unlearn
 from qforget.autodiff import Var, mul, scale, vsum
 from qforget.checkpoint import ModelConfig
 from qforget.corpus import CorpusSplit, build_tokenizer, generate_corpus
 from qforget.errors import DivergenceError
-from qforget.lora import LoraConfig
+from qforget.lora import LoraConfig, target_names
 from qforget.model import init_model
 from qforget.training import optimize, train_lm
 from qforget.unlearn import UnlearnConfig, unlearn_run
@@ -65,6 +67,20 @@ class TestOptimize:
         assert log[0]["grad_norm"] == 0.0
         np.testing.assert_array_equal(params["w"], [1.0, -2.0])
 
+    def test_previous_step_gradient_is_dropped_before_the_next_step(self):
+        params = {"w": np.array([1.0, -2.0])}
+        quadratic = quadratic_step(params, [1.0, 0.5, 0.25])
+        grads = []
+
+        def accumulate(t):
+            assert all(ref() is None for ref in grads), f"step {t - 1}'s gradient is alive"
+            leaves, values = quadratic(t)
+            grads.append(weakref.ref(leaves["w"].grad))
+            return leaves, values
+        optimize(params, 0.1, [(0, 0), (0, 1), (0, 2)], accumulate,
+                 loss_key="loss", diverged="x")
+        assert len(grads) == 3
+
 
 class TestStepMemory:
     """One step's traced peak is that of one item's graph, not the batch's.
@@ -113,3 +129,27 @@ class TestStepMemory:
             assert len(unlearn_run(self.target, split, ucfg, self.tok).log) == 1
         small, large = self.traced_peak(lambda: step(2)), self.traced_peak(lambda: step(32))
         assert large <= 1.1 * small, (small, large)
+
+    def test_lora_step_drops_previous_merged_weights_and_gradients(self, monkeypatch):
+        # every array a step's merge makes, and every merged-weight gradient
+        # that factor_grads receives, must be dead when the next step merges
+        alive = []
+        real_merge, real_factor_grads = unlearn.merge, unlearn.factor_grads
+
+        def merge(ck, adapters):
+            assert all(ref() is None for ref in alive), "a previous step's state is alive"
+            merged = real_merge(ck, adapters)
+            alive.extend(weakref.ref(merged.params[name]) for name in adapters)
+            return merged
+
+        def factor_grads(adapters, grads):
+            alive.extend(weakref.ref(grads[name]) for name in adapters)
+            return real_factor_grads(adapters, grads)
+
+        monkeypatch.setattr(unlearn, "merge", merge)
+        monkeypatch.setattr(unlearn, "factor_grads", factor_grads)
+        split = CorpusSplit(self.split.forget[:4], self.split.retain[:4], self.split.holdout)
+        ucfg = UnlearnConfig(method="NPO_KLR", lr=1e-3, epochs=2, lam=1.0, mode="lora",
+                             lora=LoraConfig(rank=4, alpha=8.0), batch_size=2)
+        assert len(unlearn_run(self.target, split, ucfg, self.tok).log) == 4
+        assert len(alive) == 4 * 2 * len(target_names(self.target, ucfg.lora))
