@@ -5,7 +5,7 @@ tolerances. Values are dense row-major numpy arrays; a `Var` wraps one value
 plus the graph edges needed for the backward pass. Ops build the graph
 eagerly; `Var.backward()` walks it once in reverse topological order, adds
 each leaf's gradient into that leaf's `.grad`, and consumes every other node
-as it goes. `ItemSum` is a loss written as constant scales over a sum of
+as it goes. `ItemSum` is a loss written as one constant scale over a sum of
 per-item graphs; its `backward` holds one item's graph at a time, which is
 how a training step's memory stays that of one item whatever the batch size.
 
@@ -364,40 +364,35 @@ def log_sigmoid(z: Var) -> Var:
 
 
 class ItemSum:
-    """c_k * (... c_1 * (c_0 * (piece_1 + ... + piece_n))): a scalar loss as
-    constant scales over a sum of per-item pieces.
+    """c * (piece_1 + ... + piece_n): a scalar loss as one constant scale
+    over a sum of per-item pieces.
 
     Each piece is a zero-argument callable that builds one item's scalar
     graph. `graph` builds the whole sum as one graph. `backward` never does:
     it builds, differentiates and drops one item at a time, so it holds one
     item's graph whatever the number of items. Its leaf gradients are still
     bit-identical to `graph().backward()`'s: that backward hands each piece
-    the gradient c_k * ... * c_0 through scale and add nodes, and it runs
-    the pieces' subgraphs one after another in item order, as the per-item
-    chains scale(...scale(piece, c_0)..., c_k) do.
+    the gradient c through scale and add nodes, and it runs the pieces'
+    subgraphs one after another in item order, as the per-item chains
+    scale(piece, c) do.
     """
 
-    def __init__(self, pieces, scales):
+    def __init__(self, pieces, c: float):
         self.pieces = list(pieces)
-        self.scales = tuple(float(c) for c in scales)
-
-    def scaled(self, c: float) -> "ItemSum":
-        return ItemSum(self.pieces, self.scales + (float(c),))
+        self.c = float(c)
 
     def graph(self) -> Var:
         total = None
         for piece in self.pieces:
             p = piece()
             total = p if total is None else add(total, p)
-        for c in self.scales:
-            total = scale(total, c)
-        return total
+        return scale(total, self.c)
 
     def backward(self, *outer: float) -> float:
         """Add into the leaves the gradient of self, scaled further by each
         of `outer` in turn, one piece at a time; return self's value, formed
         with graph()'s float operations."""
-        chain = self.scales + tuple(float(c) for c in outer)
+        chain = (self.c,) + tuple(float(c) for c in outer)
         total = None
         for piece in self.pieces:
             root = piece()
@@ -405,9 +400,7 @@ class ItemSum:
             for c in chain:
                 root = scale(root, c)
             root.backward()
-        for c in self.scales:
-            total = total * c
-        return float(total)
+        return float(total * self.c)
 
 
 # ---------------------------------------------------------------------------

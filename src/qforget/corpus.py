@@ -14,11 +14,11 @@ so a run never needs to regenerate them.
 
 import itertools
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from . import seeding
-from .checkpoint import write_atomic
+from .checkpoint import check_object, write_atomic
 from .errors import CapacityError, ContractError, SchemaError
 
 _STARTS = [
@@ -240,16 +240,23 @@ def save_corpus(split: CorpusSplit, path) -> None:
 
 def load_corpus(path) -> CorpusSplit:
     """The split save_corpus wrote; a file that is not one, holds no records
-    or puts one entity in two splits is a SchemaError."""
+    or puts one entity in two splits is a SchemaError. A row is a split tag
+    and the six FactRecord fields, all strings, and its record is the one
+    FactRecord.make builds from its entity, attribute and value."""
     split = CorpusSplit([], [], [])
+    kinds = {"split": (str,), **{f.name: (str,) for f in fields(FactRecord)}}
     try:
-        for line in Path(path).read_text().splitlines():
+        for n, line in enumerate(Path(path).read_text().splitlines(), 1):
             if line.strip():
-                row = json.loads(line)
-                getattr(split, row.pop("split")).append(FactRecord(**row))
+                row = check_object(json.loads(line), kinds, f"line {n}", exact=True)
+                tag, rec = row.pop("split"), FactRecord(**row)
+                if tag not in ("forget", "retain", "holdout") or \
+                        rec != FactRecord.make(rec.entity, rec.attribute, rec.value):
+                    raise SchemaError(f"line {n}: unknown split tag or malformed record")
+                getattr(split, tag).append(rec)
         if not split.all_records():
             raise ContractError("no records")
         _check_disjoint(split)
-    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+    except ValueError as exc:
         raise SchemaError(f"{path}: not a corpus file ({exc!r})") from exc
     return split

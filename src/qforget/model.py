@@ -8,14 +8,13 @@ machinery target.
 
 Two forwards share one architecture and one token check. `forward_graph`
 builds the model from autodiff primitives, one sequence at a time: it is the
-training forward, and every training loss reads its logit rows through
-`scored_rows`. Each training loss is an autodiff.ItemSum with one piece per
-batch item (`row_mean` for per-row means such as `nll_loss`), so a training
-step holds one item's graph at a time; its `graph()` is the loss as one graph.
+training forward. `item_mean` builds every training loss: the mean over a
+batch's items of a head over the item's `scored_rows`, as an autodiff.ItemSum
+with one piece per item, so a training step holds one item's graph at a time.
 `infer` is the grad-free inference forward on plain arrays, batched over a
 block of equal-length sequences, and every evaluation entry point
-(`forward_logits`, `token_log_probs`, greedy decoding) runs on it; batched
-scoring and decoding run each block's shared prompt prefix once (_prefill).
+(`forward_logits`, `token_log_probs_batch`, greedy decoding) runs on it;
+batched scoring and decoding run each block's shared prompt prefix once.
 Both read every weight from one parameter map; LoRA reaches them only
 through lora.merge.
 """
@@ -268,40 +267,35 @@ def scored_rows(pv: dict, cfg: ModelConfig, ids: list, start: int) -> Var:
     return slice_rows(forward_graph(pv, cfg, ids), start, len(ids) - 1)
 
 
-def row_mean(pv: dict, cfg: ModelConfig, batch, row_loss) -> ItemSum:
-    """Mean of a per-row loss over the scored rows of a batch of sequences
-    or (ids, start) pairs (see continuations).
-
-    row_loss(ids, start, rows) is the mean over one item's scored rows; the
-    item's piece weighs it by its row count, and the sum is scaled by
-    1/positions.
-    """
+def item_mean(pv: dict, cfg: ModelConfig, batch, head, per_row: bool) -> ItemSum:
+    """The one loss builder: the mean over a batch's items (see continuations)
+    of head(ids, start, rows), where rows are the item's scored_rows. Each
+    item weighs its row count with per_row (so a per-row-mean head gives the
+    mean over the batch's scored rows), and 1 otherwise."""
     items = continuations(batch)
 
     def piece(ids, start):
         rows = scored_rows(pv, cfg, ids, start)
-        return scale(row_loss(ids, start, rows), float(rows.shape[0]))
+        loss = head(ids, start, rows)
+        return scale(loss, float(rows.shape[0])) if per_row else loss
 
-    positions = sum(len(ids) - 1 - start for ids, start in items)
-    return ItemSum([partial(piece, ids, start) for ids, start in items], (1.0 / positions,))
+    total = sum(len(ids) - 1 - start for ids, start in items) if per_row else len(items)
+    return ItemSum([partial(piece, ids, start) for ids, start in items], 1.0 / total)
 
 
 def nll_loss(pv: dict, cfg: ModelConfig, batch) -> ItemSum:
     """Mean next-token cross-entropy over the scored rows of a batch."""
-    return row_mean(pv, cfg, batch,
-                    lambda ids, start, rows: cross_entropy(rows, ids[start + 1:]))
-
-
-def token_log_probs(ck: Checkpoint, tokens) -> np.ndarray:
-    """log P(tokens[t+1] | tokens[:t+1]) for t = 0..len-2, shape (len-1,)."""
-    return token_log_probs_batch(ck, [tokens])[0]
+    return item_mean(pv, cfg, batch,
+                     lambda ids, start, rows: cross_entropy(rows, ids[start + 1:]),
+                     per_row=True)
 
 
 def token_log_probs_batch(ck: Checkpoint, sequences) -> list:
-    """token_log_probs of every sequence, in input order, from batched forwards."""
+    """log P(s[t+1] | s[:t+1]) for t = 0..len-2, shape (len-1,), of every
+    sequence s, in input order, from batched forwards."""
     seqs = [list(s) for s in sequences]
     if any(len(s) < 2 for s in seqs):
-        raise ContractError("token_log_probs: sequence needs at least 2 tokens")
+        raise ContractError("token_log_probs_batch: sequence needs at least 2 tokens")
     out = [None] * len(seqs)
     for idx in _batches([(len(s), 0) for s in seqs]):
         block = np.array([seqs[i] for i in idx], dtype=np.int64)

@@ -6,13 +6,13 @@ combined with a retain-set regularizer (GDR: plain cross-entropy descent;
 KLR: KL toward the frozen reference distribution). The combined objective is
 L_forget + lam * L_retain.
 
-Each term is an autodiff.ItemSum with one piece per batch item (`loss_ga`,
-`loss_npo`, `loss_klr`, and `model.nll_loss` for GDR). A run step
+Each term is a head that model.item_mean averages over a batch's items
+(`loss_ga`, `loss_npo`, `loss_klr`, and `model.nll_loss` for GDR); NPO and
+KLR read the frozen reference only through `reference_rows`. A run step
 (`step_losses`) backpropagates the forget items, then the retain items, one
-at a time, so it holds one item's graph; `objective`, the reference it is
-checked against, builds the same terms as one graph, with the same gradients
-and values bit for bit. Runs go through training.optimize, the loop that
-pretraining also uses.
+at a time; `objective`, the reference it is checked against, builds the same
+terms as one graph, with the same gradients and values bit for bit. Runs go
+through training.optimize, the loop that pretraining also uses.
 
 A run optimizes either every parameter (full_ft, on a copy of the starting
 checkpoint that the run owns) or only adapter factors (lora, over read-only
@@ -27,14 +27,14 @@ from functools import partial
 
 import numpy as np
 
-from .autodiff import (ItemSum, Var, _softmax_, add, kl_divergence_rows,
-                       log_sigmoid, log_softmax_rows, scale, target_log_probs, vsum)
+from .autodiff import (ItemSum, Var, _logsumexp, _softmax_, add, cross_entropy,
+                       kl_divergence_rows, log_sigmoid, log_softmax_rows, scale,
+                       target_log_probs, vsum)
 from .checkpoint import Checkpoint, blob_crc32, check_fields
 from .corpus import CorpusSplit, Tokenizer, build_tokenizer, conditional_batches
 from .errors import ConfigError, ContractError
 from .lora import LoraConfig, attach, factor_grads, merge
-from .model import (continuations, forward_logits, make_param_vars, nll_loss,
-                    row_mean, scored_rows, token_log_probs)
+from .model import forward_logits, item_mean, make_param_vars, nll_loss
 from .training import optimize
 
 METHODS = ("GA", "NPO", "GA_GDR", "GA_KLR", "NPO_GDR", "NPO_KLR")
@@ -89,9 +89,17 @@ class UnlearnResult:
 # ---------------------------------------------------------------------------
 
 
+def reference_rows(ref: Checkpoint, ids: list, start: int) -> np.ndarray:
+    """The one read of the frozen reference: its logits at an item's scored
+    rows (prediction rows start..len-2), an array the caller may overwrite."""
+    return forward_logits(ref, ids)[start:-1]
+
+
 def loss_ga(pv: dict, cfg, forget_batch) -> ItemSum:
     """Negated NLL on the forget set: minimizing it maximizes cross-entropy."""
-    return nll_loss(pv, cfg, forget_batch).scaled(-1.0)
+    return item_mean(pv, cfg, forget_batch,
+                     lambda ids, start, rows: scale(cross_entropy(rows, ids[start + 1:]), -1.0),
+                     per_row=True)
 
 
 def loss_npo(pv: dict, cfg, forget_batch, ref: Checkpoint, beta: float) -> ItemSum:
@@ -101,26 +109,23 @@ def loss_npo(pv: dict, cfg, forget_batch, ref: Checkpoint, beta: float) -> ItemS
     frozen reference. Penalties fade as a sequence's likelihood drops below
     the reference's, which is what keeps NPO bounded.
     """
-    items = continuations(forget_batch)
+    def head(ids, start, rows):
+        lp = vsum(target_log_probs(rows, ids[start + 1:]))
+        z = reference_rows(ref, ids, start)
+        ref_lp = (z[np.arange(len(z)), ids[start + 1:]] - _logsumexp(z)[:, 0]).sum()
+        return scale(log_sigmoid(scale(add(lp, Var(-ref_lp)), -beta)), -2.0 / beta)
 
-    def piece(ids, start):
-        lp = vsum(target_log_probs(scored_rows(pv, cfg, ids, start), ids[start + 1:]))
-        ref_lp = float(token_log_probs(ref, ids)[start:].sum())
-        ratio = add(lp, Var(-ref_lp))
-        return scale(log_sigmoid(scale(ratio, -beta)), -2.0 / beta)
-
-    return ItemSum([partial(piece, ids, start) for ids, start in items],
-                   (1.0 / len(items),))
+    return item_mean(pv, cfg, forget_batch, head, per_row=False)
 
 
 def loss_klr(pv: dict, cfg, retain_batch, ref: Checkpoint) -> ItemSum:
     """Mean over retain positions of KL(reference || current)."""
-    def kl(ids, start, rows):
-        p_ref = forward_logits(ref, ids)[start:-1]
+    def head(ids, start, rows):
+        p_ref = reference_rows(ref, ids, start)
         _softmax_(p_ref)
         return kl_divergence_rows(p_ref, log_softmax_rows(rows))
 
-    return row_mean(pv, cfg, retain_batch, kl)
+    return item_mean(pv, cfg, retain_batch, head, per_row=True)
 
 
 def terms(ucfg: UnlearnConfig, pv: dict, cfg, forget_batch, retain_batch,

@@ -172,18 +172,18 @@ class TestItemSum:
     def test_backward_equals_whole_graph_bit_for_bit(self):
         start = np.array([0.3, -0.7])
         a, b = Var(start.copy()), Var(start.copy())
-        whole = ItemSum(self.pieces(a), (1.0 / 7.0, -1.0)).graph()
+        whole = ItemSum(self.pieces(a), -1.0 / 7.0).graph()
         whole.backward()
-        value = ItemSum(self.pieces(b), (1.0 / 7.0, -1.0)).backward()
+        value = ItemSum(self.pieces(b), -1.0 / 7.0).backward()
         assert value == float(whole.value)
         assert np.array_equal(a.grad, b.grad)
 
     def test_outer_scale_reaches_gradient_not_value(self):
         start = np.array([0.3, -0.7])
         a, b = Var(start.copy()), Var(start.copy())
-        whole = ItemSum(self.pieces(a), (0.5,)).graph()
+        whole = ItemSum(self.pieces(a), 0.5).graph()
         scale(whole, 10.0).backward()
-        assert ItemSum(self.pieces(b), (0.5,)).backward(10.0) == float(whole.value)
+        assert ItemSum(self.pieces(b), 0.5).backward(10.0) == float(whole.value)
         assert np.array_equal(a.grad, b.grad)
 
 

@@ -7,7 +7,8 @@ it is an oracle listed here. Dunder methods are out of scope: Python calls
 them, not package code by name (`QuantizedTensor.__eq__` is criterion 1's
 reference for an idempotent re-quantization). Likewise a parameter with a
 default that no package call passes, by keyword or by position, should be
-deleted unless it is listed here.
+deleted unless it is listed here. A name that a module imports and never
+reads is likewise dead, unless its import line is marked `# noqa`.
 """
 
 import ast
@@ -106,3 +107,23 @@ def test_every_oracle_exists():
     defined = {fn.name for path in PACKAGE.glob("*.py")
                for fn in ast.parse(path.read_text()).body if isinstance(fn, ast.FunctionDef)}
     assert set(ORACLES) <= defined
+
+
+def _unread_imports(source: str) -> list:
+    """Names that `source` binds by an import outside a `# noqa` line and
+    never reads."""
+    tree, lines = ast.parse(source), source.splitlines()
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and not any(
+                "# noqa" in line for line in lines[node.lineno - 1:node.end_lineno]):
+            imported.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return sorted(imported - read)
+
+
+def test_every_imported_name_is_read():
+    unread = [f"{path.name}:{name}" for path in sorted(PACKAGE.glob("*.py"))
+              for name in _unread_imports(path.read_text())]
+    assert unread == []

@@ -108,8 +108,8 @@ class TestMinK:
     def test_k100_is_mean_of_all(self):
         ck = init_model(TINY)
         seq = [1, 4, 7, 2, 9]
-        from qforget.model import token_log_probs
-        lp = token_log_probs(ck, seq)
+        from qforget.model import token_log_probs_batch
+        lp = token_log_probs_batch(ck, [seq])[0]
         assert min_k_scores(ck, [seq], 100.0) == [pytest.approx(float(lp.mean()))]
 
     def test_uniform_model_scores_log_v(self):
@@ -121,8 +121,8 @@ class TestMinK:
     def test_model_example_matches_oracle(self):
         ck = init_model(TINY)
         seq = [1, 4, 7, 2, 9, 3]
-        from qforget.model import token_log_probs
-        lp = np.sort(token_log_probs(ck, seq))
+        from qforget.model import token_log_probs_batch
+        lp = np.sort(token_log_probs_batch(ck, [seq])[0])
         m = int(np.ceil(0.4 * lp.size))
         assert min_k_scores(ck, [seq], 40.0) == [pytest.approx(float(lp[:m].mean()))]
 

@@ -12,7 +12,7 @@ import qforget.model as model_mod
 from qforget.model import (MAX_ROWS, _prefill, continuations, forward_graph,
                            forward_logits, greedy_decode_batch, infer,
                            init_model, make_param_vars, nll_loss, scored_rows,
-                           token_log_probs, token_log_probs_batch)
+                           token_log_probs_batch)
 
 TINY = ModelConfig(vocab_size=11, d_model=8, n_layers=1, n_heads=2, d_ff=16,
                    context_len=8, seed=3)
@@ -177,7 +177,7 @@ class TestBatchedEval:
         lps = token_log_probs_batch(ck, seqs)
         for seq, lp in zip(seqs, lps):
             assert lp.shape == (len(seq) - 1,)
-            assert_close(lp, token_log_probs(ck, seq))
+            assert_close(lp, token_log_probs_batch(ck, [seq])[0])
 
     def test_beyond_row_cap_matches_one_at_a_time(self):
         ck = perturbed(TINY)
@@ -186,7 +186,7 @@ class TestBatchedEval:
         seqs = [list(gen.integers(0, 11, 8)) for _ in range(count)]
         lps = token_log_probs_batch(ck, seqs)
         for seq, lp in zip(seqs, lps):
-            assert_close(lp, token_log_probs(ck, seq))
+            assert_close(lp, token_log_probs_batch(ck, [seq])[0])
         prompts = [s[:5] for s in seqs]
         got = greedy_decode_batch(ck, prompts, [3] * count)
         assert got == [greedy_decode_batch(ck, [p], [3])[0] for p in prompts]
@@ -285,10 +285,10 @@ class TestPrefill:
         assert prefill == 4 + n * (t - 4)
 
     def test_one_row_block_is_one_plain_call(self, infer_calls):
-        # unlearn's reference forwards score one sequence at a time
+        # a one-sequence call is one forward, with no shared-prefix split
         ck = perturbed(small_config(), seed=5)
         seq = [3, 1, 4, 1, 5, 9, 2, 6]
-        lp = token_log_probs(ck, seq)
+        lp = token_log_probs_batch(ck, [seq])[0]
         assert infer_calls == [(1, 8, 0)]
         z = infer(ck.params, ck.config, [seq])[0, :-1]
         mx = z.max(axis=1, keepdims=True)
@@ -383,7 +383,7 @@ class TestContinuations:
         ck = perturbed(TINY)
         seq = [1, 4, 7, 2, 9]
         loss = nll_loss(make_param_vars(ck), ck.config, [(seq, 2)]).graph()
-        lp = token_log_probs(ck, seq)
+        lp = token_log_probs_batch(ck, [seq])[0]
         assert math.isclose(float(loss.value), -float(lp[2:].mean()), rel_tol=1e-12)
 
 
@@ -428,7 +428,7 @@ class TestTokenLogProbs:
     def test_matches_forward_softmax(self):
         ck = init_model(TINY)
         seq = [1, 4, 7, 2]
-        lp = token_log_probs(ck, seq)
+        lp = token_log_probs_batch(ck, [seq])[0]
         logits = forward_logits(ck, seq)
         for t in range(3):
             z = logits[t]
@@ -437,4 +437,4 @@ class TestTokenLogProbs:
 
     def test_too_short(self):
         with pytest.raises(ContractError):
-            token_log_probs(init_model(TINY), [1])
+            token_log_probs_batch(init_model(TINY), [[1]])

@@ -739,7 +739,15 @@ class TestCli:
         # the first forget record again, tagged retain: its entity is in two splits
         lambda lines: "\n".join(lines + [lines[0].replace('"forget"', '"retain"')]),
         lambda lines: "",
-    ], ids=["cut", "overlap", "empty"])
+        # a numeric field, which the tokenizer cannot split into words
+        lambda lines: "\n".join([json.dumps(dict(json.loads(lines[0]), sentence=5))]
+                                + lines[1:]),
+        # a sentence that does not state its record's value
+        lambda lines: "\n".join([json.dumps(dict(
+            json.loads(lines[0]), value=json.loads(lines[1])["value"]))] + lines[1:]),
+        # a split tag that names a CorpusSplit attribute but not a split
+        lambda lines: "\n".join([lines[0].replace('"forget"', '"all_records"')] + lines[1:]),
+    ], ids=["cut", "overlap", "empty", "numeric", "disagreeing", "tag"])
     def test_cut_corpus_exit_code(self, tmp_path, capsys, edit):
         from qforget.pipeline import stage_corpus
         cfg_path = write_config(tmp_path)

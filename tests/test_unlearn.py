@@ -382,21 +382,40 @@ class TestUnlearnRun:
             res.checkpoint.params["block0.mlp_up"] += 1.0
         assert self.target.params["block0.mlp_up"].flags.writeable
 
-    def test_full_ft_reads_the_target_as_reference_and_never_writes_it(self, monkeypatch):
-        from qforget import unlearn
-        seen = []
-        for fn in ("token_log_probs", "forward_logits"):
-            real = getattr(unlearn, fn)
-            monkeypatch.setattr(unlearn, fn, lambda ck, ids, _real=real:
-                                seen.append(ck) or _real(ck, ids))
+    @pytest.mark.parametrize("mode", ["full_ft", "lora"])
+    def test_reads_only_the_target_as_reference_and_never_writes_it(self, monkeypatch, mode):
+        # every inference forward of a run is a reference read, and each one
+        # runs inside reference_rows on the target checkpoint itself
+        from qforget import model, unlearn
+        reads, forwards, inside = [], [], []
+        real_rows, real_infer = unlearn.reference_rows, model.infer
+
+        def rows(ref, ids, start):
+            reads.append(ref)
+            inside.append(True)
+            try:
+                return real_rows(ref, ids, start)
+            finally:
+                inside.pop()
+
+        def infer(params, *args, **kwargs):
+            forwards.append((bool(inside), params is self.target.params))
+            return real_infer(params, *args, **kwargs)
+
+        monkeypatch.setattr(unlearn, "reference_rows", rows)
+        monkeypatch.setattr(model, "infer", infer)
         snapshot = {n: a.tobytes() for n, a in self.target.params.items()}
-        ucfg = UnlearnConfig(method="NPO_KLR", lr=1e-2, epochs=1, lam=1.0, seed=0)
+        lora = LoraConfig(rank=2, alpha=4.0) if mode == "lora" else None
+        ucfg = UnlearnConfig(method="NPO_KLR", lr=1e-2, epochs=1, lam=1.0, mode=mode,
+                             lora=lora, seed=0)
         res = unlearn_run(self.target, self.split, ucfg, self.tok)
-        assert seen and all(ck is self.target for ck in seen)
+        assert reads and all(ref is self.target for ref in reads)
+        assert forwards == [(True, True)] * len(reads)
         assert {n: a.tobytes() for n, a in self.target.params.items()} == snapshot
-        for name, arr in res.checkpoint.params.items():
-            assert arr.flags.writeable
-            assert not np.shares_memory(arr, self.target.params[name])
+        if mode == "full_ft":
+            for name, arr in res.checkpoint.params.items():
+                assert arr.flags.writeable
+                assert not np.shares_memory(arr, self.target.params[name])
 
     def test_deterministic(self):
         ucfg = UnlearnConfig(method="NPO_GDR", lr=1e-3, epochs=2, lam=1.0, seed=4)
