@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .errors import ContractError, ShapeError
+from .errors import ContractError
 
 _GELU_C = math.sqrt(2.0 / math.pi)  # tanh-approximation constants
 _GELU_K = 0.044715
@@ -130,7 +130,7 @@ def _logsumexp(z: np.ndarray) -> np.ndarray:
 def matmul(a: Var, b: Var) -> Var:
     """a (m, k) @ b (k, n) -> (m, n)."""
     if a.value.ndim != 2 or b.value.ndim != 2 or a.value.shape[1] != b.value.shape[0]:
-        raise ShapeError(f"matmul: incompatible shapes {a.value.shape} x {b.value.shape}")
+        raise ContractError(f"matmul: incompatible shapes {a.value.shape} x {b.value.shape}")
 
     def bwd(g):
         a.grad += g @ b.value.T
@@ -142,7 +142,7 @@ def matmul(a: Var, b: Var) -> Var:
 def linear(x: Var, w: Var) -> Var:
     """x (m, k) @ w.T for w (n, k) -> (m, n). Also computes q @ k.T scores."""
     if x.value.ndim != 2 or w.value.ndim != 2 or x.value.shape[1] != w.value.shape[1]:
-        raise ShapeError(f"linear: incompatible shapes {x.value.shape} x {w.value.shape}^T")
+        raise ContractError(f"linear: incompatible shapes {x.value.shape} x {w.value.shape}^T")
 
     def bwd(g):
         x.grad += g @ w.value
@@ -154,7 +154,7 @@ def linear(x: Var, w: Var) -> Var:
 def add(a: Var, b: Var) -> Var:
     """Elementwise a + b, same shape."""
     if a.value.shape != b.value.shape:
-        raise ShapeError(f"add: shape mismatch {a.value.shape} vs {b.value.shape}")
+        raise ContractError(f"add: shape mismatch {a.value.shape} vs {b.value.shape}")
 
     def bwd(g):
         a.grad += g
@@ -166,7 +166,7 @@ def add(a: Var, b: Var) -> Var:
 def mul(a: Var, b: Var) -> Var:
     """Elementwise a * b, same shape."""
     if a.value.shape != b.value.shape:
-        raise ShapeError(f"mul: shape mismatch {a.value.shape} vs {b.value.shape}")
+        raise ContractError(f"mul: shape mismatch {a.value.shape} vs {b.value.shape}")
 
     def bwd(g):
         a.grad += g * b.value
@@ -283,7 +283,7 @@ def cross_entropy(logits: Var, targets) -> Var:
     idx = np.asarray(targets, dtype=np.int64)
     m, vocab = logits.value.shape
     if idx.shape != (m,):
-        raise ShapeError(f"cross_entropy: {m} rows but {idx.shape} targets")
+        raise ContractError(f"cross_entropy: {m} rows but {idx.shape} targets")
     if idx.size and (idx.min() < 0 or idx.max() >= vocab):
         raise IndexError(f"cross_entropy: target id out of range for vocab {vocab}")
     z = logits.value
@@ -330,7 +330,7 @@ def kl_divergence_rows(p_ref: np.ndarray, log_q: Var) -> Var:
     row-stochastic array; gradients flow to log_q only."""
     p = np.asarray(p_ref, dtype=np.float64)
     if p.shape != log_q.value.shape:
-        raise ShapeError(f"kl: shape mismatch {p.shape} vs {log_q.value.shape}")
+        raise ContractError(f"kl: shape mismatch {p.shape} vs {log_q.value.shape}")
     row_sums = p.sum(axis=1)
     if np.any(np.abs(row_sums - 1.0) > 1e-9) or np.any(p < 0):
         raise ContractError("kl: p_ref rows must be nonnegative and sum to 1")

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ChecksumError, ConfigError, SchemaError
+from .errors import ConfigError, InputError
 
 _DTYPE = "<f8"  # every stored tensor: little-endian float64
 
@@ -142,10 +142,10 @@ class Checkpoint:
     def validate(self) -> None:
         schema = param_schema(self.config)
         if list(self.params.keys()) != list(schema.keys()):
-            raise SchemaError("parameter names do not match the config schema")
+            raise InputError("parameter names do not match the config schema")
         for name, shape in schema.items():
             if self.params[name].shape != shape:
-                raise SchemaError(f"parameter {name}: shape {self.params[name].shape}, expected {shape}")
+                raise InputError(f"parameter {name}: shape {self.params[name].shape}, expected {shape}")
 
 
 def write_atomic(path, data) -> None:
@@ -164,27 +164,33 @@ def write_atomic(path, data) -> None:
 
 
 def read_json(path):
-    """A run-directory JSON file; undecodable or malformed ones are a
-    SchemaError naming the file."""
+    """A run-directory JSON file; one that cannot be read (a directory in
+    its place), decoded or parsed is an InputError naming the file. An
+    absent one raises FileNotFoundError, which _read_container names and
+    every other reader rules out first."""
     try:
         return json.loads(Path(path).read_text())
+    except FileNotFoundError:
+        raise
+    except OSError as exc:
+        raise InputError(f"{path}: cannot read ({exc.strerror})") from exc
     except ValueError as exc:
-        raise SchemaError(f"{path}: not valid JSON ({exc})") from exc
+        raise InputError(f"{path}: not valid JSON ({exc})") from exc
 
 
 def check_object(obj, fields: dict, where, exact: bool = False) -> dict:
     """`obj` if it is a JSON object whose every listed field holds one of
     its types (JSON true/false is never a number) and, with `exact`, that
-    has no other field; else a SchemaError naming `where`."""
+    has no other field; else an InputError naming `where`."""
     if not isinstance(obj, dict):
-        raise SchemaError(f"{where}: not a JSON object")
+        raise InputError(f"{where}: not a JSON object")
     for key, types in fields.items():
         if key not in obj:
-            raise SchemaError(f"{where}: lacks {key!r}")
+            raise InputError(f"{where}: lacks {key!r}")
         if isinstance(obj[key], bool) and bool not in types or not isinstance(obj[key], types):
-            raise SchemaError(f"{where}: {key!r} holds {obj[key]!r}")
+            raise InputError(f"{where}: {key!r} holds {obj[key]!r}")
     if exact and set(obj) != set(fields):
-        raise SchemaError(f"{where}: unexpected fields {sorted(set(obj) - set(fields))}")
+        raise InputError(f"{where}: unexpected fields {sorted(set(obj) - set(fields))}")
     return obj
 
 
@@ -231,21 +237,23 @@ def _read_container(stem: Path) -> tuple:
         manifest = read_object(stem.with_suffix(".json"), {"crc32": (int,), "params": (list,)})
         blob = stem.with_suffix(".bin").read_bytes()
     except FileNotFoundError as exc:
-        raise SchemaError(f"{stem}: missing file {exc.filename}") from exc
+        raise InputError(f"{stem}: missing file {exc.filename}") from exc
+    except OSError as exc:
+        raise InputError(f"{exc.filename}: cannot read ({exc.strerror})") from exc
     if zlib.crc32(blob) != manifest["crc32"]:
-        raise ChecksumError(f"{stem}: blob CRC mismatch (corrupt or truncated file)")
+        raise InputError(f"{stem}: blob CRC mismatch (corrupt or truncated file)")
     tensors = {}
     for entry in manifest["params"]:
         check_object(entry, _ENTRY_FIELDS, f"{stem}: a params entry")
         if entry.get("dtype", _DTYPE) != _DTYPE:
-            raise SchemaError(f"{stem}: tensor {entry['name']} has dtype "
-                              f"{entry['dtype']!r}; only {_DTYPE!r} is stored")
+            raise InputError(f"{stem}: tensor {entry['name']} has dtype "
+                             f"{entry['dtype']!r}; only {_DTYPE!r} is stored")
         ofs, length, shape = entry["offset"], entry["length"], entry["shape"]
         if not (ofs >= 0 and all(map(is_count, shape)) and length == 8 * math.prod(shape)):
-            raise SchemaError(f"{stem}: manifest entry {entry['name']} has offset {ofs} "
-                              f"and length {length} for shape {shape}")
+            raise InputError(f"{stem}: manifest entry {entry['name']} has offset {ofs} "
+                             f"and length {length} for shape {shape}")
         if ofs + length > len(blob):
-            raise ChecksumError(f"{stem}: blob shorter than manifest entry {entry['name']}")
+            raise InputError(f"{stem}: blob shorter than manifest entry {entry['name']}")
         flat = np.frombuffer(blob, dtype=_DTYPE, count=length // 8, offset=ofs)
         tensors[entry["name"]] = flat.reshape(shape).astype(np.float64)
     return tensors, manifest
@@ -266,10 +274,10 @@ def load_checkpoint(stem) -> Checkpoint:
     try:
         cfg = ModelConfig(**manifest["config"])
     except (KeyError, TypeError, ConfigError) as exc:
-        raise SchemaError(f"{stem}: manifest config missing or malformed ({exc})") from exc
+        raise InputError(f"{stem}: manifest config missing or malformed ({exc})") from exc
     ck = Checkpoint(tensors, cfg, manifest.get("provenance", ""))
     try:
         ck.validate()
-    except SchemaError as exc:
-        raise SchemaError(f"{stem}: {exc}") from exc
+    except InputError as exc:
+        raise InputError(f"{stem}: {exc}") from exc
     return ck

@@ -1,9 +1,12 @@
 """Command-line surface. See FORMATS.md for the artifact formats.
 
-Exit codes: 0 success, 2 config error, 3 training divergence, 4 gate failure,
-5 invalid input (corrupt or mismatched checkpoint, malformed corpus or metric
-cell, bad shapes or token ids), 6 run directory busy (another process holds
-the lock that every command writing under --out takes).
+Exit codes, one per error class (qforget.errors): 0 success, 2 config error
+(ConfigError: a bad config file, command line or --out), 3 training
+divergence (DivergenceError), 4 gate failure (GateError), 5 invalid input
+(InputError: a corrupt, malformed or mismatched checkpoint, corpus, cached
+JSON file or token id), 6 run directory busy (BusyError: another process
+holds the lock that every command writing under --out takes). A
+ContractError is a bug and is not mapped.
 """
 
 import argparse
@@ -17,8 +20,7 @@ from types import SimpleNamespace
 
 from .checkpoint import load_checkpoint, save_checkpoint, write_atomic
 from .corpus import build_tokenizer
-from .errors import (BusyError, ChecksumError, ConfigError, DivergenceError, GateError,
-                     InputError, SchemaError, ShapeError)
+from .errors import BusyError, ConfigError, DivergenceError, GateError, InputError
 from .masking import analyze_pair
 from .metrics import evaluate_checkpoint
 from .pipeline import (ExperimentConfig, evaluated_models, is_current, retrain_baseline,
@@ -41,18 +43,22 @@ def _parser() -> argparse.ArgumentParser:
     return p
 
 
-# command -> (fewest arguments, what they are)
-_ARGUMENTS = {"unlearn": (1, "a method (and optional mode) argument"),
-              "quantize": (2, "a checkpoint stem and a bit width"),
-              "analyze": (2, "two checkpoint stems"), "eval": (1, "a checkpoint stem")}
+# command -> (fewest arguments, most, what the fewest are); any other takes none
+_ARGUMENTS = {"unlearn": (1, 2, "a method (and optional mode) argument"),
+              "quantize": (2, 3, "a checkpoint stem and a bit width"),
+              "analyze": (2, 2, "two checkpoint stems"), "eval": (1, 1, "a checkpoint stem")}
 
 
 @contextlib.contextmanager
 def _locked(out: Path):
     """An exclusive flock on the run directory itself (made if absent) while
-    a command writes under it; BusyError at once if another process holds it."""
-    out.mkdir(parents=True, exist_ok=True)
-    fd = os.open(out, os.O_RDONLY)
+    a command writes under it; ConfigError if --out cannot be a directory,
+    BusyError at once if another process holds the lock."""
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        fd = os.open(out, os.O_RDONLY)
+    except OSError as exc:  # a file in its place or on its path
+        raise ConfigError(f"--out {out} is not a usable run directory ({exc.strerror})") from exc
     try:
         fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
     except BlockingIOError as exc:
@@ -69,9 +75,11 @@ def _dispatch(ns) -> None:
     if ns.seed is not None:  # checked like a seed in the file
         cfg = ExperimentConfig.from_dict({**vars(cfg), "seed": ns.seed})
     out, args = Path(ns.out), ns.args
-    fewest, what = _ARGUMENTS.get(ns.command, (0, ""))
+    fewest, most, what = _ARGUMENTS.get(ns.command, (0, 0, ""))
     if len(args) < fewest:
         raise ConfigError(f"{ns.command} needs {what}")
+    if len(args) > most:
+        raise ConfigError(f"{ns.command} takes at most {most} arguments, got {len(args)}")
     if ns.command == "quantize":  # writes beside its checkpoint stem, so it takes no lock
         try:
             spec = QuantSpec(*map(int, args[1:3]))
@@ -144,7 +152,7 @@ def main(argv=None) -> int:
     except GateError as exc:
         print(f"gate failure: {exc}", file=sys.stderr)
         return 4
-    except (ChecksumError, SchemaError, ShapeError, InputError) as exc:
+    except InputError as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return 5
     except BusyError as exc:

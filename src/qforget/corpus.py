@@ -19,7 +19,7 @@ from pathlib import Path
 
 from . import seeding
 from .checkpoint import check_object, write_atomic
-from .errors import CapacityError, ContractError, SchemaError
+from .errors import ConfigError, ContractError, InputError
 
 _STARTS = [
     "bal", "cor", "dim", "fen", "gor", "hul", "jas", "kel", "lom", "mir",
@@ -102,12 +102,12 @@ class CorpusSplit:
 
 def check_split_sizes(n_forget: int, n_retain: int, n_holdout: int) -> int:
     """The record count of a split request: ContractError for an empty split,
-    CapacityError past the entity pool."""
+    ConfigError past the entity pool."""
     if min(n_forget, n_retain, n_holdout) < 1:
         raise ContractError("split sizes must all be >= 1")
     total = n_forget + n_retain + n_holdout
     if total > len(ENTITY_POOL):
-        raise CapacityError(
+        raise ConfigError(
             f"requested {total} records but entity pool holds {len(ENTITY_POOL)}")
     return total
 
@@ -147,8 +147,6 @@ class Tokenizer:
         self.vocab: dict = {PAD: 0, BOS: 1, EOS: 2}
         for w in sorted(set(words)):
             self.vocab[w] = len(self.vocab)
-        self.id_to_token = {i: t for t, i in self.vocab.items()}
-        self.pad_id = self.vocab[PAD]
         self.bos_id = self.vocab[BOS]
         self.eos_id = self.vocab[EOS]
 
@@ -239,10 +237,11 @@ def save_corpus(split: CorpusSplit, path) -> None:
 
 
 def load_corpus(path) -> CorpusSplit:
-    """The split save_corpus wrote; a file that is not one, holds no records
-    or puts one entity in two splits is a SchemaError. A row is a split tag
-    and the six FactRecord fields, all strings, and its record is the one
-    FactRecord.make builds from its entity, attribute and value."""
+    """The split save_corpus wrote; a file that cannot be read, is not one,
+    holds no records or puts one entity in two splits is an InputError. A
+    row is a split tag and the six FactRecord fields, all strings, and its
+    record is the one FactRecord.make builds from its entity, attribute and
+    value."""
     split = CorpusSplit([], [], [])
     kinds = {"split": (str,), **{f.name: (str,) for f in fields(FactRecord)}}
     try:
@@ -252,11 +251,11 @@ def load_corpus(path) -> CorpusSplit:
                 tag, rec = row.pop("split"), FactRecord(**row)
                 if tag not in ("forget", "retain", "holdout") or \
                         rec != FactRecord.make(rec.entity, rec.attribute, rec.value):
-                    raise SchemaError(f"line {n}: unknown split tag or malformed record")
+                    raise InputError(f"line {n}: unknown split tag or malformed record")
                 getattr(split, tag).append(rec)
         if not split.all_records():
             raise ContractError("no records")
         _check_disjoint(split)
-    except ValueError as exc:
-        raise SchemaError(f"{path}: not a corpus file ({exc!r})") from exc
+    except (OSError, ValueError) as exc:
+        raise InputError(f"{path}: not a corpus file ({exc!r})") from exc
     return split

@@ -1,36 +1,26 @@
-"""Error types shared across the package.
+"""Error types shared across the package: one class per CLI exit code, and
+one for a broken precondition.
 
-Each class marks a distinct failure kind so callers (and the CLI exit-code
-mapping) can tell contract violations, bad files, and training blow-ups apart.
+Where a check's input comes from decides its class. A bad config or
+command line is a ConfigError (exit 2), a non-finite training loss a
+DivergenceError (3), a failed pretraining gate a GateError (4), a file or
+model input that is malformed, corrupt or mismatched an InputError (5), and
+a run directory that another process holds a BusyError (6). A check that no
+outside input reaches raises ContractError: its failure is a bug, which the
+CLI does not map.
 """
 
 
-class ShapeError(ValueError):
-    """Operand shapes are incompatible (message names both shapes)."""
-
-
 class ConfigError(ValueError):
-    """A configuration object violates its invariants."""
+    """A configuration or command line violates its invariants."""
 
 
 class ContractError(ValueError):
     """A caller violated an operation's precondition."""
 
 
-class CapacityError(ConfigError):
-    """A generation request exceeds the fixed pools it draws from."""
-
-
 class InputError(ValueError):
-    """Model input is out of range (sequence too long, bad token id)."""
-
-
-class SchemaError(ValueError):
-    """A run-directory file (checkpoint, corpus, metric cell) is malformed."""
-
-
-class ChecksumError(ValueError):
-    """A checkpoint blob fails its integrity check (corrupt or truncated)."""
+    """A file or model input is malformed, corrupt or mismatched."""
 
 
 class DivergenceError(RuntimeError):

@@ -16,7 +16,7 @@ import numpy as np
 from . import seeding
 from .checkpoint import (ATTN_ROLES, MLP_ROLES, Checkpoint, ModelConfig, check_fields,
                          param_schema)
-from .errors import ConfigError, SchemaError
+from .errors import ConfigError, ContractError
 
 # lm_head stays out of every target set; it is still quantized like any
 # other linear weight.
@@ -43,7 +43,6 @@ class LoraConfig:
 
 @dataclass
 class LoraAdapter:
-    name: str          # target weight's parameter name
     A: np.ndarray      # (rank, in_features)
     B: np.ndarray      # (out_features, rank)
     rank: int
@@ -80,7 +79,6 @@ def attach(ck: Checkpoint, cfg: LoraConfig) -> dict:
     for name in target_names(ck, cfg):
         d, k = ck.params[name].shape
         adapters[name] = LoraAdapter(
-            name=name,
             A=gen.normal(0.0, cfg.init_std, size=(cfg.rank, k)),
             B=np.zeros((d, cfg.rank)),
             rank=cfg.rank, alpha=cfg.alpha,
@@ -97,9 +95,9 @@ def merge(ck: Checkpoint, adapters: dict) -> Checkpoint:
     params = dict(ck.params)
     for name, ad in adapters.items():
         if name not in params:
-            raise SchemaError(f"adapter targets unknown parameter {name}")
+            raise ContractError(f"adapter targets unknown parameter {name}")
         if params[name].shape != (ad.B.shape[0], ad.A.shape[1]):
-            raise SchemaError(f"adapter {name} does not match weight shape {params[name].shape}")
+            raise ContractError(f"adapter {name} does not match weight shape {params[name].shape}")
         params[name] = params[name] + ad.effective_delta()
     return Checkpoint(params, ck.config, f"{ck.provenance}:merged")
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .checkpoint import Checkpoint, linear_param_names
-from .errors import ShapeError
+from .errors import ContractError, InputError
 from .quantizer import QuantSpec, _round_half_away, quantize
 
 
@@ -36,7 +36,7 @@ def crossing_fraction(w0: np.ndarray, wu: np.ndarray, spec: QuantSpec) -> float:
     w0 = np.asarray(w0, dtype=np.float64)
     wu = np.asarray(wu, dtype=np.float64)
     if w0.shape != wu.shape:
-        raise ShapeError(f"crossing_fraction: shape mismatch {w0.shape} vs {wu.shape}")
+        raise ContractError(f"crossing_fraction: shape mismatch {w0.shape} vs {wu.shape}")
     return _grid_crossing(w0, wu, spec)[1]
 
 
@@ -72,7 +72,7 @@ class MaskingReport:
 def analyze_pair(ck0: Checkpoint, cku: Checkpoint, specs: list) -> MaskingReport:
     """Per-layer masking statistics for every quantization spec."""
     if list(ck0.params.keys()) != list(cku.params.keys()):
-        raise ShapeError("checkpoints have different parameter schemas")
+        raise InputError("checkpoints have different parameter schemas")
     rows = []
     aggregates = []
     names = linear_param_names(ck0.config)
@@ -82,7 +82,7 @@ def analyze_pair(ck0: Checkpoint, cku: Checkpoint, specs: list) -> MaskingReport
         for name in names:
             w0, wu = ck0.params[name], cku.params[name]
             if w0.shape != wu.shape:
-                raise ShapeError(f"{name}: shape mismatch {w0.shape} vs {wu.shape}")
+                raise InputError(f"{name}: shape mismatch {w0.shape} vs {wu.shape}")
             delta = wu - w0
             q0, crossed = _grid_crossing(w0, wu, spec)
             qu_own = quantize(wu, spec)

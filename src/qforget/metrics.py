@@ -56,8 +56,6 @@ def rouge_l_f1(candidate, reference) -> float:
     """LCS-based F1 in [0, 1]; empty candidate scores 0."""
     if not reference:
         raise ContractError("rouge: reference must be nonempty")
-    if not candidate:
-        return 0.0
     lcs = lcs_length(candidate, reference)
     if lcs == 0:
         return 0.0

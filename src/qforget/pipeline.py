@@ -69,7 +69,7 @@ class ExperimentConfig:
     def from_file(cls, path) -> "ExperimentConfig":
         try:
             raw = json.loads(Path(path).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # unreadable, not UTF-8, or not JSON
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         return cls.from_dict(raw)
 
@@ -362,7 +362,7 @@ def retrain_baseline(cfg: ExperimentConfig, out: Path, retrain: Checkpoint,
 
 # every field of an eval cell and the JSON types it may hold; the privleak
 # fields are null when no retrain baseline was given. A cached cell that
-# lacks one or holds another type is a SchemaError naming the file.
+# lacks one or holds another type is an InputError naming the file.
 _CELL_FIELDS = {
     **dict.fromkeys(("method", "precision", "adapter"), (str,)),
     **dict.fromkeys(("vermem", "knowmem", "utilitypres"), (int, float)),
@@ -392,7 +392,7 @@ def stage_eval(cfg: ExperimentConfig, out: Path, split: CorpusSplit, tok,
 
 def read_masking(path) -> dict:
     """A cached masking report's crossing fraction per spec; one without
-    per-spec aggregates is a SchemaError naming the file."""
+    per-spec aggregates is an InputError naming the file."""
     aggregates = [check_object(a, {"spec": (str,), "crossing_fraction": (int, float)},
                                f"{path}: an aggregate")
                   for a in read_object(path, {"aggregates": (list,)})["aggregates"]]

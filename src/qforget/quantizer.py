@@ -23,7 +23,7 @@ import numpy as np
 
 from .checkpoint import (Checkpoint, ModelConfig, check_fields, linear_param_names,
                          param_schema)
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, ContractError
 
 
 @dataclass(frozen=True)
@@ -53,13 +53,11 @@ class QuantizedTensor:
     indices: np.ndarray      # int64, same shape as the source
     scales: np.ndarray       # one positive float per group
     spec: QuantSpec
-    source_shape: tuple
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, QuantizedTensor)
             and self.spec == other.spec
-            and self.source_shape == other.source_shape
             and np.array_equal(self.indices, other.indices)
             and np.array_equal(self.scales, other.scales)
         )
@@ -94,11 +92,7 @@ def check_fits(spec: QuantSpec, mcfg: ModelConfig) -> None:
 
 
 def _grouped_view(w: np.ndarray, spec: QuantSpec) -> np.ndarray:
-    """(rows, n_groups, group_len) view of a 1-D or 2-D tensor."""
-    if w.ndim == 1:
-        w = w.reshape(1, -1)
-    if w.ndim != 2:
-        raise ConfigError(f"quantization expects 1-D or 2-D tensors, got {w.ndim}-D")
+    """(rows, n_groups, group_len) view of a 2-D tensor."""
     rows, cols = w.shape
     g = _group_len(cols, spec)
     return w.reshape(rows, cols // g, g)
@@ -114,18 +108,15 @@ def quantize(w: np.ndarray, spec: QuantSpec, scales: np.ndarray | None = None) -
     else:
         s = np.asarray(scales, dtype=np.float64)
         if s.shape != grouped.shape[:2]:
-            raise ShapeError(f"scales shape {s.shape} does not match groups {grouped.shape[:2]}")
+            raise ContractError(f"scales shape {s.shape} does not match groups {grouped.shape[:2]}")
     return QuantizedTensor(
-        indices=bin_index(grouped, s[:, :, None], spec.bits).reshape(w.shape),
-        scales=s, spec=spec, source_shape=w.shape,
-    )
+        indices=bin_index(grouped, s[:, :, None], spec.bits).reshape(w.shape), scales=s, spec=spec)
 
 
 def dequantize(q: QuantizedTensor) -> np.ndarray:
     """index * group scale, back in the source shape."""
-    rows = 1 if len(q.source_shape) == 1 else q.source_shape[0]
-    grouped = q.indices.reshape(rows, q.scales.shape[1], -1)
-    return (grouped * q.scales[:, :, None]).reshape(q.source_shape)
+    grouped = q.indices.reshape(*q.scales.shape, -1)
+    return (grouped * q.scales[:, :, None]).reshape(q.indices.shape)
 
 
 def fake_quant(w: np.ndarray, spec: QuantSpec) -> np.ndarray:

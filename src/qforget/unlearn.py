@@ -31,7 +31,7 @@ from .autodiff import (ItemSum, Var, _logsumexp, _softmax_, add, cross_entropy,
                        kl_divergence_rows, log_sigmoid, log_softmax_rows, scale,
                        target_log_probs, vsum)
 from .checkpoint import Checkpoint, blob_crc32, check_fields
-from .corpus import CorpusSplit, Tokenizer, build_tokenizer, conditional_batches
+from .corpus import CorpusSplit, Tokenizer, conditional_batches
 from .errors import ConfigError, ContractError
 from .lora import LoraConfig, attach, factor_grads, merge
 from .model import forward_logits, item_mean, make_param_vars, nll_loss
@@ -178,7 +178,7 @@ def step_losses(ucfg: UnlearnConfig, pv: dict, cfg, forget_batch, retain_batch,
 
 
 def unlearn_run(f_target: Checkpoint, split: CorpusSplit, ucfg: UnlearnConfig,
-                tok: Tokenizer | None = None) -> UnlearnResult:
+                tok: Tokenizer) -> UnlearnResult:
     """Adam-optimize the configured objective against f_target as the frozen
     reference.
 
@@ -187,7 +187,6 @@ def unlearn_run(f_target: Checkpoint, split: CorpusSplit, ucfg: UnlearnConfig,
     that they stay byte-identical. f_target itself is never written.
     Deterministic for a fixed config.
     """
-    tok = tok if tok is not None else build_tokenizer(split)
     if len(tok) != f_target.config.vocab_size:
         raise ConfigError(
             f"tokenizer vocab {len(tok)} does not match model vocab "

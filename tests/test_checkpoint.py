@@ -11,7 +11,7 @@ import pytest
 
 from qforget.checkpoint import (ModelConfig, blob_crc32, load_checkpoint, read_object,
                                 save_checkpoint, write_atomic)
-from qforget.errors import ChecksumError, SchemaError
+from qforget.errors import InputError
 from qforget.model import init_model
 
 CFG = ModelConfig(vocab_size=13, d_model=8, n_layers=1, n_heads=2, d_ff=16,
@@ -50,7 +50,7 @@ class TestCorruption:
         _, stem = make(tmp_path)
         blob = stem.with_suffix(".bin").read_bytes()
         stem.with_suffix(".bin").write_bytes(blob[:-16])
-        with pytest.raises(ChecksumError):
+        with pytest.raises(InputError, match="CRC mismatch"):
             load_checkpoint(stem)
 
     def test_flipped_byte_is_checksum_error(self, tmp_path):
@@ -58,7 +58,7 @@ class TestCorruption:
         blob = bytearray(stem.with_suffix(".bin").read_bytes())
         blob[10] ^= 0xFF
         stem.with_suffix(".bin").write_bytes(bytes(blob))
-        with pytest.raises(ChecksumError):
+        with pytest.raises(InputError, match="CRC mismatch"):
             load_checkpoint(stem)
 
     def test_wrong_shape_is_schema_error_naming_parameter(self, tmp_path):
@@ -69,7 +69,7 @@ class TestCorruption:
         from qforget.checkpoint import _write_container
         _write_container(stem, bad.params, {
             "kind": "checkpoint", "config": asdict(CFG), "provenance": ""})
-        with pytest.raises(SchemaError, match="block0.attn_q"):
+        with pytest.raises(InputError, match="block0.attn_q"):
             load_checkpoint(stem)
 
     def test_missing_parameter_is_schema_error(self, tmp_path):
@@ -79,7 +79,7 @@ class TestCorruption:
         from qforget.checkpoint import _write_container
         _write_container(stem, bad.params, {
             "kind": "checkpoint", "config": asdict(CFG), "provenance": ""})
-        with pytest.raises(SchemaError):
+        with pytest.raises(InputError, match="parameter names do not match"):
             load_checkpoint(stem)
 
     def test_non_float64_dtype_is_schema_error(self, tmp_path):
@@ -87,14 +87,14 @@ class TestCorruption:
         manifest = json.loads(stem.with_suffix(".json").read_text())
         manifest["params"][0]["dtype"] = "<i1"
         stem.with_suffix(".json").write_text(json.dumps(manifest))
-        with pytest.raises(SchemaError, match="tok_emb"):
+        with pytest.raises(InputError, match="tok_emb"):
             load_checkpoint(stem)
 
     def test_truncated_manifest_is_schema_error(self, tmp_path):
         _, stem = make(tmp_path)
         text = stem.with_suffix(".json").read_bytes()
         stem.with_suffix(".json").write_bytes(text[:50])
-        with pytest.raises(SchemaError, match="not valid JSON"):
+        with pytest.raises(InputError, match="not valid JSON"):
             load_checkpoint(stem)
 
     @pytest.mark.parametrize("cut", [
@@ -119,7 +119,7 @@ class TestCorruption:
             del manifest[cut]
         if not cut.endswith("_file"):
             stem.with_suffix(".json").write_text(json.dumps(manifest))
-        with pytest.raises(SchemaError, match=re.escape(str(stem))):
+        with pytest.raises(InputError, match=re.escape(str(stem))):
             load_checkpoint(stem)
 
     def test_manifest_is_valid_json_with_crc(self, tmp_path):
@@ -148,7 +148,7 @@ class TestReadObject:
     def test_malformed_object_is_schema_error_naming_file(self, tmp_path, obj, exact):
         path = tmp_path / "cached.json"
         path.write_text(json.dumps(obj))
-        with pytest.raises(SchemaError, match="cached.json"):
+        with pytest.raises(InputError, match="cached.json"):
             read_object(path, self.FIELDS, exact)
 
     def test_well_formed_object_is_returned(self, tmp_path):

@@ -6,7 +6,7 @@ from qforget.corpus import (ATTRIBUTE_POOL, ENTITY_POOL, VALUE_POOL,
                             build_tokenizer, conditional_batches,
                             conditional_frame, fact_prompt, generate_corpus,
                             load_corpus, qa_text, save_corpus, text_batches)
-from qforget.errors import CapacityError, ContractError
+from qforget.errors import ConfigError, ContractError
 
 # Pinned once from the default pools at seed 0 with sizes (32, 128, 32);
 # changes to the pools or generator are meant to show up here.
@@ -46,7 +46,7 @@ class TestGeneration:
             assert rec.answer == rec.value
 
     def test_capacity_error(self):
-        with pytest.raises(CapacityError):
+        with pytest.raises(ConfigError, match="entity pool"):
             generate_corpus(0, 400, 400, 400)
 
     def test_sizes_must_be_positive(self):
@@ -65,9 +65,10 @@ class TestTokenizer:
     def test_roundtrip_on_corpus(self):
         s = generate_corpus(9, 8, 16, 4)
         tok = build_tokenizer(s)
+        words = {i: w for w, i in tok.vocab.items()}
         for rec in s.all_records():
             for text in (rec.sentence, rec.question, qa_text(rec)):
-                assert " ".join(tok.id_to_token[i] for i in tok.encode(text)) == text
+                assert " ".join(words[i] for i in tok.encode(text)) == text
 
     def test_vocab_deterministic_and_pinned(self):
         s = generate_corpus(0, 32, 128, 32)
@@ -77,7 +78,7 @@ class TestTokenizer:
 
     def test_specials(self):
         tok = build_tokenizer(generate_corpus(0, 2, 2, 2))
-        assert (tok.pad_id, tok.bos_id, tok.eos_id) == (0, 1, 2)
+        assert (tok.vocab["<pad>"], tok.bos_id, tok.eos_id) == (0, 1, 2)
 
 
 class TestBatches:
@@ -110,7 +111,7 @@ class TestBatches:
         texts = self.sentences() + ["the"]
         got = [seq for batch in text_batches(texts, self.tok, 4, seed=1) for seq in batch]
         assert sorted(got) == sorted(self.tok.frame(t) for t in texts)
-        assert all(self.tok.pad_id not in seq for seq in got)
+        assert all(self.tok.vocab["<pad>"] not in seq for seq in got)
 
     def test_conditional_frames(self):
         rec = self.split.forget[0]

@@ -7,8 +7,9 @@ it is an oracle listed here. Dunder methods are out of scope: Python calls
 them, not package code by name (`QuantizedTensor.__eq__` is criterion 1's
 reference for an idempotent re-quantization). Likewise a parameter with a
 default that no package call passes, by keyword or by position, should be
-deleted unless it is listed here. A name that a module imports and never
-reads is likewise dead, unless its import line is marked `# noqa`.
+deleted unless it is listed here, and so should the default of one that
+every package call passes. A name that a module imports and never reads
+is likewise dead, unless its import line is marked `# noqa`.
 """
 
 import ast
@@ -32,6 +33,11 @@ PARAMETER_ORACLES = {
     "main(argv=)": "the console entry point calls main() and takes sys.argv",
     "forward_logits(adapters=)": "bench/workloads.py _judge_lora passes it until the "
                                  "benchmark harness is mended (ROADMAP item 1)",
+}
+
+# function(parameter=) -> why it keeps its default although every package call passes it
+ALWAYS_PASSED = {
+    "stream_texts(duplication=)": "bench/workloads.py calls it without one",
 }
 
 
@@ -87,20 +93,32 @@ def _defaulted(fn: ast.FunctionDef, method: bool):
     yield from ((k.arg, None) for k, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None)
 
 
-def test_no_defaulted_parameter_is_passed_only_from_tests():
+def _defaulted_uses():
+    """(function(parameter=), [whether each package call of the function
+    passes it]) of each defaulted parameter of a public function; a call
+    with *args or **kwargs counts as passing it."""
     trees = {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
     calls = _calls(trees)
-    unpassed = []
     for tree in trees.values():
         for qualified, fn in _public_functions(tree):
             static = any(getattr(d, "id", None) == "staticmethod" for d in fn.decorator_list)
             for param, position in _defaulted(fn, "." in qualified and not static):
-                if not any(param in keywords or None in keywords
-                           or any(isinstance(arg, ast.Starred) for arg in args)
-                           or position is not None and len(args) > position
-                           for args, keywords in calls.get(fn.name, [])):
-                    unpassed.append(f"{fn.name}({param}=)")
+                yield f"{fn.name}({param}=)", [
+                    param in keywords or None in keywords
+                    or any(isinstance(arg, ast.Starred) for arg in args)
+                    or position is not None and len(args) > position
+                    for args, keywords in calls.get(fn.name, [])]
+
+
+def test_no_defaulted_parameter_is_passed_only_from_tests():
+    unpassed = [name for name, passes in _defaulted_uses() if not any(passes)]
     assert sorted(unpassed) == sorted(PARAMETER_ORACLES)
+
+
+def test_no_default_serves_only_tests():
+    # a default that every package call overrides is read only by tests
+    always = [name for name, passes in _defaulted_uses() if passes and all(passes)]
+    assert sorted(always) == sorted(ALWAYS_PASSED)
 
 
 def test_every_oracle_exists():

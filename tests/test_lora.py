@@ -60,25 +60,25 @@ class TestAttach:
 
 class TestEffectiveDelta:
     def test_zero_b_gives_zero(self):
-        ad = LoraAdapter("x", A=np.ones((2, 4)), B=np.zeros((3, 2)), rank=2, alpha=4.0)
+        ad = LoraAdapter(A=np.ones((2, 4)), B=np.zeros((3, 2)), rank=2, alpha=4.0)
         assert np.array_equal(ad.effective_delta(), np.zeros((3, 4)))
 
     def test_hand_product(self):
-        ad = LoraAdapter("x", A=np.array([[3.0, 0.0]]),
+        ad = LoraAdapter(A=np.array([[3.0, 0.0]]),
                          B=np.array([[1.0], [1.0]]), rank=1, alpha=2.0)
         np.testing.assert_array_equal(ad.effective_delta(), [[6.0, 0.0], [6.0, 0.0]])
 
     def test_alpha_linearity(self):
         rng = np.random.default_rng(2)
         a, b = rng.normal(size=(2, 4)), rng.normal(size=(3, 2))
-        d1 = LoraAdapter("x", a, b, 2, 4.0).effective_delta()
-        d2 = LoraAdapter("x", a, b, 2, 8.0).effective_delta()
+        d1 = LoraAdapter(a, b, 2, 4.0).effective_delta()
+        d2 = LoraAdapter(a, b, 2, 8.0).effective_delta()
         np.testing.assert_allclose(d2, 2.0 * d1)
 
     def test_rank_bound_by_svd(self):
         rng = np.random.default_rng(3)
         for r in (1, 2, 4):
-            ad = LoraAdapter("x", A=rng.normal(size=(r, 12)),
+            ad = LoraAdapter(A=rng.normal(size=(r, 12)),
                              B=rng.normal(size=(10, r)), rank=r, alpha=float(r))
             sv = np.linalg.svd(ad.effective_delta(), compute_uv=False)
             assert np.sum(sv > 1e-10) <= r

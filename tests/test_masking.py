@@ -5,7 +5,7 @@ import pytest
 
 from qforget.checkpoint import ModelConfig, linear_param_names
 from qforget.corpus import build_tokenizer, generate_corpus
-from qforget.errors import ShapeError
+from qforget.errors import ContractError
 from qforget.masking import analyze_pair, crossing_fraction, masking_margin
 from qforget.metrics import MetricProtocol, knowmem, utilitypres, vermem
 from qforget.model import init_model
@@ -75,7 +75,7 @@ class TestCrossingFraction:
         assert a == b
 
     def test_shape_mismatch(self):
-        with pytest.raises(ShapeError):
+        with pytest.raises(ContractError, match="shape mismatch"):
             crossing_fraction(np.ones((2, 4)), np.ones((2, 8)), QuantSpec(4))
 
 

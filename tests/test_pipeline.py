@@ -510,7 +510,7 @@ class TestStageEval:
         # crc: the manifest records the baseline of another retrain model
         # (another seed's); k_percent: that of another k. A torn file under
         # the right key is invalid input, as a torn cell is.
-        from qforget.errors import SchemaError
+        from qforget.errors import InputError
         from qforget.pipeline import plan_keys, read_manifest
         models = self._models(tmp_path)
         retrain = models[1]
@@ -521,7 +521,7 @@ class TestStageEval:
         manifest = read_manifest(tmp_path)
         if stale == "truncated":
             path.write_bytes(good[:len(good) // 2])
-            with pytest.raises(SchemaError, match="retrain_aucs.json"):
+            with pytest.raises(InputError, match="retrain_aucs.json"):
                 self._stage(tmp_path, "GA_full_ft", models)
             return
         other = self._cfg(seed=1) if stale == "crc" else self._cfg(k_percent=50.0)
@@ -583,6 +583,71 @@ class TestCli:
         bad = tmp_path / "bad.json"
         bad.write_text("{broken")
         assert cli_main(["--config", str(bad), "--out", str(tmp_path / "o"), "run"]) == 2
+
+    def test_config_not_utf8_exits_2_and_writes_nothing(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b'{"seed": "\xff"}')
+        out = tmp_path / "out"
+        assert cli_main(["--config", str(bad), "--out", str(out), "pretrain"]) == 2
+        assert capsys.readouterr().err.startswith("config error: cannot read config")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("out", ["file", "file/run"], ids=["is_a_file", "under_a_file"])
+    def test_out_that_cannot_be_a_directory_exits_2_and_writes_nothing(self, tmp_path, capsys,
+                                                                       out):
+        cfg_path = write_config(tmp_path)
+        (tmp_path / "file").write_text("kept")
+        before = _files(tmp_path)
+        assert cli_main(["--config", str(cfg_path), "--out", str(tmp_path / out), "run"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: --out") and len(err.splitlines()) == 1
+        assert _files(tmp_path) == before
+
+    @pytest.mark.parametrize("command, most", [
+        (["run", "x"], 0), (["report", "extra", "args"], 0), (["pretrain", "x"], 0),
+        (["retrain", "x"], 0), (["sweep", "x"], 0), (["unlearn", "GA", "full_ft", "x"], 2),
+        (["quantize", "ck", "4", "16", "x"], 3), (["analyze", "a", "b", "c"], 2),
+        (["eval", "a", "b"], 1),
+    ], ids=lambda value: value[0] if isinstance(value, list) else None)
+    def test_surplus_arguments_exit_2_and_write_nothing(self, tmp_path, capsys, command, most):
+        out = tmp_path / "out"
+        argv = ["--config", str(write_config(tmp_path)), "--out", str(out), *command]
+        before = _files(tmp_path)
+        assert cli_main(argv) == 2
+        assert capsys.readouterr().err == (f"config error: {command[0]} takes at most {most} "
+                                           f"arguments, got {len(command) - 1}\n")
+        assert _files(tmp_path) == before and not out.exists()
+
+    @pytest.mark.parametrize("command, needs", [
+        (["unlearn"], "a method (and optional mode) argument"),
+        (["quantize", "ck"], "a checkpoint stem and a bit width"),
+        (["analyze", "a"], "two checkpoint stems"),
+        (["eval"], "a checkpoint stem"),
+    ], ids=lambda value: value[0] if isinstance(value, list) else None)
+    def test_missing_arguments_exit_2(self, tmp_path, capsys, command, needs):
+        argv = ["--config", str(write_config(tmp_path)), "--out", str(tmp_path / "out")]
+        assert cli_main(argv + command) == 2
+        assert capsys.readouterr().err == f"config error: {command[0]} needs {needs}\n"
+
+    @pytest.mark.parametrize("rel, command", [
+        ("manifest.json", ["report"]),
+        ("eval/GA_full_ft_int8.json", ["report"]),
+        ("corpus.jsonl", ["pretrain"]),
+        ("target.json", ["quantize", "{out}/target", "4"]),
+        ("target.bin", ["quantize", "{out}/target", "4"]),
+    ], ids=["manifest", "eval_cell", "corpus", "checkpoint_json", "checkpoint_bin"])
+    def test_directory_in_a_files_place_exits_5(self, tmp_path, run_dir, capsys, rel, command):
+        import shutil
+        out = tmp_path / "out"
+        shutil.copytree(run_dir, out)
+        (out / rel).unlink()
+        (out / rel).mkdir()
+        before = _files(out)
+        argv = ["--config", str(write_config(tmp_path)), "--out", str(out)]
+        assert cli_main(argv + [arg.format(out=out) for arg in command]) == 5
+        err = capsys.readouterr().err
+        assert err.startswith("invalid input:") and rel in err and len(err.splitlines()) == 1
+        assert _files(out) == before
 
     @pytest.mark.parametrize("section, value", [
         pytest.param("pretrain", {"lr": 2e-3, "warmup": 10}, id="pretrain_unknown_key"),
@@ -718,7 +783,7 @@ class TestCli:
 
     def test_truncated_manifest_exit_code(self, tmp_path, capsys):
         from qforget.checkpoint import ModelConfig, load_checkpoint, save_checkpoint
-        from qforget.errors import SchemaError
+        from qforget.errors import InputError
         from qforget.model import init_model
         cfg_path = write_config(tmp_path)
         stem = tmp_path / "ck"
@@ -726,7 +791,7 @@ class TestCli:
                                                n_heads=2, d_ff=16, context_len=4, seed=0)), stem)
         text = stem.with_suffix(".json").read_bytes()
         stem.with_suffix(".json").write_bytes(text[:50])
-        with pytest.raises(SchemaError):
+        with pytest.raises(InputError, match="not valid JSON"):
             load_checkpoint(stem)
         code = cli_main(["--config", str(cfg_path), "--out", str(tmp_path / "o"),
                          "analyze", str(stem), str(stem)])

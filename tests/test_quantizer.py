@@ -14,12 +14,12 @@ from qforget.quantizer import (QuantSpec, QuantizedTensor, bin_index,
 
 class TestStepSize:
     def test_formula_int4(self):
-        q = quantize(np.array([1.0, -0.3, 0.2]), QuantSpec(4))
+        q = quantize(np.array([[1.0, -0.3, 0.2]]), QuantSpec(4))
         assert q.scales.tolist() == [[0.125]]
 
     def test_int4_int8_ratio_is_16(self):
-        s4 = quantize(np.array([1.0]), QuantSpec(4)).scales[0, 0]
-        s8 = quantize(np.array([1.0]), QuantSpec(8)).scales[0, 0]
+        s4 = quantize(np.array([[1.0]]), QuantSpec(4)).scales[0, 0]
+        s8 = quantize(np.array([[1.0]]), QuantSpec(8)).scales[0, 0]
         assert s8 == 1.0 / 128
         assert s4 / s8 == 16.0
 
@@ -96,9 +96,9 @@ class TestQuantizeRoundTrip:
             assert np.array_equal(dequantize(q2), dequantize(q))
 
     def test_single_element_formula(self):
-        q = QuantizedTensor(indices=np.array([2]), scales=np.array([[0.125]]),
-                            spec=QuantSpec(4), source_shape=(1,))
-        assert dequantize(q)[0] == 0.25
+        q = QuantizedTensor(indices=np.array([[2]]), scales=np.array([[0.125]]),
+                            spec=QuantSpec(4))
+        assert dequantize(q)[0, 0] == 0.25
         assert bin_index(0.26, 0.125, 4) == 2
 
     def test_indices_in_declared_range(self):

@@ -451,9 +451,9 @@ class TestUnlearnRun:
 
     def test_vocab_mismatch(self):
         other = generate_corpus(6, 4, 100, 2)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="does not match model vocab"):
             unlearn_run(self.target, other,
-                        UnlearnConfig(method="GA", lr=1e-4, epochs=1), None)
+                        UnlearnConfig(method="GA", lr=1e-4, epochs=1), build_tokenizer(other))
 
     def test_ga_gdr_regression_forget_up_retain_stable(self):
         """Forget-set CE strictly increases while retain-set CE stays within
