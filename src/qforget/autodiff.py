@@ -7,7 +7,8 @@ eagerly; `Var.backward()` walks it once in reverse topological order, adds
 each leaf's gradient into that leaf's `.grad`, and consumes every other node
 as it goes. `ItemSum` is a loss written as one constant scale over a sum of
 per-item graphs; its `backward` holds one item's graph at a time, which is
-how a training step's memory stays that of one item whatever the batch size.
+how an unlearning step's memory stays that of one item whatever the batch
+size. (Pretraining builds no graph: see model.nll_grads.)
 
 Quantized precision is simulated explicitly elsewhere; nothing in this module
 ever narrows storage.
@@ -114,6 +115,23 @@ def _softmax_(s: np.ndarray) -> None:
     s -= s.max(axis=-1, keepdims=True)
     np.exp(s, out=s)
     s /= s.sum(axis=-1, keepdims=True)
+
+
+def _softmax_grad(g: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """The gradient at a softmax's input, over the last axis, from its
+    output p and the gradient g at that output."""
+    return p * (g - (g * p).sum(axis=-1, keepdims=True))
+
+
+def _layer_norm_grad(g: np.ndarray, xhat: np.ndarray, inv_std: np.ndarray,
+                     gain: np.ndarray) -> tuple:
+    """(d/dx, d/dgain, d/dbias) of row-wise gain * xhat + bias, where xhat
+    and 1/std are _normalize_rows(x)'s, from the output gradient g (m, d)."""
+    gx = g * gain
+    # d/dx of (x - mu) * inv_std with mu, var functions of the row
+    dx = inv_std * (gx - gx.mean(axis=1, keepdims=True)
+                    - xhat * (gx * xhat).mean(axis=1, keepdims=True))
+    return dx, (g * xhat).sum(axis=0), g.sum(axis=0)
 
 
 def _logsumexp(z: np.ndarray) -> np.ndarray:
@@ -232,14 +250,10 @@ def layer_norm(x: Var, gain: Var, bias: Var) -> Var:
     xhat, inv_std = _normalize_rows(x.value)
 
     def bwd(g):
-        gain.grad += (g * xhat).sum(axis=0)
-        bias.grad += g.sum(axis=0)
-        gx = g * gain.value
-        # d/dx of (x - mu) * inv_std with mu, var functions of the row
-        x.grad += inv_std * (
-            gx - gx.mean(axis=1, keepdims=True)
-            - xhat * (gx * xhat).mean(axis=1, keepdims=True)
-        )
+        dx, dgain, dbias = _layer_norm_grad(g, xhat, inv_std, gain.value)
+        gain.grad += dgain
+        bias.grad += dbias
+        x.grad += dx
 
     return Var(xhat * gain.value + bias.value, (x, gain, bias), "layer_norm", bwd)
 
@@ -263,7 +277,7 @@ def softmax_rows(logits: Var) -> Var:
     _softmax_(p)
 
     def bwd(g):
-        logits.grad += p * (g - (g * p).sum(axis=1, keepdims=True))
+        logits.grad += _softmax_grad(g, p)
 
     return Var(p, (logits,), "softmax", bwd)
 

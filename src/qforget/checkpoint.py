@@ -151,16 +151,29 @@ class Checkpoint:
 def write_atomic(path, data) -> None:
     """Write data (str or bytes) to path through a temp file in the same
     directory and os.replace: a reader finds the previous file, or none,
-    never a torn one. Every run-directory artifact is written this way."""
+    never a torn one. Every run-directory artifact is written this way. An
+    output path comes from --out or the command line, so one that cannot be
+    written (a directory in its place) is a ConfigError naming it."""
     path = Path(path)
     raw = data.encode() if isinstance(data, str) else data
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         tmp.write_bytes(raw)
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         tmp.unlink(missing_ok=True)
+        if isinstance(exc, OSError):
+            raise ConfigError(f"cannot write {path} ({exc.strerror or exc})") from exc
         raise
+
+
+def remove(path) -> None:
+    """Delete the file at path if there is one; like write_atomic, a path
+    that cannot be removed (a directory in its place) is a ConfigError."""
+    try:
+        Path(path).unlink(missing_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot remove {path} ({exc.strerror or exc})") from exc
 
 
 def read_json(path):

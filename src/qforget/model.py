@@ -6,16 +6,20 @@ linear projections. Every weight matrix is reachable by name (see
 checkpoint.param_schema), which is what the quantizer and the adapter
 machinery target.
 
-Two forwards share one architecture and one token check. `forward_graph`
-builds the model from autodiff primitives, one sequence at a time: it is the
-training forward. `item_mean` builds every training loss: the mean over a
-batch's items of a head over the item's `scored_rows`, as an autodiff.ItemSum
-with one piece per item, so a training step holds one item's graph at a time.
-`infer` is the grad-free inference forward on plain arrays, batched over a
-block of equal-length sequences, and every evaluation entry point
-(`forward_logits`, `token_log_probs_batch`, greedy decoding) runs on it;
-batched scoring and decoding run each block's shared prompt prefix once.
-Both read every weight from one parameter map; LoRA reaches them only
+Two forwards share one architecture and one token check. `infer` is the
+forward on plain arrays, batched over a block of equal-length sequences.
+Every evaluation entry point (`forward_logits`, `token_log_probs_batch`,
+greedy decoding) runs on it, and batched scoring and decoding run each
+block's shared prompt prefix once. Pretraining runs on it too: with a tape,
+`infer` keeps the activations that `backward`, its hand-written reverse,
+reads, and `nll_grads` sums the next-token loss and its gradients over
+blocks of at most TRAIN_ROWS token rows, so a step holds one block's tape
+at a time. `forward_graph` builds the model from autodiff primitives, one
+sequence at a time: it is the unlearning forward and the tests' reference.
+`item_mean` builds every unlearning loss: the mean over a batch's items of
+a head over the item's `scored_rows`, as an autodiff.ItemSum with one piece
+per item, so an unlearning step holds one item's graph at a time. Both
+forwards read every weight from one parameter map; LoRA reaches them only
 through lora.merge.
 """
 
@@ -25,10 +29,10 @@ from functools import partial
 import numpy as np
 
 from . import seeding
-from .autodiff import (_GELU_C, _GELU_K, ItemSum, Var, _logsumexp,
-                       _normalize_rows, _softmax_, add, concat_cols, cross_entropy,
-                       embed, gelu, layer_norm, linear, matmul, scale, slice_cols,
-                       slice_rows, softmax_rows)
+from .autodiff import (_GELU_C, _GELU_K, ItemSum, Var, _layer_norm_grad, _logsumexp,
+                       _normalize_rows, _softmax_, _softmax_grad, add, concat_cols,
+                       cross_entropy, embed, gelu, layer_norm, linear, matmul, scale,
+                       slice_cols, slice_rows, softmax_rows)
 from .checkpoint import Checkpoint, ModelConfig, param_schema
 from .errors import ContractError, InputError
 from .lora import merge
@@ -37,6 +41,9 @@ _MASK_FILL = -1e30
 # Token rows in one inference forward. Batched evaluation cuts its blocks to
 # this size, which bounds the activations and decode cache held at once.
 MAX_ROWS = 512
+# Token rows in one training forward, whose tape lives until its backward.
+# Larger blocks run no faster at the default shapes but hold more memory.
+TRAIN_ROWS = 64
 _mask_cache: dict = {}
 
 
@@ -115,15 +122,22 @@ def forward_graph(pv: dict, cfg: ModelConfig, tokens) -> Var:
     return linear(hf, pv["lm_head"])
 
 
-def _layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    h, _ = _normalize_rows(x)
-    h *= gain
+def _layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray,
+                tape: list | None) -> np.ndarray:
+    """gain * xhat + bias; with a tape, xhat and 1/std are kept on it."""
+    h, inv_std = _normalize_rows(x)
+    if tape is not None:
+        tape.append((h, inv_std))
+        h = h * gain
+    else:
+        h *= gain
     h += bias
     return h
 
 
-def _gelu_(x: np.ndarray) -> None:
-    """autodiff.gelu in place: 0.5x(1 + tanh(c(x + k x^3)))."""
+def _gelu_(x: np.ndarray) -> np.ndarray:
+    """autodiff.gelu in place: 0.5x(1 + tanh(c(x + k x^3))); returns the
+    factor 1 + tanh(...)."""
     u = x * x
     u *= x
     u *= _GELU_K
@@ -133,10 +147,26 @@ def _gelu_(x: np.ndarray) -> None:
     u += 1.0
     x *= u
     x *= 0.5
+    return u
+
+
+def _gelu_grad(x: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """d/dx of 0.5 x u at the GELU input x, with u = 1 + tanh(c(x + k x^3))
+    as _gelu_ returned it: 0.5 u (1 + x (2 - u) c (1 + 3k x^2))."""
+    w = x * x
+    w *= 3.0 * _GELU_K
+    w += 1.0
+    w *= _GELU_C
+    w *= x
+    w *= 2.0 - u
+    w += 1.0
+    w *= u
+    w *= 0.5
+    return w
 
 
 def infer(params: dict, cfg: ModelConfig, ids, cache: list | None = None,
-          last: bool = False) -> np.ndarray:
+          last: bool = False, tape: list | None = None) -> np.ndarray:
     """Logits (B, T, V) for a (B, T) block of equal-length sequences, no graph.
 
     The arithmetic of forward_graph on plain arrays (params: name ->
@@ -145,8 +175,13 @@ def infer(params: dict, cfg: ModelConfig, ids, cache: list | None = None,
     d_head); a later call with the same list continues those B sequences
     from position T, attending to the cached positions and appending its own.
     With last, only each sequence's last position goes through the final
-    layer norm and lm_head, and the logits are (B, 1, V).
+    layer norm and lm_head, and the logits are (B, 1, V). tape, when given,
+    is an empty list that the call fills with the activations `backward`
+    reads; the logits are the same bits as without it. A tape records a
+    whole forward, so it takes neither cache nor last.
     """
+    if tape is not None and (cache is not None or last):
+        raise ContractError("infer: a tape takes neither cache nor last")
     past = cache[0][0].shape[2] if cache else 0
     ids = _id_block(cfg, ids, past)
     n, t = ids.shape
@@ -157,12 +192,14 @@ def infer(params: dict, cfg: ModelConfig, ids, cache: list | None = None,
     def heads(m):  # (n*t, d) -> (n, H, t, dh)
         return m.reshape(n, t, nh, dh).transpose(0, 2, 1, 3)
 
+    if tape is not None:
+        tape.append(ids)
     x = (params["tok_emb"][ids] + params["pos_emb"][past:past + t]).reshape(n * t, d)
     # a single new row may attend to every earlier position
     mask = _causal_mask(past + t)[past:] if t > 1 else None
     for i in range(cfg.n_layers):
         b = f"block{i}."
-        h = _layer_norm(x, params[b + "ln1.g"], params[b + "ln1.b"])
+        h = _layer_norm(x, params[b + "ln1.g"], params[b + "ln1.b"], tape)
         q = heads(h @ params[b + "attn_q"].T)
         k = heads(h @ params[b + "attn_k"].T)
         v = heads(h @ params[b + "attn_v"].T)
@@ -179,14 +216,76 @@ def infer(params: dict, cfg: ModelConfig, ids, cache: list | None = None,
             s += mask
         _softmax_(s)
         attn = (s @ v).transpose(0, 2, 1, 3).reshape(n * t, d)
+        if tape is not None:
+            tape.append((h, q, k, v, s, attn))
         x += attn @ params[b + "attn_o"].T
-        up = _layer_norm(x, params[b + "ln2.g"], params[b + "ln2.b"]) @ params[b + "mlp_up"].T
-        _gelu_(up)
+        h2 = _layer_norm(x, params[b + "ln2.g"], params[b + "ln2.b"], tape)
+        up = h2 @ params[b + "mlp_up"].T
+        if tape is None:
+            _gelu_(up)
+        else:
+            pre = up.copy()
+            u = _gelu_(up)
+            tape.append((h2, pre, u, up))
         x += up @ params[b + "mlp_down"].T
     if last:
         x, t = x[t - 1::t], 1
-    hf = _layer_norm(x, params["ln_f.g"], params["ln_f.b"])
+    hf = _layer_norm(x, params["ln_f.g"], params["ln_f.b"], tape)
+    if tape is not None:
+        tape.append(hf)
     return (hf @ params["lm_head"].T).reshape(n, t, cfg.vocab_size)
+
+
+def backward(params: dict, cfg: ModelConfig, tape: list, dlogits: np.ndarray,
+             grads: dict) -> None:
+    """Add into grads[name], for every parameter, the gradient of
+    sum(dlogits * logits), where the logits (B, T, V) are those of the infer
+    call that filled tape. Each layer's backward mirrors its forward, and
+    pops its tape entries as it reads them, so the tape ends empty. Adding
+    in place lets a caller sum blocks without a second set of gradients.
+    """
+    n, t, _ = dlogits.shape
+    d, nh = cfg.d_model, cfg.n_heads
+    dh = d // nh
+    inv_sqrt_dh = 1.0 / math.sqrt(dh)
+
+    def heads(m):  # (n*t, d) -> (n, H, t, dh)
+        return m.reshape(n, t, nh, dh).transpose(0, 2, 1, 3)
+
+    def merged(m):  # (n, H, t, dh) -> (n*t, d)
+        return m.transpose(0, 2, 1, 3).reshape(n * t, d)
+
+    def linear(dy, name, x):  # y = x @ W.T
+        grads[name] += dy.T @ x
+        return dy @ params[name]
+
+    def layer_norm(dy, prefix):
+        xhat, inv_std = tape.pop()
+        dx, dgain, dbias = _layer_norm_grad(dy, xhat, inv_std, params[prefix + "g"])
+        grads[prefix + "g"] += dgain
+        grads[prefix + "b"] += dbias
+        return dx
+
+    dx = layer_norm(linear(dlogits.reshape(n * t, -1), "lm_head", tape.pop()), "ln_f.")
+    for i in reversed(range(cfg.n_layers)):
+        b = f"block{i}."
+        h2, pre, u, up = tape.pop()
+        dup = linear(dx, b + "mlp_down", up)
+        dup *= _gelu_grad(pre, u)
+        dx += layer_norm(linear(dup, b + "mlp_up", h2), b + "ln2.")
+        h, q, k, v, p, attn = tape.pop()
+        da = heads(linear(dx, b + "attn_o", attn))
+        dv = p.transpose(0, 1, 3, 2) @ da
+        ds = _softmax_grad(da @ v.transpose(0, 1, 3, 2), p)
+        ds *= inv_sqrt_dh
+        dq = ds @ k
+        dk = ds.transpose(0, 1, 3, 2) @ q
+        dh_ = linear(merged(dq), b + "attn_q", h)
+        dh_ += linear(merged(dk), b + "attn_k", h)
+        dh_ += linear(merged(dv), b + "attn_v", h)
+        dx += layer_norm(dh_, b + "ln1.")
+    np.add.at(grads["tok_emb"], tape.pop().reshape(-1), dx)
+    grads["pos_emb"][:t] += dx.reshape(n, t, d).sum(axis=0)
 
 
 def _prefill(params: dict, cfg: ModelConfig, block: np.ndarray, cache: list | None,
@@ -216,14 +315,14 @@ def _prefill(params: dict, cfg: ModelConfig, block: np.ndarray, cache: list | No
     return np.concatenate([np.broadcast_to(head, (n,) + head.shape[1:]), tail], axis=1)
 
 
-def _batches(shapes: list):
+def _batches(shapes: list, rows: int):
     """Index lists of the items whose shape (prompt length, new tokens) is
-    equal, input order kept inside each, cut to at most MAX_ROWS token rows."""
+    equal, input order kept inside each, cut to at most `rows` token rows."""
     groups: dict = {}
     for i, shape in enumerate(shapes):
         groups.setdefault(shape, []).append(i)
     for shape, idx in groups.items():
-        per = max(1, MAX_ROWS // sum(shape))
+        per = max(1, rows // sum(shape))
         for lo in range(0, len(idx), per):
             yield idx[lo:lo + per]
 
@@ -290,6 +389,35 @@ def nll_loss(pv: dict, cfg: ModelConfig, batch) -> ItemSum:
                      per_row=True)
 
 
+def nll_grads(params: dict, cfg: ModelConfig, sequences) -> tuple:
+    """(loss, gradients by parameter name) of nll_loss over whole sequences,
+    on plain arrays and without a graph.
+
+    Sequences of one length run through infer with a tape, in blocks of at
+    most TRAIN_ROWS token rows; backward adds each block's share of the
+    gradient, so a call holds one block's activations at a time.
+    """
+    seqs = [list(s) for s in sequences]
+    if not seqs or any(len(s) < 2 for s in seqs):
+        raise ContractError("nll_grads: needs sequences of at least 2 tokens")
+    c = 1.0 / sum(len(s) - 1 for s in seqs)
+    loss, grads = 0.0, {name: np.zeros_like(a) for name, a in params.items()}
+    for idx in _batches([(len(s), 0) for s in seqs], TRAIN_ROWS):
+        block = np.array([seqs[i] for i in idx], dtype=np.int64)
+        tape: list = []
+        dz = infer(params, cfg, block, tape=tape)
+        z, targets = dz[:, :-1], block[:, 1:, None]
+        lse = _logsumexp(z)
+        loss += float((lse - np.take_along_axis(z, targets, axis=2)).sum())
+        z -= lse  # dz becomes softmax(z) - onehot(target), scaled by c
+        np.exp(z, out=z)
+        np.put_along_axis(z, targets, np.take_along_axis(z, targets, axis=2) - 1.0, axis=2)
+        dz[:, -1] = 0.0
+        dz *= c
+        backward(params, cfg, tape, dz, grads)
+    return loss * c, grads
+
+
 def token_log_probs_batch(ck: Checkpoint, sequences) -> list:
     """log P(s[t+1] | s[:t+1]) for t = 0..len-2, shape (len-1,), of every
     sequence s, in input order, from batched forwards."""
@@ -297,7 +425,7 @@ def token_log_probs_batch(ck: Checkpoint, sequences) -> list:
     if any(len(s) < 2 for s in seqs):
         raise ContractError("token_log_probs_batch: sequence needs at least 2 tokens")
     out = [None] * len(seqs)
-    for idx in _batches([(len(s), 0) for s in seqs]):
+    for idx in _batches([(len(s), 0) for s in seqs], MAX_ROWS):
         block = np.array([seqs[i] for i in idx], dtype=np.int64)
         z = _prefill(ck.params, ck.config, block, None)[:, :-1]
         lp = (np.take_along_axis(z, block[:, 1:, None], axis=2) - _logsumexp(z))[:, :, 0]
@@ -329,7 +457,7 @@ def greedy_decode_batch(ck: Checkpoint, prompts, n_new) -> list:
                 f"decode: {len(prompt)} prompt + {n} new tokens exceeds "
                 f"context_len {ck.config.context_len}")
     out = [None] * len(prompts)
-    for idx in _batches([(len(p), n) for p, n in zip(prompts, n_new)]):
+    for idx in _batches([(len(p), n) for p, n in zip(prompts, n_new)], MAX_ROWS):
         seqs = np.array([prompts[i] for i in idx], dtype=np.int64)
         cache: list = []
         step = seqs

@@ -25,7 +25,7 @@ from pathlib import Path
 
 from . import __version__
 from .checkpoint import (Checkpoint, ModelConfig, check_fields, check_object, load_checkpoint,
-                         read_object, save_checkpoint, write_atomic)
+                         read_object, remove, save_checkpoint, write_atomic)
 from .corpus import (MAX_FRAME, SENTENCE_WORDS, CorpusSplit, build_tokenizer,
                      check_split_sizes, generate_corpus, load_corpus, qa_text, save_corpus)
 from .errors import ConfigError, GateError
@@ -342,7 +342,7 @@ def stage_unlearn(cfg: ExperimentConfig, out: Path, split: CorpusSplit,
         save_checkpoint(final, path)
         _write_jsonl(path.parent / "log.jsonl", result.log)
         for stale in ("adapters.json", "adapters.bin"):  # the pre-manifest lora format
-            (path.parent / stale).unlink(missing_ok=True)
+            remove(path.parent / stale)
         return final
     return _cached(cfg, out, run_path(cfg, run), load_checkpoint, make)
 
@@ -437,7 +437,7 @@ def stage_report(cfg: ExperimentConfig, out: Path) -> dict:
         "missing": missing,
     }
     for name in ("report.json", "report.csv"):
-        (out / name).unlink(missing_ok=True)
+        remove(out / name)
     write_atomic(out / "report.json", json.dumps(report, indent=1, sort_keys=True))
     write_atomic(out / "report.csv", report_csv(rows, missing))
     return report

@@ -1,13 +1,14 @@
 """Adam and the one optimisation loop that pretraining, retraining and
 unlearning share.
 
-`optimize` runs the steps: each one accumulates its batch's gradients one
-item at a time (autodiff.ItemSum.backward), so a step holds one item's graph
-whatever the batch size; it then checks the loss, maps the gradients onto the
-trainable arrays and takes an Adam step. The loop holds one step's leaves and
-gradients at a time: it drops them before the next step builds its own.
-`train_lm` (next-token prediction) and `unlearn.unlearn_run` are its two
-callers.
+`optimize` runs the steps: each one asks its caller for the batch's
+gradients, checks the loss, maps the gradients onto the trainable arrays
+and takes an Adam step. The loop holds one step's gradients at a time: it
+drops them before the next step forms its own. `train_lm` (next-token
+prediction) forms them without a graph, through model.nll_grads, which
+holds one block of token rows' activations at a time whatever the batch
+size; `unlearn.unlearn_run` forms them on autodiff graphs, one item at a
+time (autodiff.ItemSum.backward).
 """
 
 import math
@@ -17,7 +18,7 @@ import numpy as np
 from .checkpoint import Checkpoint
 from .corpus import Tokenizer, text_batches
 from .errors import DivergenceError
-from .model import make_param_vars, nll_loss
+from .model import nll_grads
 
 
 class Adam:
@@ -54,27 +55,26 @@ def optimize(params: dict, lr: float, steps, accumulate, grad_map=None, *,
     """Adam over `params`, updated in place, one step per (epoch, batch) of
     `steps`; returns the per-step log.
 
-    accumulate(batch) makes fresh leaves, adds the batch loss's gradient into
-    them, and returns (leaves by name, the step's logged values). A step
-    whose values[loss_key] is not finite raises DivergenceError(diverged)
-    before the optimizer moves. grad_map, when given, turns the leaves'
-    gradients into those of `params`; otherwise they are the same names.
-    Once a step's update and log entry are done, the loop drops its leaves
-    and gradients (and so any merged adapter weights the leaves wrap) before
-    the next accumulate, so it holds one step's state at a time.
+    accumulate(batch) returns (the batch loss's gradients by name, the
+    step's logged values). A step whose values[loss_key] is not finite
+    raises DivergenceError(diverged) before the optimizer moves. grad_map,
+    when given, turns those gradients into those of `params`; otherwise they
+    are the same names. Once a step's update and log entry are done, the
+    loop drops its gradients (and so anything they were formed from, such as
+    merged adapter weights) before the next accumulate, so it holds one
+    step's state at a time.
     """
     opt = Adam(params, lr)
     log = []
     for step, (epoch, batch) in enumerate(steps):
-        leaves, values = accumulate(batch)
+        grads, values = accumulate(batch)
         if not math.isfinite(values[loss_key]):
             raise DivergenceError(diverged, step, [e[loss_key] for e in log[-5:]])
-        grads = {name: leaf.grad for name, leaf in leaves.items()}
         if grad_map is not None:
             grads = grad_map(grads)
         opt.step(grads)
         log.append({"epoch": epoch, "step": step, **values, "grad_norm": grad_norm(grads)})
-        del leaves, grads
+        del grads
     return log
 
 
@@ -88,8 +88,8 @@ def train_lm(ck: Checkpoint, texts: list, tok: Tokenizer, lr: float,
     out = ck.copy()
 
     def accumulate(batch):
-        pv = make_param_vars(out)
-        return pv, {"loss": nll_loss(pv, out.config, batch).backward()}
+        loss, grads = nll_grads(out.params, out.config, batch)
+        return grads, {"loss": loss}
 
     steps = ((epoch, batch) for epoch in range(epochs)
              for batch in text_batches(texts, tok, batch_size, seed + epoch))

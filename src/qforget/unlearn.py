@@ -229,7 +229,8 @@ def unlearn_run(f_target: Checkpoint, split: CorpusSplit, ucfg: UnlearnConfig,
 
     def accumulate(batch):
         pv = make_param_vars(work if adapters is None else merge(work, adapters))
-        return pv, step_losses(ucfg, pv, cfg, *batch, f_target)
+        values = step_losses(ucfg, pv, cfg, *batch, f_target)
+        return {name: leaf.grad for name, leaf in pv.items()}, values
 
     log = optimize(trainable, ucfg.lr, steps(), accumulate,
                    None if adapters is None else partial(factor_grads, adapters),

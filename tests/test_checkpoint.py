@@ -11,7 +11,7 @@ import pytest
 
 from qforget.checkpoint import (ModelConfig, blob_crc32, load_checkpoint, read_object,
                                 save_checkpoint, write_atomic)
-from qforget.errors import InputError
+from qforget.errors import ConfigError, InputError
 from qforget.model import init_model
 
 CFG = ModelConfig(vocab_size=13, d_model=8, n_layers=1, n_heads=2, d_ff=16,
@@ -160,7 +160,8 @@ class TestReadObject:
 
 
 class TestAtomicWrite:
-    """A write that fails before its rename leaves the previous file or none."""
+    """A write that fails before its rename leaves the previous file or none,
+    and raises a ConfigError naming the output path."""
 
     @pytest.fixture(params=["write", "rename"])
     def failing(self, request, monkeypatch):
@@ -181,18 +182,18 @@ class TestAtomicWrite:
     def test_previous_file_survives(self, tmp_path, failing):
         path = tmp_path / "cell.json"
         path.write_text('{"old": 1}')
-        with pytest.raises(OSError, match="injected"):
+        with pytest.raises(ConfigError, match=r"cannot write .*cell\.json \(injected"):
             write_atomic(path, '{"new": 2}' * 100)
         assert path.read_text() == '{"old": 1}'
         assert [p.name for p in tmp_path.iterdir()] == ["cell.json"]
 
     def test_no_file_and_no_temp(self, tmp_path, failing):
-        with pytest.raises(OSError, match="injected"):
+        with pytest.raises(ConfigError, match="injected"):
             write_atomic(tmp_path / "report.json", "x" * 1000)
         assert list(tmp_path.iterdir()) == []
 
     def test_checkpoint_without_manifest_is_not_saved(self, tmp_path, failing):
-        with pytest.raises(OSError, match="injected"):
+        with pytest.raises(ConfigError, match="injected"):
             save_checkpoint(init_model(CFG), tmp_path / "ck")
         assert not (tmp_path / "ck.json").exists()
         assert [p.name for p in tmp_path.iterdir() if p.name != "ck.bin"] == []

@@ -9,13 +9,16 @@ from qforget.autodiff import Var, grad_check
 from qforget.checkpoint import ModelConfig, param_schema
 from qforget.errors import ConfigError, ContractError, InputError
 import qforget.model as model_mod
-from qforget.model import (MAX_ROWS, _prefill, continuations, forward_graph,
-                           forward_logits, greedy_decode_batch, infer,
-                           init_model, make_param_vars, nll_loss, scored_rows,
-                           token_log_probs_batch)
+from qforget.model import (MAX_ROWS, TRAIN_ROWS, _prefill, backward, continuations,
+                           forward_graph, forward_logits, greedy_decode_batch,
+                           infer, init_model, make_param_vars, nll_grads,
+                           nll_loss, scored_rows, token_log_probs_batch)
 
 TINY = ModelConfig(vocab_size=11, d_model=8, n_layers=1, n_heads=2, d_ff=16,
                    context_len=8, seed=3)
+# the default config's model shapes, at a corpus-sized vocabulary
+DEFAULT_SHAPES = ModelConfig(vocab_size=150, d_model=128, n_layers=2, n_heads=4,
+                             d_ff=512, context_len=64, seed=5)
 
 
 def small_config(seed=7):
@@ -351,6 +354,90 @@ class TestNll:
                 return nll_loss(pv, ck.config, batch).graph()
             worst = max(worst, grad_check(f, ck.params[name], 1e-5))
         assert worst < 1e-4, worst
+
+
+def criterion_3_model():
+    """Criterion 3's tiny model, moved off init as that criterion moves it."""
+    ck = init_model(TINY)
+    gen = np.random.default_rng(11)
+    for name in ck.params:
+        ck.params[name] = ck.params[name] + gen.normal(0, 0.25, ck.params[name].shape)
+    return ck
+
+
+def two_length_batch(cfg, short, long, seed=0):
+    """Sequences of two lengths, in more token rows than one training block."""
+    gen = np.random.default_rng(seed)
+    n_long = TRAIN_ROWS // long + 2
+    batch = [gen.integers(0, cfg.vocab_size, long).tolist() for _ in range(n_long)]
+    batch[1:1] = [gen.integers(0, cfg.vocab_size, short).tolist() for _ in range(3)]
+    assert sum(len(s) for s in batch) > TRAIN_ROWS
+    return batch
+
+
+class TestBackward:
+    """The hand-written backward behind pretraining, against the graph."""
+
+    @pytest.mark.parametrize("ck, lengths", [
+        (criterion_3_model(), (4, 5)),
+        (perturbed(DEFAULT_SHAPES), (11, 15)),
+    ], ids=["criterion_3", "default_shapes"])
+    def test_matches_graph_gradient(self, ck, lengths):
+        batch = two_length_batch(ck.config, *lengths)
+        pv = make_param_vars(ck)
+        ref = nll_loss(pv, ck.config, batch).graph()
+        ref.backward()
+        loss, grads = nll_grads(ck.params, ck.config, batch)
+        assert math.isclose(loss, float(ref.value), rel_tol=1e-12)
+        assert list(grads) == list(ck.params)
+        for name, g in grads.items():
+            want = pv[name].grad
+            assert np.max(np.abs(g - want)) <= 1e-12 * np.max(np.abs(want)), name
+
+    def test_central_differences(self):
+        # every parameter of criterion 3's model, step 1e-5, on the
+        # plain-array loss; error as autodiff.grad_check measures it
+        ck = criterion_3_model()
+        batch = two_length_batch(ck.config, 4, 5, seed=1)
+        _, grads = nll_grads(ck.params, ck.config, batch)
+        worst = 0.0
+        for name, arr in ck.params.items():
+            flat = arr.reshape(-1)
+            numeric = np.zeros(flat.size)
+            for i in range(flat.size):
+                orig = flat[i]
+                flat[i] = orig + 1e-5
+                up = nll_grads(ck.params, ck.config, batch)[0]
+                flat[i] = orig - 1e-5
+                down = nll_grads(ck.params, ck.config, batch)[0]
+                flat[i] = orig
+                numeric[i] = (up - down) / 2e-5
+            analytic = grads[name].reshape(-1)
+            err = np.abs(analytic - numeric) / np.maximum(1e-8, np.abs(analytic) + np.abs(numeric))
+            worst = max(worst, float(err.max()))
+        assert worst < 1e-4, worst
+
+    def test_tape_keeps_logits_bit_identical_and_ends_empty(self):
+        ck = perturbed(DEFAULT_SHAPES)
+        block = np.random.default_rng(2).integers(0, 150, (5, 13))
+        tape = []
+        logits = infer(ck.params, ck.config, block, tape=tape)
+        assert np.array_equal(logits, infer(ck.params, ck.config, block))
+        grads = {name: np.zeros_like(a) for name, a in ck.params.items()}
+        backward(ck.params, ck.config, tape, np.ones_like(logits), grads)
+        assert tape == []
+
+    @pytest.mark.parametrize("kwargs", [{"cache": []}, {"last": True}])
+    def test_tape_takes_no_cache_or_last(self, kwargs):
+        ck = init_model(TINY)
+        with pytest.raises(ContractError, match="tape"):
+            infer(ck.params, ck.config, [[1, 2, 3]], tape=[], **kwargs)
+
+    @pytest.mark.parametrize("batch", [[], [[1, 4], [5]]])
+    def test_contract_errors(self, batch):
+        ck = init_model(TINY)
+        with pytest.raises(ContractError, match="at least 2 tokens"):
+            nll_grads(ck.params, ck.config, batch)
 
 
 class TestContinuations:

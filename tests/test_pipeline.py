@@ -560,7 +560,7 @@ class TestStageEval:
 
         with monkeypatch.context() as m:
             m.setattr(os, "replace", failing)
-            with pytest.raises(OSError, match="injected"):
+            with pytest.raises(ConfigError, match="f_target_int4.json .*injected"):
                 self._stage(tmp_path)
         # no torn cell and no temp file: the int4 cell is simply missing
         assert sorted(p.name for p in eval_dir.iterdir()) == sorted(
@@ -648,6 +648,24 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("invalid input:") and rel in err and len(err.splitlines()) == 1
         assert _files(out) == before
+
+    @pytest.mark.parametrize("rel, command", [
+        ("report.json", ["report"]),
+        ("target_int4.json", ["quantize", "{out}/target", "4"]),
+    ], ids=["report", "quantize"])
+    def test_directory_in_an_outputs_place_exits_2(self, tmp_path, run_dir, capsys, rel,
+                                                   command):
+        # an output path is part of --out or the command line
+        import shutil
+        out = tmp_path / "out"
+        shutil.copytree(run_dir, out)
+        (out / rel).unlink(missing_ok=True)
+        (out / rel).mkdir()
+        argv = ["--config", str(write_config(tmp_path)), "--out", str(out)]
+        assert cli_main(argv + [arg.format(out=out) for arg in command]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: cannot") and rel in err and len(err.splitlines()) == 1
+        assert (out / rel).is_dir() and not list((out / rel).iterdir())
 
     @pytest.mark.parametrize("section, value", [
         pytest.param("pretrain", {"lr": 2e-3, "warmup": 10}, id="pretrain_unknown_key"),

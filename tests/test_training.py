@@ -1,6 +1,6 @@
 """The shared optimisation loop: divergence before any step, the gradient
-map, a step's memory bounded by one item's graph, and one step's state held
-at a time."""
+map, a step's memory bounded by one block's tape or one item's graph, one
+step's state held at a time, and pretraining without a graph."""
 
 import math
 import tracemalloc
@@ -9,13 +9,13 @@ import weakref
 import numpy as np
 import pytest
 
-from qforget import training, unlearn
+from qforget import model, training, unlearn
 from qforget.autodiff import Var, mul, scale, vsum
 from qforget.checkpoint import ModelConfig
 from qforget.corpus import CorpusSplit, build_tokenizer, generate_corpus
 from qforget.errors import DivergenceError
 from qforget.lora import LoraConfig, target_names
-from qforget.model import init_model
+from qforget.model import TRAIN_ROWS, init_model
 from qforget.training import optimize, train_lm
 from qforget.unlearn import UnlearnConfig, unlearn_run
 
@@ -23,9 +23,9 @@ from qforget.unlearn import UnlearnConfig, unlearn_run
 def quadratic_step(params, losses):
     """accumulate() for losses[t] * sum(w^2) at step t, logging losses[t]."""
     def accumulate(t):
-        leaves = {"w": Var(params["w"])}
-        scale(vsum(mul(leaves["w"], leaves["w"])), losses[t]).backward()
-        return leaves, {"loss": losses[t]}
+        w = Var(params["w"])
+        scale(vsum(mul(w, w)), losses[t]).backward()
+        return {"w": w.grad}, {"loss": losses[t]}
     return accumulate
 
 
@@ -74,19 +74,37 @@ class TestOptimize:
 
         def accumulate(t):
             assert all(ref() is None for ref in grads), f"step {t - 1}'s gradient is alive"
-            leaves, values = quadratic(t)
-            grads.append(weakref.ref(leaves["w"].grad))
-            return leaves, values
+            step_grads, values = quadratic(t)
+            grads.append(weakref.ref(step_grads["w"]))
+            return step_grads, values
         optimize(params, 0.1, [(0, 0), (0, 1), (0, 2)], accumulate,
                  loss_key="loss", diverged="x")
         assert len(grads) == 3
 
 
+class TestPretrainWithoutGraph:
+    def test_train_lm_builds_no_graph(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("train_lm built an autodiff graph")
+        monkeypatch.setattr(Var, "__init__", refuse)
+        monkeypatch.setattr(model, "forward_graph", refuse)
+        split = generate_corpus(0, 4, 4, 2)
+        tok = build_tokenizer(split)
+        cfg = ModelConfig(vocab_size=len(tok), d_model=8, n_layers=1, n_heads=2, d_ff=16,
+                          context_len=32, seed=0)
+        _, log = train_lm(init_model(cfg), [r.sentence for r in split.forget], tok,
+                          lr=1e-3, epochs=2, batch_size=3, seed=0)
+        assert len(log) == 4
+
+
 class TestStepMemory:
-    """One step's traced peak is that of one item's graph, not the batch's.
+    """One step's traced peak is that of one unit of work, not the batch's:
+    one block of token rows' tape for train_lm, one item's graph for
+    unlearn_run.
 
     The model has the default config's shapes. Every item has the same
-    length, so batch 2 and batch 32 hold the same largest item graph.
+    length, so batch 2 and batch 32 hold the same largest item graph, and a
+    batch that fills one block and batch 32 the same largest block.
     """
 
     @classmethod
@@ -114,7 +132,10 @@ class TestStepMemory:
             _, log = train_lm(self.target, self.texts[:b], self.tok, lr=1e-3, epochs=1,
                               batch_size=b, seed=0)
             assert len(log) == 1
-        small, large = self.traced_peak(lambda: step(2)), self.traced_peak(lambda: step(32))
+        one_block = TRAIN_ROWS // len(self.tok.frame(self.texts[0]))
+        assert 1 < one_block < 32
+        small = self.traced_peak(lambda: step(one_block))
+        large = self.traced_peak(lambda: step(32))
         assert large <= 1.1 * small, (small, large)
 
     @pytest.mark.parametrize("method, mode", [("NPO_KLR", "full_ft"), ("GA_GDR", "lora")])
