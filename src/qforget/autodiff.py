@@ -140,6 +140,22 @@ def _logsumexp(z: np.ndarray) -> np.ndarray:
     return m + np.log(np.exp(z - m).sum(axis=-1, keepdims=True))
 
 
+def _target_log_probs(z: np.ndarray, targets, lse: np.ndarray) -> np.ndarray:
+    """log softmax(z)[target] over the last axis, for lse = _logsumexp(z)."""
+    picks = np.asarray(targets, dtype=np.int64)[..., None]
+    return (np.take_along_axis(z, picks, axis=-1) - lse)[..., 0]
+
+
+def _softmax_minus_onehot_(z: np.ndarray, targets, lse: np.ndarray) -> np.ndarray:
+    """z <- softmax(z) - onehot(target) over the last axis, in place, for
+    lse = _logsumexp(z): the gradient of -log softmax(z)[target] at z."""
+    picks = np.asarray(targets, dtype=np.int64)[..., None]
+    z -= lse
+    np.exp(z, out=z)
+    np.put_along_axis(z, picks, np.take_along_axis(z, picks, axis=-1) - 1.0, axis=-1)
+    return z
+
+
 # ---------------------------------------------------------------------------
 # Primitives
 # ---------------------------------------------------------------------------
@@ -302,14 +318,11 @@ def cross_entropy(logits: Var, targets) -> Var:
         raise IndexError(f"cross_entropy: target id out of range for vocab {vocab}")
     z = logits.value
     lse = _logsumexp(z)
-    losses = lse[:, 0] - z[np.arange(m), idx]
 
     def bwd(g):
-        p = np.exp(z - lse)
-        p[np.arange(m), idx] -= 1.0
-        logits.grad += (float(g) / m) * p
+        logits.grad += (float(g) / m) * _softmax_minus_onehot_(z.copy(), idx, lse)
 
-    return Var(losses.mean(), (logits,), "cross_entropy", bwd)
+    return Var((-_target_log_probs(z, idx, lse)).mean(), (logits,), "cross_entropy", bwd)
 
 
 def target_log_probs(logits: Var, targets) -> Var:
@@ -327,7 +340,7 @@ def target_log_probs(logits: Var, targets) -> Var:
         p[np.arange(m), idx] += g
         logits.grad += p
 
-    return Var(z[np.arange(m), idx] - lse[:, 0], (logits,), "target_log_probs", bwd)
+    return Var(_target_log_probs(z, idx, lse), (logits,), "target_log_probs", bwd)
 
 
 def vsum(a: Var) -> Var:

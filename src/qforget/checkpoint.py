@@ -3,10 +3,15 @@
 A checkpoint stem `foo` is stored as `foo.json` (config, provenance, and one
 entry per parameter with name/shape/offset/length, plus a CRC-32 of the blob)
 and `foo.bin` (parameters concatenated in manifest order). Round-trips are
-bit-exact. write_atomic, which writes the container, writes every other
-run-directory artifact too.
+bit-exact.
+
+This module is the one layer between the program and the file system:
+write_atomic writes every artifact (write_object and write_rows format the
+JSON ones) and read_file reads every input, so one place maps a failed
+write to a ConfigError and a failed read to an InputError.
 """
 
+import contextlib
 import json
 import math
 import os
@@ -150,21 +155,38 @@ class Checkpoint:
 
 def write_atomic(path, data) -> None:
     """Write data (str or bytes) to path through a temp file in the same
-    directory and os.replace: a reader finds the previous file, or none,
-    never a torn one. Every run-directory artifact is written this way. An
-    output path comes from --out or the command line, so one that cannot be
-    written (a directory in its place) is a ConfigError naming it."""
+    directory, made first, and os.replace: a reader finds the previous file,
+    or none, never a torn one. An output path comes from --out or the command
+    line, so one that cannot be written (a file in the place of a parent
+    directory, a directory in its own) is a ConfigError naming it."""
     path = Path(path)
     raw = data.encode() if isinstance(data, str) else data
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
+        path.parent.mkdir(parents=True, exist_ok=True)
         tmp.write_bytes(raw)
         os.replace(tmp, path)
     except BaseException as exc:
-        tmp.unlink(missing_ok=True)
+        with contextlib.suppress(OSError):  # no temp file, or no directory to hold one
+            tmp.unlink()
         if isinstance(exc, OSError):
             raise ConfigError(f"cannot write {path} ({exc.strerror or exc})") from exc
         raise
+
+
+def json_text(obj) -> str:
+    """The one JSON format of an artifact: one-space indents, sorted keys."""
+    return json.dumps(obj, indent=1, sort_keys=True)
+
+
+def write_object(path, obj) -> None:
+    """Write obj to path as json_text."""
+    write_atomic(path, json_text(obj))
+
+
+def write_rows(path, rows) -> None:
+    """Write rows to path as JSON lines with sorted keys, one row a line."""
+    write_atomic(path, "\n".join(json.dumps(row, sort_keys=True) for row in rows) + "\n")
 
 
 def remove(path) -> None:
@@ -176,19 +198,13 @@ def remove(path) -> None:
         raise ConfigError(f"cannot remove {path} ({exc.strerror or exc})") from exc
 
 
-def read_json(path):
-    """A run-directory JSON file; one that cannot be read (a directory in
-    its place), decoded or parsed is an InputError naming the file. An
-    absent one raises FileNotFoundError, which _read_container names and
-    every other reader rules out first."""
+def read_file(path) -> bytes:
+    """The bytes of the file at path; one that is absent or cannot be read
+    (a directory in its place) is an InputError naming it."""
     try:
-        return json.loads(Path(path).read_text())
-    except FileNotFoundError:
-        raise
+        return Path(path).read_bytes()
     except OSError as exc:
         raise InputError(f"{path}: cannot read ({exc.strerror})") from exc
-    except ValueError as exc:
-        raise InputError(f"{path}: not valid JSON ({exc})") from exc
 
 
 def check_object(obj, fields: dict, where, exact: bool = False) -> dict:
@@ -208,12 +224,18 @@ def check_object(obj, fields: dict, where, exact: bool = False) -> dict:
 
 
 def read_object(path, fields: dict, exact: bool = False) -> dict:
-    """The one reader of a cached JSON object: check_object of path's JSON."""
-    return check_object(read_json(path), fields, path, exact)
+    """The one reader of a cached JSON object: check_object of path's JSON;
+    a file that cannot be read, decoded or parsed is an InputError naming it."""
+    raw = read_file(path)
+    try:
+        obj = json.loads(raw)
+    except ValueError as exc:
+        raise InputError(f"{path}: not valid JSON ({exc})") from exc
+    return check_object(obj, fields, path, exact)
 
 
 def blob_crc32(tensors: dict) -> int:
-    """CRC-32 of the float64 blob that _write_container stores for tensors,
+    """CRC-32 of the float64 blob that save_checkpoint stores for tensors,
     the `crc32` its manifest records."""
     crc = 0
     for arr in tensors.values():
@@ -221,38 +243,37 @@ def blob_crc32(tensors: dict) -> int:
     return crc
 
 
-def _write_container(stem: Path, tensors: dict, meta: dict) -> None:
+def save_checkpoint(ck: Checkpoint, stem) -> None:
+    """Write `stem`.json + `stem`.bin; load_checkpoint(stem) is bit-identical."""
+    ck.validate()
     stem = Path(stem)
     blob = bytearray()
     entries = []
-    for name, arr in tensors.items():
+    for name, arr in ck.params.items():
         raw = np.ascontiguousarray(arr, dtype=_DTYPE).tobytes()
         entries.append({
             "name": name, "shape": list(arr.shape), "dtype": _DTYPE,
             "offset": len(blob), "length": len(raw),
         })
         blob.extend(raw)
-    manifest = dict(meta)
-    manifest["params"] = entries
-    manifest["crc32"] = blob_crc32(tensors)
-    stem.parent.mkdir(parents=True, exist_ok=True)
     # the manifest goes last: loads and stage caches key on it
     write_atomic(stem.with_suffix(".bin"), blob)
-    write_atomic(stem.with_suffix(".json"), json.dumps(manifest, indent=1, sort_keys=True))
+    write_object(stem.with_suffix(".json"), {"config": asdict(ck.config), "params": entries,
+                                             "provenance": ck.provenance,
+                                             "crc32": zlib.crc32(blob)})
 
 
+_MANIFEST_FIELDS = {"config": (dict,), "provenance": (str,), "crc32": (int,), "params": (list,)}
 _ENTRY_FIELDS = {"name": (str,), "shape": (list,), "offset": (int,), "length": (int,)}
 
 
-def _read_container(stem: Path) -> tuple:
+def load_checkpoint(stem) -> Checkpoint:
+    """The checkpoint save_checkpoint wrote at `stem`; a file of it that is
+    missing, unreadable, corrupt or inconsistent is an InputError naming the
+    stem or the file. A manifest's other fields (an older `kind`) are ignored."""
     stem = Path(stem)
-    try:
-        manifest = read_object(stem.with_suffix(".json"), {"crc32": (int,), "params": (list,)})
-        blob = stem.with_suffix(".bin").read_bytes()
-    except FileNotFoundError as exc:
-        raise InputError(f"{stem}: missing file {exc.filename}") from exc
-    except OSError as exc:
-        raise InputError(f"{exc.filename}: cannot read ({exc.strerror})") from exc
+    manifest = read_object(stem.with_suffix(".json"), _MANIFEST_FIELDS)
+    blob = read_file(stem.with_suffix(".bin"))
     if zlib.crc32(blob) != manifest["crc32"]:
         raise InputError(f"{stem}: blob CRC mismatch (corrupt or truncated file)")
     tensors = {}
@@ -269,26 +290,11 @@ def _read_container(stem: Path) -> tuple:
             raise InputError(f"{stem}: blob shorter than manifest entry {entry['name']}")
         flat = np.frombuffer(blob, dtype=_DTYPE, count=length // 8, offset=ofs)
         tensors[entry["name"]] = flat.reshape(shape).astype(np.float64)
-    return tensors, manifest
-
-
-def save_checkpoint(ck: Checkpoint, stem) -> None:
-    """Write `stem`.json + `stem`.bin; load_checkpoint(stem) is bit-identical."""
-    ck.validate()
-    _write_container(Path(stem), ck.params, {
-        "kind": "checkpoint",
-        "config": asdict(ck.config),
-        "provenance": ck.provenance,
-    })
-
-
-def load_checkpoint(stem) -> Checkpoint:
-    tensors, manifest = _read_container(Path(stem))
     try:
         cfg = ModelConfig(**manifest["config"])
-    except (KeyError, TypeError, ConfigError) as exc:
-        raise InputError(f"{stem}: manifest config missing or malformed ({exc})") from exc
-    ck = Checkpoint(tensors, cfg, manifest.get("provenance", ""))
+    except (TypeError, ConfigError) as exc:
+        raise InputError(f"{stem}: manifest config malformed ({exc})") from exc
+    ck = Checkpoint(tensors, cfg, manifest["provenance"])
     try:
         ck.validate()
     except InputError as exc:

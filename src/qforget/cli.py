@@ -12,13 +12,12 @@ ContractError is a bug and is not mapped.
 import argparse
 import contextlib
 import fcntl
-import json
 import os
 import sys
 from pathlib import Path
 from types import SimpleNamespace
 
-from .checkpoint import load_checkpoint, save_checkpoint, write_atomic
+from .checkpoint import json_text, load_checkpoint, save_checkpoint, write_atomic, write_object
 from .corpus import build_tokenizer
 from .errors import BusyError, ConfigError, DivergenceError, GateError, InputError
 from .masking import analyze_pair
@@ -121,7 +120,7 @@ def _dispatch(ns) -> None:
             cku = load_checkpoint(args[1])
             report = analyze_pair(ck0, cku, cfg.quant_specs())
             write_atomic(out / "masking.csv", report.to_csv())
-            write_atomic(out / "masking.json", report.to_json())
+            write_object(out / "masking.json", vars(report))
             print(f"masking report written under {out}")
         elif ns.command == "eval":
             split = stage_corpus(cfg, out)
@@ -131,7 +130,7 @@ def _dispatch(ns) -> None:
             if is_current(cfg, out, "retrain.json"):
                 baseline = retrain_baseline(cfg, out, stage_retrain(cfg, out, split), split, tok)
             cell = evaluate_checkpoint(ck, split, tok, baseline, cfg.protocol())
-            print(json.dumps(cell, indent=1, sort_keys=True))
+            print(json_text(cell))
         elif ns.command == "sweep":
             summary = run_sweep(cfg, out)
             print(f"sweep summary written: {out / 'sweep.json'} "

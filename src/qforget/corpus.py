@@ -15,10 +15,9 @@ so a run never needs to regenerate them.
 import itertools
 import json
 from dataclasses import asdict, dataclass, fields
-from pathlib import Path
 
 from . import seeding
-from .checkpoint import check_object, write_atomic
+from .checkpoint import check_object, read_file, write_rows
 from .errors import ConfigError, ContractError, InputError
 
 _STARTS = [
@@ -227,13 +226,8 @@ def conditional_batches(records: list, tok: Tokenizer, batch_size: int, seed: in
 
 def save_corpus(split: CorpusSplit, path) -> None:
     """JSON-lines export, one record per line with its split tag."""
-    lines = []
-    for tag in ("forget", "retain", "holdout"):
-        for rec in getattr(split, tag):
-            row = {"split": tag}
-            row.update(asdict(rec))
-            lines.append(json.dumps(row, sort_keys=True))
-    write_atomic(path, "\n".join(lines) + "\n")
+    write_rows(path, [{"split": tag, **asdict(rec)} for tag in ("forget", "retain", "holdout")
+                      for rec in getattr(split, tag)])
 
 
 def load_corpus(path) -> CorpusSplit:
@@ -244,8 +238,9 @@ def load_corpus(path) -> CorpusSplit:
     value."""
     split = CorpusSplit([], [], [])
     kinds = {"split": (str,), **{f.name: (str,) for f in fields(FactRecord)}}
+    raw = read_file(path)
     try:
-        for n, line in enumerate(Path(path).read_text().splitlines(), 1):
+        for n, line in enumerate(raw.decode().splitlines(), 1):
             if line.strip():
                 row = check_object(json.loads(line), kinds, f"line {n}", exact=True)
                 tag, rec = row.pop("split"), FactRecord(**row)
@@ -256,6 +251,6 @@ def load_corpus(path) -> CorpusSplit:
         if not split.all_records():
             raise ContractError("no records")
         _check_disjoint(split)
-    except (OSError, ValueError) as exc:
+    except ValueError as exc:
         raise InputError(f"{path}: not a corpus file ({exc!r})") from exc
     return split

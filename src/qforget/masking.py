@@ -14,7 +14,6 @@ bit-identical linear weights, so every downstream metric coincides exactly.
 
 import csv
 import io
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,10 +50,6 @@ def _grid_crossing(w0: np.ndarray, wu: np.ndarray, spec: QuantSpec) -> tuple:
 class MaskingReport:
     rows: list       # per (layer, spec) dicts
     aggregates: list  # per spec dicts
-
-    def to_json(self) -> str:
-        return json.dumps({"rows": self.rows, "aggregates": self.aggregates},
-                          indent=1, sort_keys=True)
 
     def to_csv(self) -> str:
         fields = ["layer", "spec", "mean_abs_update", "max_abs_update",

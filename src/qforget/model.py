@@ -30,9 +30,9 @@ import numpy as np
 
 from . import seeding
 from .autodiff import (_GELU_C, _GELU_K, ItemSum, Var, _layer_norm_grad, _logsumexp,
-                       _normalize_rows, _softmax_, _softmax_grad, add, concat_cols,
-                       cross_entropy, embed, gelu, layer_norm, linear, matmul, scale,
-                       slice_cols, slice_rows, softmax_rows)
+                       _normalize_rows, _softmax_, _softmax_grad, _softmax_minus_onehot_,
+                       _target_log_probs, add, concat_cols, cross_entropy, embed, gelu,
+                       layer_norm, linear, matmul, scale, slice_cols, slice_rows, softmax_rows)
 from .checkpoint import Checkpoint, ModelConfig, param_schema
 from .errors import ContractError, InputError
 from .lora import merge
@@ -406,12 +406,10 @@ def nll_grads(params: dict, cfg: ModelConfig, sequences) -> tuple:
         block = np.array([seqs[i] for i in idx], dtype=np.int64)
         tape: list = []
         dz = infer(params, cfg, block, tape=tape)
-        z, targets = dz[:, :-1], block[:, 1:, None]
+        z, targets = dz[:, :-1], block[:, 1:]
         lse = _logsumexp(z)
-        loss += float((lse - np.take_along_axis(z, targets, axis=2)).sum())
-        z -= lse  # dz becomes softmax(z) - onehot(target), scaled by c
-        np.exp(z, out=z)
-        np.put_along_axis(z, targets, np.take_along_axis(z, targets, axis=2) - 1.0, axis=2)
+        loss += float((-_target_log_probs(z, targets, lse)).sum())
+        _softmax_minus_onehot_(z, targets, lse)  # dz's rows, scaled by c below
         dz[:, -1] = 0.0
         dz *= c
         backward(params, cfg, tape, dz, grads)
@@ -428,7 +426,7 @@ def token_log_probs_batch(ck: Checkpoint, sequences) -> list:
     for idx in _batches([(len(s), 0) for s in seqs], MAX_ROWS):
         block = np.array([seqs[i] for i in idx], dtype=np.int64)
         z = _prefill(ck.params, ck.config, block, None)[:, :-1]
-        lp = (np.take_along_axis(z, block[:, 1:, None], axis=2) - _logsumexp(z))[:, :, 0]
+        lp = _target_log_probs(z, block[:, 1:], _logsumexp(z))
         for row, i in enumerate(idx):
             out[i] = lp[row]
     return out

@@ -9,11 +9,11 @@ byte-identical report files. Every artifact is written atomically
 (checkpoint.write_atomic), so a crashed stage leaves no torn file.
 
 One rule decides whether a stored artifact is reused: `plan_keys` derives
-each artifact's key from the config alone, and `_cached` reuses the file only
-when it exists and manifest.json records that key. Otherwise it drops the
-artifact's entry from manifest.json, recomputes and writes the artifact, and
-only then records the new key, so a crash between the two never leaves one
-config's key over another config's bytes.
+each artifact's key from the config and the code alone, and `_cached` reuses
+the file only when it exists and manifest.json records that key. Otherwise
+it drops the artifact's entry from manifest.json, recomputes and writes the
+artifact, and only then records the new key, so a crash between the two
+never leaves one config's key over another config's bytes.
 """
 
 import functools
@@ -23,9 +23,9 @@ import json
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-from . import __version__
 from .checkpoint import (Checkpoint, ModelConfig, check_fields, check_object, load_checkpoint,
-                         read_object, remove, save_checkpoint, write_atomic)
+                         read_file, read_object, remove, save_checkpoint, write_atomic,
+                         write_object, write_rows)
 from .corpus import (MAX_FRAME, SENTENCE_WORDS, CorpusSplit, build_tokenizer,
                      check_split_sizes, generate_corpus, load_corpus, qa_text, save_corpus)
 from .errors import ConfigError, GateError
@@ -178,11 +178,11 @@ def run_path(cfg: ExperimentConfig, run: dict) -> str:
 def plan(cfg: ExperimentConfig) -> dict:
     """Manifest entry (path in the run directory) -> (key, name, precision)
     of every artifact `run` and `sweep` write, in `run` order; built once per
-    config value and shared, so read-only. A key is a SHA-256 of the package
-    version, the entry, the upstream keys and the config values its stage
-    reads. An eval cell names the model and precision it serves, a masking
-    file its model."""
-    return _plan(json.dumps(vars(cfg), sort_keys=True))
+    config value and code fingerprint and shared, so read-only. A key is a
+    SHA-256 of the code fingerprint, the entry, the upstream keys and the
+    config values its stage reads. An eval cell names the model and
+    precision it serves, a masking file its model."""
+    return _plan(json.dumps(vars(cfg), sort_keys=True), code_fingerprint())
 
 
 def plan_keys(cfg: ExperimentConfig) -> dict:
@@ -195,13 +195,24 @@ def _artifact(name: str, precision: str = None) -> str:
     return f"masking/{name}.json" if precision is None else f"eval/{name}_{precision}.json"
 
 
+@functools.cache
+def code_fingerprint() -> str:
+    """SHA-256 (hex) over the sorted names and bytes of the package's
+    modules, read once per process: the code that makes every artifact."""
+    digest = hashlib.sha256()
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        raw = read_file(path)
+        digest.update(b"%s\0%d\0%s" % (path.name.encode(), len(raw), raw))
+    return digest.hexdigest()
+
+
 @functools.lru_cache(maxsize=8)
-def _plan(config: str) -> dict:
+def _plan(config: str, fingerprint: str) -> dict:
     cfg = ExperimentConfig(**json.loads(config))
     entries = {}
 
     def put(rel, *inputs, name=None, precision=None):
-        blob = json.dumps([__version__, rel, *inputs], sort_keys=True).encode()
+        blob = json.dumps([fingerprint, rel, *inputs], sort_keys=True).encode()
         entries[rel] = (hashlib.sha256(blob).hexdigest(), name, precision)
         return entries[rel][0]
 
@@ -244,14 +255,12 @@ def _cached(cfg: ExperimentConfig, out: Path, rel: str, load, make):
     path = Path(out) / rel
     if is_current(cfg, out, rel):
         return load(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     manifest = read_manifest(out)
     if manifest.pop(rel, None) is not None:
-        write_atomic(Path(out) / "manifest.json", json.dumps(manifest, indent=1, sort_keys=True))
+        write_object(Path(out) / "manifest.json", manifest)
     value = make(path)
     # read again: make may have recorded upstream artifacts of its own
-    manifest = {**read_manifest(out), rel: plan_keys(cfg)[rel]}
-    write_atomic(Path(out) / "manifest.json", json.dumps(manifest, indent=1, sort_keys=True))
+    write_object(Path(out) / "manifest.json", {**read_manifest(out), rel: plan_keys(cfg)[rel]})
     return value
 
 
@@ -312,7 +321,7 @@ def _stage_trained(cfg: ExperimentConfig, out: Path, split: CorpusSplit, stem: s
                     f"utilitypres={up:.2f} (need >= {p['gate_utility']}); "
                     "increase pretrain.epochs")
         save_checkpoint(trained, path)
-        _write_jsonl(out / f"{stem}_log.jsonl", log)
+        write_rows(out / f"{stem}_log.jsonl", log)
         return trained
     return _cached(cfg, out, f"{stem}.json", load_checkpoint, make)
 
@@ -340,7 +349,7 @@ def stage_unlearn(cfg: ExperimentConfig, out: Path, split: CorpusSplit,
         result = unlearn_run(target, split, ucfg, build_tokenizer(split))
         final = result.merged()
         save_checkpoint(final, path)
-        _write_jsonl(path.parent / "log.jsonl", result.log)
+        write_rows(path.parent / "log.jsonl", result.log)
         for stale in ("adapters.json", "adapters.bin"):  # the pre-manifest lora format
             remove(path.parent / stale)
         return final
@@ -353,7 +362,7 @@ def retrain_baseline(cfg: ExperimentConfig, out: Path, retrain: Checkpoint,
     eval/retrain_aucs.json, so a run directory scores its retrain model once."""
     def make(path):
         aucs = membership_aucs(retrain, split, tok, cfg.protocol().k_percent)
-        write_atomic(path, json.dumps(aucs, indent=1, sort_keys=True))
+        write_object(path, aucs)
         return aucs
     load = functools.partial(read_object, exact=True,
                              fields=dict.fromkeys(("privleak", "privleak_holdout"), (float,)))
@@ -382,7 +391,7 @@ def stage_eval(cfg: ExperimentConfig, out: Path, split: CorpusSplit, tok,
         variant = ck if spec is None else quantize_model(ck, spec)
         cell = evaluate_checkpoint(variant, split, tok, baseline(), proto)
         cell.update({"method": method, "precision": precision, "adapter": adapter})
-        write_atomic(path, json.dumps(cell, indent=1, sort_keys=True))
+        write_object(path, cell)
         return cell
     load = functools.partial(read_object, fields=_CELL_FIELDS)
     return {precision: _cached(cfg, out, _artifact(name, precision), load,
@@ -405,7 +414,7 @@ def stage_masking(cfg: ExperimentConfig, out: Path, target: Checkpoint,
     def make(path):
         report = analyze_pair(target, ck, cfg.quant_specs())
         write_atomic(path.with_suffix(".csv"), report.to_csv())
-        write_atomic(path, report.to_json())
+        write_object(path, vars(report))
     _cached(cfg, out, _artifact(name), read_masking, make)
 
 
@@ -438,7 +447,7 @@ def stage_report(cfg: ExperimentConfig, out: Path) -> dict:
     }
     for name in ("report.json", "report.csv"):
         remove(out / name)
-    write_atomic(out / "report.json", json.dumps(report, indent=1, sort_keys=True))
+    write_object(out / "report.json", report)
     write_atomic(out / "report.csv", report_csv(rows, missing))
     return report
 
@@ -545,12 +554,8 @@ def run_sweep(cfg: ExperimentConfig, out: Path) -> dict:
             "cells": cells,
             "best": sweep_best(cells),
         }
-        write_atomic(path, json.dumps(summary, indent=1, sort_keys=True))
+        write_object(path, summary)
         return summary
     load = functools.partial(read_object, exact=True,
                              fields={"selection": (str,), "cells": (list,), "best": (dict,)})
     return _cached(cfg, out, "sweep.json", load, make)
-
-
-def _write_jsonl(path: Path, rows: list) -> None:
-    write_atomic(path, "\n".join(json.dumps(r, sort_keys=True) for r in rows) + "\n")

@@ -1,14 +1,13 @@
 """Adam and the one optimisation loop that pretraining, retraining and
 unlearning share.
 
-`optimize` runs the steps: each one asks its caller for the batch's
-gradients, checks the loss, maps the gradients onto the trainable arrays
-and takes an Adam step. The loop holds one step's gradients at a time: it
-drops them before the next step forms its own. `train_lm` (next-token
-prediction) forms them without a graph, through model.nll_grads, which
-holds one block of token rows' activations at a time whatever the batch
-size; `unlearn.unlearn_run` forms them on autodiff graphs, one item at a
-time (autodiff.ItemSum.backward).
+`optimize` runs the steps: each one asks its caller for the gradients of
+the trainable arrays on a batch, checks the loss and takes an Adam step.
+The loop holds one step's gradients at a time: it drops them before the
+next step forms its own. `train_lm` (next-token prediction) forms them
+without a graph, through model.nll_grads, which holds one block of token
+rows' activations at a time whatever the batch size; `unlearn.unlearn_run`
+forms them on autodiff graphs, one item at a time (autodiff.ItemSum.backward).
 """
 
 import math
@@ -50,19 +49,16 @@ def grad_norm(grads: dict) -> float:
     return math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
 
 
-def optimize(params: dict, lr: float, steps, accumulate, grad_map=None, *,
-             loss_key: str, diverged: str) -> list:
+def optimize(params: dict, lr: float, steps, accumulate, *, loss_key: str,
+             diverged: str) -> list:
     """Adam over `params`, updated in place, one step per (epoch, batch) of
     `steps`; returns the per-step log.
 
-    accumulate(batch) returns (the batch loss's gradients by name, the
-    step's logged values). A step whose values[loss_key] is not finite
-    raises DivergenceError(diverged) before the optimizer moves. grad_map,
-    when given, turns those gradients into those of `params`; otherwise they
-    are the same names. Once a step's update and log entry are done, the
-    loop drops its gradients (and so anything they were formed from, such as
-    merged adapter weights) before the next accumulate, so it holds one
-    step's state at a time.
+    accumulate(batch) returns (the batch loss's gradients of `params` by
+    name, the step's logged values). A step whose values[loss_key] is not
+    finite raises DivergenceError(diverged) before the optimizer moves. Once
+    a step's update and log entry are done, the loop drops its gradients
+    before the next accumulate, so it holds one step's state at a time.
     """
     opt = Adam(params, lr)
     log = []
@@ -70,8 +66,6 @@ def optimize(params: dict, lr: float, steps, accumulate, grad_map=None, *,
         grads, values = accumulate(batch)
         if not math.isfinite(values[loss_key]):
             raise DivergenceError(diverged, step, [e[loss_key] for e in log[-5:]])
-        if grad_map is not None:
-            grads = grad_map(grads)
         opt.step(grads)
         log.append({"epoch": epoch, "step": step, **values, "grad_norm": grad_norm(grads)})
         del grads

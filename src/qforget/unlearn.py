@@ -23,13 +23,12 @@ starting checkpoint itself, which no run writes.
 
 import itertools
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
-from .autodiff import (ItemSum, Var, _logsumexp, _softmax_, add, cross_entropy,
-                       kl_divergence_rows, log_sigmoid, log_softmax_rows, scale,
-                       target_log_probs, vsum)
+from .autodiff import (ItemSum, Var, _logsumexp, _softmax_, _target_log_probs, add,
+                       cross_entropy, kl_divergence_rows, log_sigmoid, log_softmax_rows,
+                       scale, target_log_probs, vsum)
 from .checkpoint import Checkpoint, blob_crc32, check_fields
 from .corpus import CorpusSplit, Tokenizer, conditional_batches
 from .errors import ConfigError, ContractError
@@ -112,7 +111,7 @@ def loss_npo(pv: dict, cfg, forget_batch, ref: Checkpoint, beta: float) -> ItemS
     def head(ids, start, rows):
         lp = vsum(target_log_probs(rows, ids[start + 1:]))
         z = reference_rows(ref, ids, start)
-        ref_lp = (z[np.arange(len(z)), ids[start + 1:]] - _logsumexp(z)[:, 0]).sum()
+        ref_lp = _target_log_probs(z, ids[start + 1:], _logsumexp(z)).sum()
         return scale(log_sigmoid(scale(add(lp, Var(-ref_lp)), -beta)), -2.0 / beta)
 
     return item_mean(pv, cfg, forget_batch, head, per_row=False)
@@ -230,11 +229,11 @@ def unlearn_run(f_target: Checkpoint, split: CorpusSplit, ucfg: UnlearnConfig,
     def accumulate(batch):
         pv = make_param_vars(work if adapters is None else merge(work, adapters))
         values = step_losses(ucfg, pv, cfg, *batch, f_target)
-        return {name: leaf.grad for name, leaf in pv.items()}, values
+        grads = {name: leaf.grad for name, leaf in pv.items()}
+        return (grads if adapters is None else factor_grads(adapters, grads)), values
 
-    log = optimize(trainable, ucfg.lr, steps(), accumulate,
-                   None if adapters is None else partial(factor_grads, adapters),
-                   loss_key="total", diverged=f"{ucfg.method} loss became non-finite")
+    log = optimize(trainable, ucfg.lr, steps(), accumulate, loss_key="total",
+                   diverged=f"{ucfg.method} loss became non-finite")
 
     if adapters is not None:  # freeze contract: the base stays byte-identical
         changed = [name for name, crc in _crc_by_name(work.params).items()

@@ -1,7 +1,8 @@
 """Acceptance gate: one test per criterion, each printing a PASS line.
 
-Criteria 7-10 run the pinned default configuration (configs/default.json)
-restricted to the runs they exercise, through the real pipeline. Thresholds
+Criteria 7-10 read the `default_run` fixture (tests/conftest.py): the pinned
+default configuration (configs/default.json) restricted to the runs they
+exercise, through the real pipeline. Thresholds
 marked "calibrated" were pinned from the first validated run of that config;
 the rest are as stated.
 """
@@ -9,10 +10,8 @@ the rest are as stated.
 import json
 import math
 import time
-from pathlib import Path
 
 import numpy as np
-import pytest
 
 from qforget.autodiff import Var, add, grad_check, log_sigmoid, matmul, scale
 from qforget.checkpoint import ModelConfig, linear_param_names
@@ -28,26 +27,9 @@ from qforget.pipeline import ExperimentConfig, run_pipeline
 from qforget.quantizer import QuantSpec, bin_index, dequantize, quantize, quantize_model
 from qforget.unlearn import UnlearnConfig, loss_ga, loss_klr, loss_npo, unlearn_run
 
-CONFIG_PATH = Path(__file__).resolve().parents[1] / "configs" / "default.json"
-ACCEPTANCE_METHODS = {("GA", "full_ft"), ("GA_GDR", "full_ft"), ("GA_GDR", "lora")}
-
 
 def report_pass(num: int, detail: str) -> None:
     print(f"\nACCEPTANCE {num:2d} PASS: {detail}")
-
-
-@pytest.fixture(scope="session")
-def default_run(tmp_path_factory):
-    """The pinned default config, restricted to the acceptance runs."""
-    raw = json.loads(CONFIG_PATH.read_text())
-    raw["runs"] = [r for r in raw["runs"]
-                   if (r["method"], r.get("mode", "full_ft")) in ACCEPTANCE_METHODS]
-    raw.pop("sweep", None)
-    cfg = ExperimentConfig.from_dict(raw)
-    out = tmp_path_factory.mktemp("default_run")
-    t0 = time.time()
-    run_pipeline(cfg, out)
-    return {"out": out, "cfg": cfg, "seconds": time.time() - t0}
 
 
 def cell(run, name, precision):

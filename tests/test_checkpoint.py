@@ -3,14 +3,13 @@
 import json
 import os
 import re
-from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qforget.checkpoint import (ModelConfig, blob_crc32, load_checkpoint, read_object,
-                                save_checkpoint, write_atomic)
+from qforget.checkpoint import (Checkpoint, ModelConfig, blob_crc32, load_checkpoint,
+                                read_object, save_checkpoint, write_atomic)
 from qforget.errors import ConfigError, InputError
 from qforget.model import init_model
 
@@ -24,6 +23,14 @@ def make(tmp_path):
     stem = tmp_path / "ck"
     save_checkpoint(ck, stem)
     return ck, stem
+
+
+def save_unvalidated(ck, stem, monkeypatch):
+    """save_checkpoint without its schema check: a consistent container
+    (matching CRC and offsets) whose parameters break the config's schema."""
+    with monkeypatch.context() as m:
+        m.setattr(Checkpoint, "validate", lambda self: None)
+        save_checkpoint(ck, stem)
 
 
 class TestRoundTrip:
@@ -44,6 +51,14 @@ class TestRoundTrip:
         assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
+    def test_older_manifest_with_kind_loads(self, tmp_path):
+        ck, stem = make(tmp_path)
+        manifest = json.loads(stem.with_suffix(".json").read_text())
+        stem.with_suffix(".json").write_text(json.dumps({**manifest, "kind": "checkpoint"}))
+        loaded = load_checkpoint(stem)
+        assert loaded.provenance == "target"
+        assert all(np.array_equal(loaded.params[n], ck.params[n]) for n in ck.params)
+
 
 class TestCorruption:
     def test_truncated_blob_is_checksum_error(self, tmp_path):
@@ -61,25 +76,37 @@ class TestCorruption:
         with pytest.raises(InputError, match="CRC mismatch"):
             load_checkpoint(stem)
 
-    def test_wrong_shape_is_schema_error_naming_parameter(self, tmp_path):
+    def test_wrong_shape_is_schema_error_naming_parameter(self, tmp_path, monkeypatch):
         ck, stem = make(tmp_path)
         # rewrite with a wrong-shaped parameter but a consistent checksum
         bad = ck.copy()
         bad.params["block0.attn_q"] = bad.params["block0.attn_q"][:4]
-        from qforget.checkpoint import _write_container
-        _write_container(stem, bad.params, {
-            "kind": "checkpoint", "config": asdict(CFG), "provenance": ""})
+        save_unvalidated(bad, stem, monkeypatch)
         with pytest.raises(InputError, match="block0.attn_q"):
             load_checkpoint(stem)
 
-    def test_missing_parameter_is_schema_error(self, tmp_path):
+    def test_missing_parameter_is_schema_error(self, tmp_path, monkeypatch):
         ck, stem = make(tmp_path)
         bad = ck.copy()
         del bad.params["lm_head"]
-        from qforget.checkpoint import _write_container
-        _write_container(stem, bad.params, {
-            "kind": "checkpoint", "config": asdict(CFG), "provenance": ""})
+        save_unvalidated(bad, stem, monkeypatch)
         with pytest.raises(InputError, match="parameter names do not match"):
+            load_checkpoint(stem)
+
+    @pytest.mark.parametrize("provenance", [7, None, ["unlearn"], {"a": 1}])
+    def test_non_string_provenance_is_input_error_naming_stem(self, tmp_path, provenance):
+        _, stem = make(tmp_path)
+        manifest = json.loads(stem.with_suffix(".json").read_text())
+        manifest["provenance"] = provenance
+        stem.with_suffix(".json").write_text(json.dumps(manifest))
+        with pytest.raises(InputError, match=re.escape(str(stem)) + ".*provenance"):
+            load_checkpoint(stem)
+
+    def test_unreadable_blob_is_input_error_naming_it(self, tmp_path):
+        _, stem = make(tmp_path)
+        os.remove(stem.with_suffix(".bin"))
+        stem.with_suffix(".bin").mkdir()
+        with pytest.raises(InputError, match=re.escape(str(stem.with_suffix(".bin")))):
             load_checkpoint(stem)
 
     def test_non_float64_dtype_is_schema_error(self, tmp_path):
@@ -125,7 +152,7 @@ class TestCorruption:
     def test_manifest_is_valid_json_with_crc(self, tmp_path):
         _, stem = make(tmp_path)
         manifest = json.loads(stem.with_suffix(".json").read_text())
-        assert manifest["kind"] == "checkpoint"
+        assert set(manifest) == {"config", "provenance", "params", "crc32"}
         assert isinstance(manifest["crc32"], int)
         names = [e["name"] for e in manifest["params"]]
         assert names == sorted(names, key=names.index)  # manifest order preserved
@@ -197,6 +224,16 @@ class TestAtomicWrite:
             save_checkpoint(init_model(CFG), tmp_path / "ck")
         assert not (tmp_path / "ck.json").exists()
         assert [p.name for p in tmp_path.iterdir() if p.name != "ck.bin"] == []
+
+    def test_parent_directories_are_made(self, tmp_path):
+        write_atomic(tmp_path / "eval" / "deep" / "cell.json", "{}")
+        assert (tmp_path / "eval" / "deep" / "cell.json").read_text() == "{}"
+
+    def test_file_in_place_of_a_parent_is_config_error_naming_the_path(self, tmp_path):
+        (tmp_path / "eval").write_text("not a directory")
+        with pytest.raises(ConfigError, match=re.escape(str(tmp_path / "eval" / "cell.json"))):
+            write_atomic(tmp_path / "eval" / "cell.json", "{}")
+        assert [p.name for p in tmp_path.iterdir()] == ["eval"]
 
     def test_blob_crc32_is_manifest_crc(self, tmp_path):
         ck, stem = make(tmp_path)

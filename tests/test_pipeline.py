@@ -270,6 +270,46 @@ class TestReuse:
         assert calls == dict.fromkeys(self.COMPUTE, 0)
         assert _files(copy) == before
 
+    def test_other_code_recomputes_every_artifact_once(self, copy, calls, monkeypatch):
+        # a directory that other code made is stale whole, and the rerun
+        # that remade it is current under the code that made it
+        import qforget.pipeline as pipeline_mod
+        from qforget.pipeline import read_manifest
+        before = read_manifest(copy)
+        monkeypatch.setattr(pipeline_mod, "code_fingerprint", lambda: "other code")
+        cfg = ExperimentConfig.from_dict(json.loads(json.dumps(MINI)))
+        run_pipeline(cfg, copy)
+        assert calls == {"train_lm": 2, "unlearn_run": 2, "evaluate_checkpoint": 9,
+                         "analyze_pair": 2}
+        after = read_manifest(copy)
+        assert set(after) == set(before)
+        assert all(after[rel] != before[rel] for rel in before)
+        files = _files(copy)
+        run_pipeline(cfg, copy)
+        assert calls == {"train_lm": 2, "unlearn_run": 2, "evaluate_checkpoint": 9,
+                         "analyze_pair": 2}
+        assert _files(copy) == files
+
+    def test_code_fingerprint_covers_every_module(self, monkeypatch):
+        import qforget.pipeline as pipeline_mod
+        real, read = pipeline_mod.read_file, []
+
+        def fingerprint(edited=None):  # with one byte appended to module `edited`
+            def read_file(path):
+                read.append(path.name)
+                return real(path) + (b"#" if path.name == edited else b"")
+            monkeypatch.setattr(pipeline_mod, "read_file", read_file)
+            pipeline_mod.code_fingerprint.cache_clear()
+            try:
+                return pipeline_mod.code_fingerprint()
+            finally:
+                pipeline_mod.code_fingerprint.cache_clear()
+
+        base = fingerprint()
+        modules = sorted(p.name for p in Path(pipeline_mod.__file__).parent.glob("*.py"))
+        assert read == modules
+        assert all(fingerprint(name) != base for name in modules)
+
     def test_edited_run_lr_recomputes_that_run_only(self, copy, calls):
         before = _files(copy)
         raw = self._edited(runs=lambda runs: runs[0].update(lr=1e-4))  # GA_full_ft
@@ -316,12 +356,12 @@ class TestReuse:
         class Crash(BaseException):
             pass
 
-        def write_then_crash(path, data, _real=pipeline_mod.write_atomic):
-            _real(path, data)
+        def write_then_crash(path, obj, _real=pipeline_mod.write_object):
+            _real(path, obj)
             if Path(path).name == "report.json":
                 raise Crash
 
-        monkeypatch.setattr(pipeline_mod, "write_atomic", write_then_crash)
+        monkeypatch.setattr(pipeline_mod, "write_object", write_then_crash)
         raw = self._edited(runs=lambda runs: runs[0].update(lr=1e-4))
         with pytest.raises(Crash):
             stage_report(ExperimentConfig.from_dict(raw), copy)
@@ -648,6 +688,37 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("invalid input:") and rel in err and len(err.splitlines()) == 1
         assert _files(out) == before
+
+    @pytest.mark.parametrize("rel, written", [
+        ("eval", "eval/retrain_aucs.json"),
+        ("runs/GA_full_ft", "runs/GA_full_ft/model.bin"),
+    ], ids=["eval", "run_tag"])
+    def test_file_in_a_directorys_place_exits_2_naming_the_path(self, tmp_path, run_dir,
+                                                                capsys, rel, written):
+        import shutil
+        out = tmp_path / "out"
+        shutil.copytree(run_dir, out)
+        shutil.rmtree(out / rel)
+        (out / rel).write_text("kept")
+        argv = ["--config", str(write_config(tmp_path)), "--out", str(out), "run"]
+        assert cli_main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot write {out / written} (")
+        assert len(err.splitlines()) == 1
+        assert (out / rel).read_text() == "kept"
+
+    def test_non_string_provenance_exits_5_naming_the_stem(self, tmp_path, run_dir, capsys):
+        import shutil
+        out = tmp_path / "out"
+        shutil.copytree(run_dir, out)
+        manifest = json.loads((out / "target.json").read_text())
+        (out / "target.json").write_text(json.dumps({**manifest, "provenance": 7}))
+        argv = ["--config", str(write_config(tmp_path)), "--out", str(out),
+                "quantize", str(out / "target"), "4"]
+        assert cli_main(argv) == 5
+        err = capsys.readouterr().err
+        assert err == f"invalid input: {out / 'target.json'}: 'provenance' holds 7\n"
+        assert not (out / "target_int4.json").exists()
 
     @pytest.mark.parametrize("rel, command", [
         ("report.json", ["report"]),

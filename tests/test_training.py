@@ -54,19 +54,6 @@ class TestOptimize:
         assert exc.value.step == 2 and exc.value.last_losses == [1.0, 0.5]
         assert stepped == [1, 1]
 
-    def test_grad_map_feeds_the_optimizer(self):
-        params = {"w": np.array([1.0, -2.0])}
-        seen = []
-
-        def grad_map(grads):
-            seen.append(grads["w"].copy())
-            return {"w": np.zeros(2)}
-        log = optimize(params, 0.1, [(0, 0)], quadratic_step(params, [1.0]), grad_map,
-                       loss_key="loss", diverged="x")
-        np.testing.assert_array_equal(seen[0], [2.0, -4.0])
-        assert log[0]["grad_norm"] == 0.0
-        np.testing.assert_array_equal(params["w"], [1.0, -2.0])
-
     def test_previous_step_gradient_is_dropped_before_the_next_step(self):
         params = {"w": np.array([1.0, -2.0])}
         quadratic = quadratic_step(params, [1.0, 0.5, 0.25])
