@@ -3,8 +3,8 @@
 Exit codes, one per error class (qforget.errors): 0 success, 2 config error
 (ConfigError: a bad config file, command line or --out), 3 training
 divergence (DivergenceError), 4 gate failure (GateError), 5 invalid input
-(InputError: a corrupt, malformed or mismatched checkpoint, corpus, cached
-JSON file or token id), 6 run directory busy (BusyError: another process
+(InputError: a corrupt, malformed or mismatched checkpoint, cached JSON
+file or token id), 6 run directory busy (BusyError: another process
 holds the lock that every command writing under --out takes). A
 ContractError is a bug and is not mapped.
 """
@@ -17,14 +17,14 @@ import sys
 from pathlib import Path
 from types import SimpleNamespace
 
-from .checkpoint import json_text, load_checkpoint, save_checkpoint, write_atomic, write_object
+from .checkpoint import json_text, load_checkpoint, save_checkpoint
 from .corpus import build_tokenizer
 from .errors import BusyError, ConfigError, DivergenceError, GateError, InputError
 from .masking import analyze_pair
 from .metrics import evaluate_checkpoint
 from .pipeline import (ExperimentConfig, evaluated_models, is_current, retrain_baseline,
                        run_pipeline, run_sweep, run_tag, stage_corpus, stage_pretrain,
-                       stage_report, stage_retrain, stage_unlearn)
+                       stage_report, stage_retrain, stage_unlearn, write_masking)
 from .quantizer import QuantSpec, quantize_model
 from .unlearn import UnlearnConfig
 
@@ -118,14 +118,15 @@ def _dispatch(ns) -> None:
         elif ns.command == "analyze":
             ck0 = load_checkpoint(args[0])
             cku = load_checkpoint(args[1])
-            report = analyze_pair(ck0, cku, cfg.quant_specs())
-            write_atomic(out / "masking.csv", report.to_csv())
-            write_object(out / "masking.json", vars(report))
+            write_masking(out / "masking.json", analyze_pair(ck0, cku, cfg.quant_specs()))
             print(f"masking report written under {out}")
         elif ns.command == "eval":
             split = stage_corpus(cfg, out)
             tok = build_tokenizer(split)
             ck = load_checkpoint(args[0])
+            if ck.config.vocab_size != len(tok):
+                raise InputError(f"{args[0]}: model vocab {ck.config.vocab_size} does not "
+                                 f"match the config's corpus tokenizer ({len(tok)})")
             baseline = None
             if is_current(cfg, out, "retrain.json"):
                 baseline = retrain_baseline(cfg, out, stage_retrain(cfg, out, split), split, tok)

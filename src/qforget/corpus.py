@@ -8,17 +8,17 @@ phrase, which appears verbatim in the sentence. Values are chains of value
 words rather than single tokens, so everything after a sentence's prompt
 ("mir dor color is") is entity-specific and continuation-based memorization
 scores are sharp: template words cannot prop them up. Everything is
-deterministic in the seed, and splits can be exported/imported as JSON lines
-so a run never needs to regenerate them.
+deterministic in the seed: a split is a function of the seed and the split
+sizes, generated wherever it is needed, and save_corpus exports it as JSON
+lines for a reader; nothing reads the export back.
 """
 
 import itertools
-import json
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 
 from . import seeding
-from .checkpoint import check_object, read_file, write_rows
-from .errors import ConfigError, ContractError, InputError
+from .checkpoint import write_rows
+from .errors import ConfigError, ContractError
 
 _STARTS = [
     "bal", "cor", "dim", "fen", "gor", "hul", "jas", "kel", "lom", "mir",
@@ -229,28 +229,3 @@ def save_corpus(split: CorpusSplit, path) -> None:
     write_rows(path, [{"split": tag, **asdict(rec)} for tag in ("forget", "retain", "holdout")
                       for rec in getattr(split, tag)])
 
-
-def load_corpus(path) -> CorpusSplit:
-    """The split save_corpus wrote; a file that cannot be read, is not one,
-    holds no records or puts one entity in two splits is an InputError. A
-    row is a split tag and the six FactRecord fields, all strings, and its
-    record is the one FactRecord.make builds from its entity, attribute and
-    value."""
-    split = CorpusSplit([], [], [])
-    kinds = {"split": (str,), **{f.name: (str,) for f in fields(FactRecord)}}
-    raw = read_file(path)
-    try:
-        for n, line in enumerate(raw.decode().splitlines(), 1):
-            if line.strip():
-                row = check_object(json.loads(line), kinds, f"line {n}", exact=True)
-                tag, rec = row.pop("split"), FactRecord(**row)
-                if tag not in ("forget", "retain", "holdout") or \
-                        rec != FactRecord.make(rec.entity, rec.attribute, rec.value):
-                    raise InputError(f"line {n}: unknown split tag or malformed record")
-                getattr(split, tag).append(rec)
-        if not split.all_records():
-            raise ContractError("no records")
-        _check_disjoint(split)
-    except ValueError as exc:
-        raise InputError(f"{path}: not a corpus file ({exc!r})") from exc
-    return split

@@ -14,7 +14,6 @@ was produced; everything here is a deterministic function of (checkpoint,
 records, protocol).
 """
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,30 +73,21 @@ def vermem(ck: Checkpoint, records, tok: Tokenizer, protocol: MetricProtocol) ->
     """Mean ROUGE-L F1 (x100) of greedy continuations against true suffixes.
 
     Each sentence is split at its prefix length; the model is prompted with
-    bos + prefix and generates exactly the suffix length. Sentences not
-    longer than the prefix are skipped with a warning.
+    bos + prefix and generates exactly the suffix length. Every generated
+    sentence is corpus.SENTENCE_WORDS tokens long and a configured
+    prefix_len is below that, so every suffix is nonempty.
     """
     prompts, suffixes = [], []
-    skipped = 0
     for rec in records:
         ids = tok.encode(rec.sentence)
         l = _prefix_length(len(ids), protocol)
-        if len(ids) <= l:
-            skipped += 1
-            continue
         prompts.append([tok.bos_id] + ids[:l])
         suffixes.append(ids[l:])
-    if skipped:
-        warnings.warn(f"vermem: skipped {skipped} sentence(s) shorter than the prefix")
-    if not prompts:
-        raise ContractError("vermem: no sentence was long enough to score")
     return _continuation_rouge(ck, prompts, suffixes)
 
 
 def knowmem(ck: Checkpoint, records, tok: Tokenizer) -> float:
     """Mean ROUGE-L F1 (x100) of greedy answers against ground truth."""
-    if not records:
-        raise ContractError("knowmem: empty record list")
     prompts = [[tok.bos_id] + tok.encode(rec.question) for rec in records]
     return _continuation_rouge(ck, prompts, [tok.encode(rec.answer) for rec in records])
 
@@ -105,6 +95,8 @@ def knowmem(ck: Checkpoint, records, tok: Tokenizer) -> float:
 def _continuation_rouge(ck: Checkpoint, prompts: list, references: list) -> float:
     """Mean ROUGE-L F1 (x100) of each prompt's greedy continuation, as long
     as its reference, against that reference."""
+    if not prompts:
+        raise ContractError("rouge: empty record list")
     outs = greedy_decode_batch(ck, prompts, [len(r) for r in references])
     return 100.0 * float(np.mean([rouge_l_f1(out[len(p):], r)
                                   for p, out, r in zip(prompts, outs, references)]))

@@ -27,7 +27,7 @@ from .checkpoint import (Checkpoint, ModelConfig, check_fields, check_object, lo
                          read_file, read_object, remove, save_checkpoint, write_atomic,
                          write_object, write_rows)
 from .corpus import (MAX_FRAME, SENTENCE_WORDS, CorpusSplit, build_tokenizer,
-                     check_split_sizes, generate_corpus, load_corpus, qa_text, save_corpus)
+                     check_split_sizes, generate_corpus, qa_text, save_corpus)
 from .errors import ConfigError, GateError
 from .lora import LoraConfig, check_rank
 from .masking import analyze_pair
@@ -244,18 +244,23 @@ def read_manifest(out: Path) -> dict:
     return read_object(path, {}) if path.exists() else {}
 
 
+def _recorded(manifest: dict, out: Path, rel: str, key: str) -> bool:
+    """The one reuse rule: out/rel exists and `manifest` records `key` for it."""
+    return manifest.get(rel) == key and (Path(out) / rel).exists()
+
+
 def is_current(cfg: ExperimentConfig, out: Path, rel: str) -> bool:
     """Whether out/rel exists and manifest.json records the key the plan gives it."""
-    return read_manifest(out).get(rel) == plan_keys(cfg)[rel] and (Path(out) / rel).exists()
+    return _recorded(read_manifest(out), out, rel, plan_keys(cfg)[rel])
 
 
 def _cached(cfg: ExperimentConfig, out: Path, rel: str, load, make):
     """load(out/rel) when the artifact is current; else drop its entry from
     manifest.json, make(out/rel), which writes it, and then record its key."""
     path = Path(out) / rel
-    if is_current(cfg, out, rel):
-        return load(path)
     manifest = read_manifest(out)
+    if _recorded(manifest, out, rel, plan_keys(cfg)[rel]):
+        return load(path)
     if manifest.pop(rel, None) is not None:
         write_object(Path(out) / "manifest.json", manifest)
     value = make(path)
@@ -270,12 +275,12 @@ def _cached(cfg: ExperimentConfig, out: Path, rel: str, load, make):
 
 
 def stage_corpus(cfg: ExperimentConfig, out: Path) -> CorpusSplit:
-    def make(path):
-        split = generate_corpus(cfg.seed, cfg.corpus["n_forget"],
-                                cfg.corpus["n_retain"], cfg.corpus["n_holdout"])
-        save_corpus(split, path)
-        return split
-    return _cached(cfg, out, "corpus.jsonl", load_corpus, make)
+    """The config's split, generated from `seed` and `corpus` on every call;
+    corpus.jsonl is its export, written once per key and never read back."""
+    split = generate_corpus(cfg.seed, cfg.corpus["n_forget"],
+                            cfg.corpus["n_retain"], cfg.corpus["n_holdout"])
+    _cached(cfg, out, "corpus.jsonl", lambda path: None, functools.partial(save_corpus, split))
+    return split
 
 
 def stream_texts(records: list, duplication: int = 1) -> list:
@@ -399,6 +404,12 @@ def stage_eval(cfg: ExperimentConfig, out: Path, split: CorpusSplit, tok,
             for precision, spec in specs_by_precision(cfg).items()}
 
 
+def write_masking(path: Path, report) -> None:
+    """A MaskingReport as <stem>.csv and then <stem>.json, `path` the latter."""
+    write_atomic(path.with_suffix(".csv"), report.to_csv())
+    write_object(path, vars(report))
+
+
 def read_masking(path) -> dict:
     """A cached masking report's crossing fraction per spec; one without
     per-spec aggregates is an InputError naming the file."""
@@ -412,9 +423,7 @@ def stage_masking(cfg: ExperimentConfig, out: Path, target: Checkpoint,
                   name: str, ck: Checkpoint) -> None:
     """masking/<name>.csv and .json: analyze_pair of the target and `ck`."""
     def make(path):
-        report = analyze_pair(target, ck, cfg.quant_specs())
-        write_atomic(path.with_suffix(".csv"), report.to_csv())
-        write_object(path, vars(report))
+        write_masking(path, analyze_pair(target, ck, cfg.quant_specs()))
     _cached(cfg, out, _artifact(name), read_masking, make)
 
 
@@ -431,7 +440,7 @@ def stage_report(cfg: ExperimentConfig, out: Path) -> dict:
     rows, missing, crossing = [], [], {}
     manifest = read_manifest(out)
     for rel, (key, name, precision) in plan(cfg).items():
-        current = manifest.get(rel) == key and (out / rel).exists()
+        current = _recorded(manifest, out, rel, key)
         if precision is None:  # a masking file, or no evaluated model's entry
             if name is not None and current:
                 crossing[name] = read_masking(out / rel)

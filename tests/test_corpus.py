@@ -1,11 +1,14 @@
-"""Corpus generation, tokenizer closure, batching, and export round-trips."""
+"""Corpus generation, tokenizer closure, batching, and the JSON-lines export."""
+
+import json
+from dataclasses import asdict
 
 import pytest
 
-from qforget.corpus import (ATTRIBUTE_POOL, ENTITY_POOL, VALUE_POOL,
+from qforget.corpus import (ATTRIBUTE_POOL, ENTITY_POOL, SENTENCE_WORDS, VALUE_POOL,
                             build_tokenizer, conditional_batches,
                             conditional_frame, fact_prompt, generate_corpus,
-                            load_corpus, qa_text, save_corpus, text_batches)
+                            qa_text, save_corpus, text_batches)
 from qforget.errors import ConfigError, ContractError
 
 # Pinned once from the default pools at seed 0 with sizes (32, 128, 32);
@@ -52,6 +55,15 @@ class TestGeneration:
     def test_sizes_must_be_positive(self):
         with pytest.raises(ContractError):
             generate_corpus(0, 0, 4, 4)
+
+    @pytest.mark.parametrize("seed, sizes", [
+        (0, (32, 128, 32)), (1, (4, 10, 3)), (7, (1, 1, 1)), (123, (200, 300, 100)),
+    ])
+    def test_every_sentence_encodes_to_sentence_words_tokens(self, seed, sizes):
+        # vermem relies on it: every sentence is longer than any accepted prefix
+        s = generate_corpus(seed, *sizes)
+        tok = build_tokenizer(s)
+        assert {len(tok.encode(rec.sentence)) for rec in s.all_records()} == {SENTENCE_WORDS}
 
     def test_sentence_lengths_fit_context(self):
         s = generate_corpus(0, 32, 128, 32)
@@ -125,11 +137,12 @@ class TestBatches:
 
 
 class TestExport:
-    def test_jsonl_roundtrip(self, tmp_path):
+    def test_one_sorted_key_line_per_record_in_split_order(self, tmp_path):
         s = generate_corpus(11, 6, 10, 3)
         path = tmp_path / "corpus.jsonl"
         save_corpus(s, path)
-        loaded = load_corpus(path)
-        assert loaded.forget == s.forget
-        assert loaded.retain == s.retain
-        assert loaded.holdout == s.holdout
+        lines = path.read_text().splitlines()
+        expected = [{"split": tag, **asdict(rec)} for tag in ("forget", "retain", "holdout")
+                    for rec in getattr(s, tag)]
+        assert len(lines) == len(expected) == 19
+        assert lines == [json.dumps(row, sort_keys=True) for row in expected]

@@ -242,18 +242,14 @@ class TestGenerationMetrics:
         got = vermem(ck, self.split.forget, self.tok, MetricProtocol(k_percent=20.0, prefix_len=4))
         assert got == 0.0
 
-    def test_vermem_skips_short_sentences_with_warning(self):
+    def test_vermem_of_a_sentence_that_is_all_prefix_raises(self):
         from qforget.corpus import FactRecord
         ck = init_model(self.cfg)
         short = FactRecord.make(self.split.forget[0].entity,
                                 self.split.forget[1].attribute,
                                 self.split.forget[2].value.split()[0])
-        mixed = [short] + list(self.split.forget)
-        proto = MetricProtocol(k_percent=20.0, prefix_len=6)  # short sentence has 6 tokens
-        with pytest.warns(UserWarning, match="skipped 1"):
-            got = vermem(ck, mixed, self.tok, proto)
-        assert 0.0 <= got <= 100.0
-        with pytest.raises(ContractError), pytest.warns(UserWarning, match="skipped 1"):
+        # short sentence has 6 tokens: no suffix to score
+        with pytest.raises(ContractError, match="reference must be nonempty"):
             vermem(ck, [short], self.tok, MetricProtocol(k_percent=20.0, prefix_len=6))
 
     def test_single_token_comparison_boundary(self):

@@ -96,6 +96,22 @@ class TestConfig:
         assert cfg.sweep == dict(ExperimentConfig.SWEEP, ranks=[2])
         assert ExperimentConfig.from_dict({"sweep": {}}).sweep == {}
 
+    def test_every_accepted_prefix_len_leaves_a_suffix(self):
+        # vermem scores every sentence: none may be all prefix
+        from qforget.corpus import SENTENCE_WORDS
+        from qforget.metrics import _prefix_length
+        accepted = []
+        for prefix_len in [None, -1, *range(SENTENCE_WORDS + 2)]:
+            raw = json.loads(json.dumps(MINI))
+            raw["metrics"]["prefix_len"] = prefix_len
+            try:
+                proto = ExperimentConfig.from_dict(raw).protocol()
+            except ConfigError:
+                continue
+            accepted.append(prefix_len)
+            assert _prefix_length(SENTENCE_WORDS, proto) < SENTENCE_WORDS
+        assert accepted == [None, *range(SENTENCE_WORDS)]
+
     def test_quant_bit_widths_must_be_distinct(self):
         raw = json.loads(json.dumps(MINI))
         raw["quant"] = [{"bits": 4}, {"bits": 4, "group_size": 16}]
@@ -178,9 +194,10 @@ class TestEndToEnd:
 
     def test_retrain_baseline_never_saw_forget_set(self, run_dir):
         from qforget.checkpoint import load_checkpoint
-        from qforget.corpus import build_tokenizer, load_corpus
+        from qforget.corpus import build_tokenizer
         from qforget.metrics import MetricProtocol, vermem
-        split = load_corpus(run_dir / "corpus.jsonl")
+        from qforget.pipeline import stage_corpus
+        split = stage_corpus(ExperimentConfig.from_dict(json.loads(json.dumps(MINI))), run_dir)
         tok = build_tokenizer(split)
         retrain = load_checkpoint(run_dir / "retrain")
         got = vermem(retrain, split.forget, tok, MetricProtocol(k_percent=20.0, prefix_len=4))
@@ -368,6 +385,25 @@ class TestReuse:
         report = json.loads((copy / "report.json").read_text())
         assert report["missing"] == ["GA_full_ft_full", "GA_full_ft_int8", "GA_full_ft_int4"]
         assert not (copy / "report.csv").exists()
+
+    def test_tampered_corpus_export_is_never_read(self, copy, tmp_path):
+        # the split comes from the config: swapping a forget and a retain
+        # record's split tag in corpus.jsonl changes nothing that is scored
+        lines = (copy / "corpus.jsonl").read_text().splitlines()
+        rows = [json.loads(line) for line in lines]
+        f = next(i for i, row in enumerate(rows) if row["split"] == "forget")
+        r = next(i for i, row in enumerate(rows) if row["split"] == "retain")
+        rows[f]["split"], rows[r]["split"] = "retain", "forget"
+        tampered = "\n".join(json.dumps(row, sort_keys=True) for row in rows) + "\n"
+        (copy / "corpus.jsonl").write_text(tampered)
+        raw = self._edited(runs=lambda runs: runs[0].update(lr=1e-4))
+        run_pipeline(ExperimentConfig.from_dict(raw), copy)
+        fresh = tmp_path / "fresh"
+        run_pipeline(ExperimentConfig.from_dict(raw), fresh)
+        got, want = _files(copy), _files(fresh)
+        assert got.pop("corpus.jsonl") == tampered.encode()
+        want.pop("corpus.jsonl")
+        assert got == want
 
     def test_seed_override_reuses_nothing(self, copy, tmp_path, calls):
         cfg_path = write_config(tmp_path)
@@ -672,10 +708,9 @@ class TestCli:
     @pytest.mark.parametrize("rel, command", [
         ("manifest.json", ["report"]),
         ("eval/GA_full_ft_int8.json", ["report"]),
-        ("corpus.jsonl", ["pretrain"]),
         ("target.json", ["quantize", "{out}/target", "4"]),
         ("target.bin", ["quantize", "{out}/target", "4"]),
-    ], ids=["manifest", "eval_cell", "corpus", "checkpoint_json", "checkpoint_bin"])
+    ], ids=["manifest", "eval_cell", "checkpoint_json", "checkpoint_bin"])
     def test_directory_in_a_files_place_exits_5(self, tmp_path, run_dir, capsys, rel, command):
         import shutil
         out = tmp_path / "out"
@@ -888,33 +923,6 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("invalid input:") and len(err.splitlines()) == 1
 
-    @pytest.mark.parametrize("edit", [
-        lambda lines: "\n".join(lines)[:-40],
-        # the first forget record again, tagged retain: its entity is in two splits
-        lambda lines: "\n".join(lines + [lines[0].replace('"forget"', '"retain"')]),
-        lambda lines: "",
-        # a numeric field, which the tokenizer cannot split into words
-        lambda lines: "\n".join([json.dumps(dict(json.loads(lines[0]), sentence=5))]
-                                + lines[1:]),
-        # a sentence that does not state its record's value
-        lambda lines: "\n".join([json.dumps(dict(
-            json.loads(lines[0]), value=json.loads(lines[1])["value"]))] + lines[1:]),
-        # a split tag that names a CorpusSplit attribute but not a split
-        lambda lines: "\n".join([lines[0].replace('"forget"', '"all_records"')] + lines[1:]),
-    ], ids=["cut", "overlap", "empty", "numeric", "disagreeing", "tag"])
-    def test_cut_corpus_exit_code(self, tmp_path, capsys, edit):
-        from qforget.pipeline import stage_corpus
-        cfg_path = write_config(tmp_path)
-        out = tmp_path / "out"
-        corpus = out / "corpus.jsonl"
-        stage_corpus(ExperimentConfig.from_file(cfg_path), out)
-        corpus.write_text(edit(corpus.read_text().splitlines()))
-        code = cli_main(["--config", str(cfg_path), "--out", str(out), "pretrain"])
-        assert code == 5
-        err = capsys.readouterr().err
-        assert err.startswith("invalid input:") and "corpus.jsonl" in err
-        assert sorted(p.name for p in out.iterdir()) == ["corpus.jsonl", "manifest.json"]
-
     def test_missing_checkpoint_exit_code(self, tmp_path, capsys):
         from qforget.checkpoint import ModelConfig, save_checkpoint
         from qforget.model import init_model
@@ -1052,6 +1060,18 @@ class TestCli:
             assert with_baseline[key] == privleak(aucs[key], baseline[key])
         for key in ("vermem", "knowmem", "utilitypres"):
             assert with_baseline[key] == cell[key]
+
+    def test_eval_of_another_corpus_checkpoint_exits_5_naming_the_stem(self, tmp_path,
+                                                                        run_dir, capsys):
+        # the seed-1 corpus has another vocabulary than the seed-0 target's
+        stem = str(run_dir / "target")
+        argv = ["--config", str(write_config(tmp_path)), "--out", str(tmp_path / "out"),
+                "--seed", "1", "eval", stem]
+        assert cli_main(argv) == 5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("invalid input:") and stem in captured.err
+        assert len(captured.err.splitlines()) == 1
 
     def test_eval_after_run_reuses_baseline(self, tmp_path, run_dir, capsys, monkeypatch):
         import qforget.metrics as metrics_mod
