@@ -1,9 +1,9 @@
 """Checkpoint container: a JSON manifest plus a little-endian float64 blob.
 
-A checkpoint stem `foo` is stored as `foo.json` (config, provenance, and one
-entry per parameter with name/shape/offset/length, plus a CRC-32 of the blob)
-and `foo.bin` (parameters concatenated in manifest order). Round-trips are
-bit-exact.
+A checkpoint stem `foo` is stored as `foo.json` (config, provenance, a CRC-32
+of the blob and the `params` table, which is _layout of the config: save
+writes it, load requires it and reads the blob by it) and `foo.bin`
+(parameters concatenated in param_schema order). Round-trips are bit-exact.
 
 This module is the one layer between the program and the file system:
 write_atomic writes every artifact (write_object and write_rows format the
@@ -12,6 +12,7 @@ write to a ConfigError and a failed read to an InputError.
 """
 
 import contextlib
+import itertools
 import json
 import math
 import os
@@ -22,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, InputError
+from .errors import ConfigError, ContractError, InputError
 
 _DTYPE = "<f8"  # every stored tensor: little-endian float64
 
@@ -127,12 +128,10 @@ def param_schema(cfg: ModelConfig) -> dict:
 
 
 def linear_param_names(cfg: ModelConfig) -> list:
-    """Names of the weight matrices eligible for quantization."""
-    names = []
-    for i in range(cfg.n_layers):
-        names += [f"block{i}.{r}" for r in ATTN_ROLES + MLP_ROLES]
-    names.append("lm_head")
-    return names
+    """Names of the weight matrices eligible for quantization, in schema order."""
+    roles = ATTN_ROLES + MLP_ROLES
+    return [name for name in param_schema(cfg)
+            if name == "lm_head" or name.partition(".")[2] in roles]
 
 
 @dataclass
@@ -143,14 +142,6 @@ class Checkpoint:
 
     def copy(self) -> "Checkpoint":
         return Checkpoint({k: v.copy() for k, v in self.params.items()}, self.config, self.provenance)
-
-    def validate(self) -> None:
-        schema = param_schema(self.config)
-        if list(self.params.keys()) != list(schema.keys()):
-            raise InputError("parameter names do not match the config schema")
-        for name, shape in schema.items():
-            if self.params[name].shape != shape:
-                raise InputError(f"parameter {name}: shape {self.params[name].shape}, expected {shape}")
 
 
 def write_atomic(path, data) -> None:
@@ -243,60 +234,59 @@ def blob_crc32(tensors: dict) -> int:
     return crc
 
 
+def _layout(cfg: ModelConfig) -> list:
+    """The `params` table of every checkpoint of config `cfg`: each
+    param_schema entry in order, stored as float64 at packed offsets."""
+    table, offset = [], 0
+    for name, shape in param_schema(cfg).items():
+        length = 8 * math.prod(shape)
+        table.append({"name": name, "shape": list(shape), "dtype": _DTYPE,
+                      "offset": offset, "length": length})
+        offset += length
+    return table
+
+
 def save_checkpoint(ck: Checkpoint, stem) -> None:
-    """Write `stem`.json + `stem`.bin; load_checkpoint(stem) is bit-identical."""
-    ck.validate()
+    """Write `stem`.json + `stem`.bin; load_checkpoint(stem) is bit-identical.
+    Parameters that break their config's schema are a bug: ContractError."""
+    shapes = [(name, arr.shape) for name, arr in ck.params.items()]
+    if shapes != list(param_schema(ck.config).items()):
+        raise ContractError(f"{stem}: parameters do not match their config's schema")
     stem = Path(stem)
-    blob = bytearray()
-    entries = []
-    for name, arr in ck.params.items():
-        raw = np.ascontiguousarray(arr, dtype=_DTYPE).tobytes()
-        entries.append({
-            "name": name, "shape": list(arr.shape), "dtype": _DTYPE,
-            "offset": len(blob), "length": len(raw),
-        })
-        blob.extend(raw)
+    blob = b"".join(np.ascontiguousarray(arr, dtype=_DTYPE).tobytes()
+                    for arr in ck.params.values())
     # the manifest goes last: loads and stage caches key on it
     write_atomic(stem.with_suffix(".bin"), blob)
-    write_object(stem.with_suffix(".json"), {"config": asdict(ck.config), "params": entries,
+    write_object(stem.with_suffix(".json"), {"config": asdict(ck.config),
+                                             "params": _layout(ck.config),
                                              "provenance": ck.provenance,
                                              "crc32": zlib.crc32(blob)})
 
 
 _MANIFEST_FIELDS = {"config": (dict,), "provenance": (str,), "crc32": (int,), "params": (list,)}
-_ENTRY_FIELDS = {"name": (str,), "shape": (list,), "offset": (int,), "length": (int,)}
 
 
 def load_checkpoint(stem) -> Checkpoint:
     """The checkpoint save_checkpoint wrote at `stem`; a file of it that is
-    missing, unreadable, corrupt or inconsistent is an InputError naming the
-    stem or the file. A manifest's other fields (an older `kind`) are ignored."""
+    missing, unreadable or corrupt, or a `params` table other than the
+    layout of its config, is an InputError naming the stem or the file. A
+    manifest's other fields (an older `kind`) are ignored."""
     stem = Path(stem)
     manifest = read_object(stem.with_suffix(".json"), _MANIFEST_FIELDS)
-    blob = read_file(stem.with_suffix(".bin"))
-    if zlib.crc32(blob) != manifest["crc32"]:
-        raise InputError(f"{stem}: blob CRC mismatch (corrupt or truncated file)")
-    tensors = {}
-    for entry in manifest["params"]:
-        check_object(entry, _ENTRY_FIELDS, f"{stem}: a params entry")
-        if entry.get("dtype", _DTYPE) != _DTYPE:
-            raise InputError(f"{stem}: tensor {entry['name']} has dtype "
-                             f"{entry['dtype']!r}; only {_DTYPE!r} is stored")
-        ofs, length, shape = entry["offset"], entry["length"], entry["shape"]
-        if not (ofs >= 0 and all(map(is_count, shape)) and length == 8 * math.prod(shape)):
-            raise InputError(f"{stem}: manifest entry {entry['name']} has offset {ofs} "
-                             f"and length {length} for shape {shape}")
-        if ofs + length > len(blob):
-            raise InputError(f"{stem}: blob shorter than manifest entry {entry['name']}")
-        flat = np.frombuffer(blob, dtype=_DTYPE, count=length // 8, offset=ofs)
-        tensors[entry["name"]] = flat.reshape(shape).astype(np.float64)
     try:
         cfg = ModelConfig(**manifest["config"])
     except (TypeError, ConfigError) as exc:
         raise InputError(f"{stem}: manifest config malformed ({exc})") from exc
-    ck = Checkpoint(tensors, cfg, manifest["provenance"])
-    try:
-        ck.validate()
-    except InputError as exc:
-        raise InputError(f"{stem}: {exc}") from exc
-    return ck
+    layout = _layout(cfg)
+    for i, (stored, want) in enumerate(itertools.zip_longest(manifest["params"], layout)):
+        if stored != want:
+            raise InputError(f"{stem}: params entry {i} departs from the layout of its "
+                             f"config: stored {stored}, expected {want}")
+    blob = read_file(stem.with_suffix(".bin"))
+    if zlib.crc32(blob) != manifest["crc32"]:
+        raise InputError(f"{stem}: blob CRC mismatch (corrupt or truncated file)")
+    if len(blob) != sum(entry["length"] for entry in layout):
+        raise InputError(f"{stem}: blob of {len(blob)} bytes does not fit its layout")
+    tensors = {entry["name"]: np.frombuffer(blob, _DTYPE, entry["length"] // 8, entry["offset"])
+               .reshape(entry["shape"]).astype(np.float64) for entry in layout}
+    return Checkpoint(tensors, cfg, manifest["provenance"])

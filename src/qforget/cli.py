@@ -19,12 +19,13 @@ from types import SimpleNamespace
 
 from .checkpoint import json_text, load_checkpoint, save_checkpoint
 from .corpus import build_tokenizer
-from .errors import BusyError, ConfigError, DivergenceError, GateError, InputError
+from .errors import BusyError, ConfigError, ExitError, InputError
 from .masking import analyze_pair
 from .metrics import evaluate_checkpoint
-from .pipeline import (ExperimentConfig, evaluated_models, is_current, retrain_baseline,
-                       run_pipeline, run_sweep, run_tag, stage_corpus, stage_pretrain,
-                       stage_report, stage_retrain, stage_unlearn, write_masking)
+from .pipeline import (ExperimentConfig, corpus_split, evaluated_models, is_current,
+                       retrain_baseline, run_pipeline, run_sweep, run_tag, stage_corpus,
+                       stage_pretrain, stage_report, stage_retrain, stage_unlearn,
+                       write_masking)
 from .quantizer import QuantSpec, quantize_model
 from .unlearn import UnlearnConfig
 
@@ -97,6 +98,12 @@ def _dispatch(ns) -> None:
         runs = {name: run for name, _, _, run in evaluated_models(cfg)[1:]}
         if tag not in runs:
             raise ConfigError(f"no configured run {tag}")
+    if ns.command == "eval":  # checked before anything is written under --out
+        tok = build_tokenizer(corpus_split(cfg))
+        ck = load_checkpoint(args[0])
+        if ck.config.vocab_size != len(tok):
+            raise InputError(f"{args[0]}: model vocab {ck.config.vocab_size} does not "
+                             f"match the config's corpus tokenizer ({len(tok)})")
     with _locked(out):
         if ns.command in ("run", "report"):
             report = (run_pipeline if ns.command == "run" else stage_report)(cfg, out)
@@ -122,11 +129,6 @@ def _dispatch(ns) -> None:
             print(f"masking report written under {out}")
         elif ns.command == "eval":
             split = stage_corpus(cfg, out)
-            tok = build_tokenizer(split)
-            ck = load_checkpoint(args[0])
-            if ck.config.vocab_size != len(tok):
-                raise InputError(f"{args[0]}: model vocab {ck.config.vocab_size} does not "
-                                 f"match the config's corpus tokenizer ({len(tok)})")
             baseline = None
             if is_current(cfg, out, "retrain.json"):
                 baseline = retrain_baseline(cfg, out, stage_retrain(cfg, out, split), split, tok)
@@ -142,22 +144,9 @@ def main(argv=None) -> int:
     ns = _parser().parse_args(argv)
     try:
         _dispatch(ns)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except DivergenceError as exc:
-        print(f"training diverged at step {exc.step}: {exc} "
-              f"(last losses {exc.last_losses})", file=sys.stderr)
-        return 3
-    except GateError as exc:
-        print(f"gate failure: {exc}", file=sys.stderr)
-        return 4
-    except InputError as exc:
-        print(f"invalid input: {exc}", file=sys.stderr)
-        return 5
-    except BusyError as exc:
-        print(f"run directory busy: {exc}", file=sys.stderr)
-        return 6
+    except ExitError as exc:
+        print(exc.stderr_line(), file=sys.stderr)
+        return exc.exit_code
     return 0
 
 

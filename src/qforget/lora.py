@@ -58,8 +58,9 @@ class LoraAdapter:
 
 
 def target_names(ck: Checkpoint, cfg: LoraConfig) -> list:
+    """The weights of `ck`'s model that `cfg` targets, in schema order."""
     roles = _ROLES_BY_MODE[cfg.targets]
-    return [f"block{i}.{role}" for i in range(ck.config.n_layers) for role in roles]
+    return [name for name in param_schema(ck.config) if name.partition(".")[2] in roles]
 
 
 def check_rank(cfg: LoraConfig, mcfg: ModelConfig) -> None:

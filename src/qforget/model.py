@@ -66,9 +66,7 @@ def init_model(cfg: ModelConfig) -> Checkpoint:
             params[name] = np.zeros(shape)
         else:
             params[name] = gen.normal(0.0, 0.02, size=shape)
-    ck = Checkpoint(params, cfg, "init")
-    ck.validate()
-    return ck
+    return Checkpoint(params, cfg, "init")
 
 
 def make_param_vars(ck: Checkpoint) -> dict:

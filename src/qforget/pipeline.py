@@ -274,11 +274,16 @@ def _cached(cfg: ExperimentConfig, out: Path, rel: str, load, make):
 # ---------------------------------------------------------------------------
 
 
+def corpus_split(cfg: ExperimentConfig) -> CorpusSplit:
+    """The config's split, generated from `seed` and `corpus`."""
+    return generate_corpus(cfg.seed, cfg.corpus["n_forget"], cfg.corpus["n_retain"],
+                           cfg.corpus["n_holdout"])
+
+
 def stage_corpus(cfg: ExperimentConfig, out: Path) -> CorpusSplit:
-    """The config's split, generated from `seed` and `corpus` on every call;
-    corpus.jsonl is its export, written once per key and never read back."""
-    split = generate_corpus(cfg.seed, cfg.corpus["n_forget"],
-                            cfg.corpus["n_retain"], cfg.corpus["n_holdout"])
+    """corpus_split(cfg), generated on every call; corpus.jsonl is its
+    export, written once per key and never read back."""
+    split = corpus_split(cfg)
     _cached(cfg, out, "corpus.jsonl", lambda path: None, functools.partial(save_corpus, split))
     return split
 

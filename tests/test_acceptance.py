@@ -13,6 +13,7 @@ import time
 
 import numpy as np
 
+from conftest import mini_config
 from qforget.autodiff import Var, add, grad_check, log_sigmoid, matmul, scale
 from qforget.checkpoint import ModelConfig, linear_param_names
 from qforget.corpus import build_tokenizer, generate_corpus
@@ -23,7 +24,7 @@ from qforget.metrics import (MetricProtocol, auc_roc, knowmem, membership_aucs,
                              vermem)
 from qforget.model import (forward_graph, forward_logits, init_model, make_param_vars,
                            nll_loss)
-from qforget.pipeline import ExperimentConfig, run_pipeline
+from qforget.pipeline import run_pipeline
 from qforget.quantizer import QuantSpec, bin_index, dequantize, quantize, quantize_model
 from qforget.unlearn import UnlearnConfig, loss_ga, loss_klr, loss_npo, unlearn_run
 
@@ -338,26 +339,7 @@ def test_criterion_10_ga_collapse(default_run):
 
 def test_criterion_11_pipeline_determinism(tmp_path):
     """Two executions of one config produce byte-identical reports."""
-    mini = {
-        "seed": 3,
-        "corpus": {"n_forget": 4, "n_retain": 8, "n_holdout": 3,
-                   "forget_duplication": 1, "retain_duplication": 2},
-        "model": {"d_model": 32, "n_layers": 1, "n_heads": 2, "d_ff": 64,
-                  "context_len": 24},
-        "pretrain": {"lr": 2e-3, "epochs": 45, "batch_size": 8,
-                     "gate_vermem": 60.0, "gate_utility": 40.0},
-        "runs": [
-            {"method": "GA_GDR", "mode": "full_ft", "lr": 1e-4, "epochs": 2,
-             "lam": 1.0, "batch_size": 4},
-            {"method": "NPO_KLR", "mode": "lora", "lr": 3e-3, "epochs": 2,
-             "lam": 1.0, "beta": 0.1, "batch_size": 4,
-             "lora": {"rank": 2, "alpha": 4.0, "targets": "all_linear", "seed": 0}},
-        ],
-        "quant": [{"bits": 8, "group_size": None}, {"bits": 4, "group_size": None}],
-        "metrics": {"k_percent": 20.0, "prefix_len": 4},
-    }
-    cfg_a = ExperimentConfig.from_dict(json.loads(json.dumps(mini)))
-    cfg_b = ExperimentConfig.from_dict(json.loads(json.dumps(mini)))
+    cfg_a, cfg_b = mini_config(), mini_config()
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     run_pipeline(cfg_a, out_a)
     run_pipeline(cfg_b, out_b)

@@ -1,16 +1,18 @@
 """Checkpoint container: bit-exact round-trips and distinct corruption errors."""
 
+import hashlib
 import json
 import os
 import re
+import zlib
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qforget.checkpoint import (Checkpoint, ModelConfig, blob_crc32, load_checkpoint,
-                                read_object, save_checkpoint, write_atomic)
-from qforget.errors import ConfigError, InputError
+from qforget.checkpoint import (ModelConfig, blob_crc32, load_checkpoint, read_object,
+                                save_checkpoint, write_atomic)
+from qforget.errors import ConfigError, ContractError, InputError
 from qforget.model import init_model
 
 CFG = ModelConfig(vocab_size=13, d_model=8, n_layers=1, n_heads=2, d_ff=16,
@@ -25,12 +27,18 @@ def make(tmp_path):
     return ck, stem
 
 
-def save_unvalidated(ck, stem, monkeypatch):
-    """save_checkpoint without its schema check: a consistent container
-    (matching CRC and offsets) whose parameters break the config's schema."""
-    with monkeypatch.context() as m:
-        m.setattr(Checkpoint, "validate", lambda self: None)
-        save_checkpoint(ck, stem)
+def rewrite_container(stem, params):
+    """Rewrite the checkpoint at `stem` as a consistent container of `params`
+    (packed offsets, matching CRC) whose table breaks its config's layout."""
+    manifest = json.loads(stem.with_suffix(".json").read_text())
+    entries, blob = [], b""
+    for name, arr in params.items():
+        entries.append({"name": name, "shape": list(arr.shape), "dtype": "<f8",
+                        "offset": len(blob), "length": arr.nbytes})
+        blob += arr.astype("<f8").tobytes()
+    stem.with_suffix(".bin").write_bytes(blob)
+    stem.with_suffix(".json").write_text(json.dumps({**manifest, "params": entries,
+                                                     "crc32": zlib.crc32(blob)}))
 
 
 class TestRoundTrip:
@@ -50,6 +58,29 @@ class TestRoundTrip:
         save_checkpoint(ck, tmp_path / "b")
         assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+    def test_container_bytes_are_pinned(self, tmp_path):
+        # the SHA-256 of both files of a fixed tiny checkpoint: any change to
+        # the container's bytes (table, JSON format, blob) moves them
+        stem = tmp_path / "ck"
+        save_checkpoint(init_model(CFG), stem)
+        digests = {suffix: hashlib.sha256(stem.with_suffix(suffix).read_bytes()).hexdigest()
+                   for suffix in (".json", ".bin")}
+        assert digests == {
+            ".json": "04918baf049d8481905a7c5bc9a8d16747e59f69a46926d26f0849b654378493",
+            ".bin": "fb2330f35b56d0d73542c58e8df96d451c2d9d1e944227f16aee36c78e531b26"}
+
+    @pytest.mark.parametrize("edit", ["missing", "wrong_shape"])
+    def test_save_of_params_off_the_schema_is_contract_error_writing_nothing(self, tmp_path,
+                                                                             edit):
+        ck = init_model(CFG)
+        if edit == "missing":
+            del ck.params["lm_head"]
+        else:
+            ck.params["block0.attn_q"] = ck.params["block0.attn_q"][:4]
+        with pytest.raises(ContractError, match="schema"):
+            save_checkpoint(ck, tmp_path / "ck")
+        assert list(tmp_path.iterdir()) == []
 
     def test_older_manifest_with_kind_loads(self, tmp_path):
         ck, stem = make(tmp_path)
@@ -76,21 +107,39 @@ class TestCorruption:
         with pytest.raises(InputError, match="CRC mismatch"):
             load_checkpoint(stem)
 
-    def test_wrong_shape_is_schema_error_naming_parameter(self, tmp_path, monkeypatch):
+    def test_wrong_shape_is_schema_error_naming_parameter(self, tmp_path):
         ck, stem = make(tmp_path)
         # rewrite with a wrong-shaped parameter but a consistent checksum
         bad = ck.copy()
         bad.params["block0.attn_q"] = bad.params["block0.attn_q"][:4]
-        save_unvalidated(bad, stem, monkeypatch)
-        with pytest.raises(InputError, match="block0.attn_q"):
+        rewrite_container(stem, bad.params)
+        with pytest.raises(InputError, match=re.escape(str(stem)) + ".*block0.attn_q"):
             load_checkpoint(stem)
 
-    def test_missing_parameter_is_schema_error(self, tmp_path, monkeypatch):
+    def test_missing_parameter_is_schema_error(self, tmp_path):
         ck, stem = make(tmp_path)
         bad = ck.copy()
         del bad.params["lm_head"]
-        save_unvalidated(bad, stem, monkeypatch)
-        with pytest.raises(InputError, match="parameter names do not match"):
+        rewrite_container(stem, bad.params)
+        with pytest.raises(InputError, match=re.escape(str(stem)) + ".*lm_head"):
+            load_checkpoint(stem)
+
+    @pytest.mark.parametrize("edit, entry", [
+        (lambda table: table[4].update(name="block0.attn_x"), "block0.attn_q"),
+        (lambda table: table[4].update(shape=[4, 8]), "block0.attn_q"),
+        (lambda table: table[4].update(dtype="<f4"), "block0.attn_q"),
+        (lambda table: table[4].update(offset=table[4]["offset"] + 8), "block0.attn_q"),
+        (lambda table: table[4].update(length=table[4]["length"] - 8), "block0.attn_q"),
+        (lambda table: table.pop(), "lm_head"),
+        (lambda table: table.append({**table[-1], "name": "extra"}), "extra"),
+    ], ids=["name", "shape", "dtype", "offset", "length", "dropped", "appended"])
+    def test_table_off_the_layout_is_input_error_naming_stem_and_entry(self, tmp_path, edit,
+                                                                       entry):
+        _, stem = make(tmp_path)
+        manifest = json.loads(stem.with_suffix(".json").read_text())
+        edit(manifest["params"])
+        stem.with_suffix(".json").write_text(json.dumps(manifest))
+        with pytest.raises(InputError, match=re.escape(str(stem)) + ".*" + re.escape(entry)):
             load_checkpoint(stem)
 
     @pytest.mark.parametrize("provenance", [7, None, ["unlearn"], {"a": 1}])

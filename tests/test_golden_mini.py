@@ -5,13 +5,16 @@ masking rows and aggregates, compared by golden.mismatches."""
 
 import json
 
-from golden import mismatches
-from record_golden_mini import GOLDEN, record
+from conftest import mini_config
+from golden import mismatches, record
+from qforget.pipeline import run_pipeline
+from record_golden_mini import GOLDEN, RUNS
 
 
-def test_mini_run_matches_the_record():
+def test_mini_run_matches_the_record(tmp_path):
     want = json.loads(GOLDEN.read_text())
     assert [len(want["logs"][m]) for m in ("target", "retrain")] == [225, 180]
     assert len(want["report_rows"]) == 9
     assert [len(m["rows"]) for m in want["masking"].values()] == [14, 14]
-    assert mismatches(want, record(), "golden_mini") == []
+    run_pipeline(mini_config(), tmp_path)
+    assert mismatches(want, record(tmp_path, RUNS), "golden_mini") == []

@@ -1073,6 +1073,18 @@ class TestCli:
         assert captured.err.startswith("invalid input:") and stem in captured.err
         assert len(captured.err.splitlines()) == 1
 
+    def test_eval_of_another_vocabulary_writes_nothing(self, tmp_path, capsys):
+        from qforget.checkpoint import save_checkpoint
+        from qforget.model import init_model
+        stem = tmp_path / "ck"
+        save_checkpoint(init_model(ModelConfig(vocab_size=8, d_model=8, n_layers=1, n_heads=2,
+                                               d_ff=16, context_len=4, seed=0)), stem)
+        out = tmp_path / "out"
+        argv = ["--config", str(write_config(tmp_path)), "--out", str(out), "eval", str(stem)]
+        assert cli_main(argv) == 5
+        assert capsys.readouterr().err.startswith(f"invalid input: {stem}: model vocab 8 ")
+        assert not out.exists()
+
     def test_eval_after_run_reuses_baseline(self, tmp_path, run_dir, capsys, monkeypatch):
         import qforget.metrics as metrics_mod
         real = metrics_mod._membership_scores
