@@ -14,8 +14,10 @@ block's shared prompt prefix once. Pretraining runs on it too: with a tape,
 `infer` keeps the activations that `backward`, its hand-written reverse,
 reads, and `nll_grads` sums the next-token loss and its gradients over
 blocks of at most TRAIN_ROWS token rows, so a step holds one block's tape
-at a time. `forward_graph` builds the model from autodiff primitives, one
-sequence at a time: it is the unlearning forward and the tests' reference.
+at a time. `nll_grads` and `token_log_probs_batch` run only the rows that
+have a target: a sequence's last token is never an input. `forward_graph`
+builds the model from autodiff primitives, one sequence at a time: it is
+the unlearning forward and the tests' reference.
 `item_mean` builds every unlearning loss: the mean over a batch's items of
 a head over the item's `scored_rows`, as an autodiff.ItemSum with one piece
 per item, so an unlearning step holds one item's graph at a time. Both
@@ -392,38 +394,39 @@ def nll_grads(params: dict, cfg: ModelConfig, sequences) -> tuple:
     on plain arrays and without a graph.
 
     Sequences of one length run through infer with a tape, in blocks of at
-    most TRAIN_ROWS token rows; backward adds each block's share of the
-    gradient, so a call holds one block's activations at a time.
+    most TRAIN_ROWS token rows; only the positions that have a target run,
+    so each sequence's last token is read as a target alone. backward adds
+    each block's share of the gradient, so a call holds one block's
+    activations at a time.
     """
     seqs = [list(s) for s in sequences]
     if not seqs or any(len(s) < 2 for s in seqs):
         raise ContractError("nll_grads: needs sequences of at least 2 tokens")
     c = 1.0 / sum(len(s) - 1 for s in seqs)
     loss, grads = 0.0, {name: np.zeros_like(a) for name, a in params.items()}
-    for idx in _batches([(len(s), 0) for s in seqs], TRAIN_ROWS):
-        block = np.array([seqs[i] for i in idx], dtype=np.int64)
+    for idx in _batches([(len(s) - 1, 0) for s in seqs], TRAIN_ROWS):
+        block = _id_block(cfg, [seqs[i] for i in idx])
         tape: list = []
-        dz = infer(params, cfg, block, tape=tape)
-        z, targets = dz[:, :-1], block[:, 1:]
+        z, targets = infer(params, cfg, block[:, :-1], tape=tape), block[:, 1:]
         lse = _logsumexp(z)
         loss += float((-_target_log_probs(z, targets, lse)).sum())
-        _softmax_minus_onehot_(z, targets, lse)  # dz's rows, scaled by c below
-        dz[:, -1] = 0.0
-        dz *= c
-        backward(params, cfg, tape, dz, grads)
+        _softmax_minus_onehot_(z, targets, lse)  # z's gradient, scaled by c below
+        z *= c
+        backward(params, cfg, tape, z, grads)
     return loss * c, grads
 
 
 def token_log_probs_batch(ck: Checkpoint, sequences) -> list:
     """log P(s[t+1] | s[:t+1]) for t = 0..len-2, shape (len-1,), of every
-    sequence s, in input order, from batched forwards."""
+    sequence s, in input order, from batched forwards over the positions
+    that have a target."""
     seqs = [list(s) for s in sequences]
     if any(len(s) < 2 for s in seqs):
         raise ContractError("token_log_probs_batch: sequence needs at least 2 tokens")
     out = [None] * len(seqs)
-    for idx in _batches([(len(s), 0) for s in seqs], MAX_ROWS):
-        block = np.array([seqs[i] for i in idx], dtype=np.int64)
-        z = _prefill(ck.params, ck.config, block, None)[:, :-1]
+    for idx in _batches([(len(s) - 1, 0) for s in seqs], MAX_ROWS):
+        block = _id_block(ck.config, [seqs[i] for i in idx])
+        z = _prefill(ck.params, ck.config, block[:, :-1], None)
         lp = _target_log_probs(z, block[:, 1:], _logsumexp(z))
         for row, i in enumerate(idx):
             out[i] = lp[row]

@@ -9,28 +9,28 @@ GA and GA_GDR full_ft and GA_GDR lora, without the sweep) through
 `run_pipeline` in a temporary directory and writes to
 tests/golden_default.json every per-step log entry of the target, the
 retrain model and the three runs, the report rows, and each run's masking
-rows and aggregates. It takes about a minute.
+rows and aggregates. It takes about a minute. With --check it writes
+nothing and prints how far each record moved against the committed file.
 """
 
-import json
 import sys
 import tempfile
 from pathlib import Path
 
+import golden
 from conftest import acceptance_config
-from golden import record
 from qforget.pipeline import run_pipeline
 
 GOLDEN = Path(__file__).resolve().parent / "golden_default.json"
 RUNS = ("GA_full_ft", "GA_GDR_full_ft", "GA_GDR_lora")
 
 
-def main() -> int:
+def current() -> dict:
+    """The record of a fresh run of the config, made in a temporary directory."""
     with tempfile.TemporaryDirectory() as tmp:
         run_pipeline(acceptance_config(), Path(tmp))
-        GOLDEN.write_text(json.dumps(record(Path(tmp), RUNS), indent=1, sort_keys=True) + "\n")
-    return 0
+        return golden.record(Path(tmp), RUNS)
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(golden.main(GOLDEN, current))

@@ -8,13 +8,15 @@ It trains a tiny target with `train_lm`, runs every method/mode pair of the
 default config's runs from it with `unlearn_run`, and writes each per-step
 log to tests/golden_losses.json. A change that moves a formula moves these
 numbers; a change that only reorders float operations moves them by
-rounding, which the test's relative tolerance admits.
+rounding, which the test's relative tolerance admits. With --check it
+writes nothing and prints how far each record moved against the committed
+file.
 """
 
-import json
 import sys
 from pathlib import Path
 
+import golden
 from qforget.checkpoint import ModelConfig
 from qforget.corpus import build_tokenizer, generate_corpus
 from qforget.lora import LoraConfig
@@ -50,10 +52,5 @@ def losses() -> dict:
     return out
 
 
-def main() -> int:
-    GOLDEN.write_text(json.dumps(losses(), indent=1, sort_keys=True) + "\n")
-    return 0
-
-
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(golden.main(GOLDEN, losses))

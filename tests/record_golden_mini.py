@@ -10,28 +10,29 @@ temporary directory and writes to tests/golden_mini.json every per-step log
 entry of the target, the retrain model and both runs, every report row, and
 each run's masking rows and aggregates. A change that moves a formula moves
 these numbers; a change that only reorders float operations moves them by
-rounding, which the test's relative tolerance admits.
+rounding, which the test's relative tolerance admits. With --check it
+writes nothing and prints how far each record moved against the committed
+file.
 """
 
-import json
 import sys
 import tempfile
 from pathlib import Path
 
+import golden
 from conftest import mini_config
-from golden import record
 from qforget.pipeline import run_pipeline
 
 GOLDEN = Path(__file__).resolve().parent / "golden_mini.json"
 RUNS = ("GA_GDR_full_ft", "NPO_KLR_lora")
 
 
-def main() -> int:
+def current() -> dict:
+    """The record of a fresh run of the config, made in a temporary directory."""
     with tempfile.TemporaryDirectory() as tmp:
         run_pipeline(mini_config(), Path(tmp))
-        GOLDEN.write_text(json.dumps(record(Path(tmp), RUNS), indent=1, sort_keys=True) + "\n")
-    return 0
+        return golden.record(Path(tmp), RUNS)
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(golden.main(GOLDEN, current))

@@ -205,10 +205,10 @@ def infer_calls(monkeypatch):
     calls = []
     real = model_mod.infer
 
-    def counting(params, cfg, ids, cache=None, last=False):
+    def counting(params, cfg, ids, cache=None, last=False, tape=None):
         past = cache[0][0].shape[2] if cache else 0
         calls.append(np.shape(ids) + (past,))
-        return real(params, cfg, ids, cache, last)
+        return real(params, cfg, ids, cache, last, tape)
 
     monkeypatch.setattr(model_mod, "infer", counting)
     return calls
@@ -288,12 +288,13 @@ class TestPrefill:
         assert prefill == 4 + n * (t - 4)
 
     def test_one_row_block_is_one_plain_call(self, infer_calls):
-        # a one-sequence call is one forward, with no shared-prefix split
+        # a one-sequence call is one forward over the positions that have a
+        # target, with no shared-prefix split
         ck = perturbed(small_config(), seed=5)
         seq = [3, 1, 4, 1, 5, 9, 2, 6]
         lp = token_log_probs_batch(ck, [seq])[0]
-        assert infer_calls == [(1, 8, 0)]
-        z = infer(ck.params, ck.config, [seq])[0, :-1]
+        assert infer_calls == [(1, 7, 0)]
+        z = infer(ck.params, ck.config, [seq[:-1]])[0]
         mx = z.max(axis=1, keepdims=True)
         lse = mx + np.log(np.exp(z - mx).sum(axis=1, keepdims=True))
         assert np.array_equal(lp, z[np.arange(7), seq[1:]] - lse[:, 0])
@@ -393,6 +394,14 @@ class TestBackward:
         for name, g in grads.items():
             want = pv[name].grad
             assert np.max(np.abs(g - want)) <= 1e-12 * np.max(np.abs(want)), name
+
+    def test_runs_only_rows_that_have_a_target(self, infer_calls):
+        ck = perturbed(DEFAULT_SHAPES)
+        batch = two_length_batch(ck.config, 11, 15)
+        nll_grads(ck.params, ck.config, batch)
+        assert {width for _, width, _ in infer_calls} == {10, 14}
+        assert sum(rows * width for rows, width, _ in infer_calls) == \
+            sum(len(s) - 1 for s in batch)
 
     def test_central_differences(self):
         # every parameter of criterion 3's model, step 1e-5, on the
