@@ -329,16 +329,14 @@ def target_log_probs(logits: Var, targets) -> Var:
     """Per-row log softmax(logits)[target] -> (m,). Sum it for a sequence
     log-likelihood."""
     idx = np.asarray(targets, dtype=np.int64)
-    m, vocab = logits.value.shape
+    vocab = logits.value.shape[1]
     if idx.size and (idx.min() < 0 or idx.max() >= vocab):
         raise IndexError(f"target_log_probs: target id out of range for vocab {vocab}")
     z = logits.value
     lse = _logsumexp(z)
 
     def bwd(g):
-        p = np.exp(z - lse) * (-g[:, None])
-        p[np.arange(m), idx] += g
-        logits.grad += p
+        logits.grad -= g[:, None] * _softmax_minus_onehot_(z.copy(), idx, lse)
 
     return Var(_target_log_probs(z, idx, lse), (logits,), "target_log_probs", bwd)
 

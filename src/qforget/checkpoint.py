@@ -56,12 +56,12 @@ FIELD_KINDS = {field: kind for kind, fields in {
     "positive count": "vocab_size d_model n_layers n_heads d_ff context_len n_forget n_retain "
                       "n_holdout forget_duplication retain_duplication batch_size rank bits "
                       "group_size",
-    "positive number": "lr beta alpha alpha_ratio init_std k_percent",
+    "positive number": "lr beta alpha alpha_ratio k_percent",
     "number": "lam gate_vermem gate_utility",
     "name": "method mode targets",
     "object": "lora",
 }.items() for field in fields.split()}
-NULLABLE = ("prefix_len", "group_size", "lora")
+NULLABLE = ("group_size", "lora")
 # sweep list -> the field each of its values is
 LISTS = {"methods": "method", "lrs": "lr", "ranks": "rank", "alpha_ratios": "alpha_ratio",
          "lams": "lam"}

@@ -85,11 +85,7 @@ def _dispatch(ns) -> None:
             spec = QuantSpec(*map(int, args[1:3]))
         except ValueError as exc:  # a non-integer argument, or QuantSpec's ConfigError
             raise ConfigError(f"quantize: bit width and group size: {exc}") from exc
-        ck = load_checkpoint(args[0])
-        if ck.provenance.startswith("unlearn") and ":lora" in ck.provenance \
-                and ":merged" not in ck.provenance:
-            raise ConfigError("refusing to quantize an unmerged adapter run; merge first")
-        save_checkpoint(quantize_model(ck, spec), f"{args[0]}_{spec.name}")
+        save_checkpoint(quantize_model(load_checkpoint(args[0]), spec), f"{args[0]}_{spec.name}")
         print(f"quantized checkpoint saved: {args[0]}_{spec.name}")
         return
     if ns.command == "unlearn":

@@ -25,6 +25,8 @@ _ROLES_BY_MODE = {
     "mlp_only": MLP_ROLES,
     "attn_only": ATTN_ROLES,
 }
+# the std of A's gaussian draws; nonzero, or both factors would stay at zero
+_INIT_STD = 0.02
 
 
 @dataclass
@@ -32,11 +34,10 @@ class LoraConfig:
     rank: int = 4
     alpha: float = 8.0
     targets: str = "all_linear"
-    init_std: float = 0.02
     seed: int = 0
 
     def __post_init__(self):
-        check_fields(self)  # init_std > 0: A = 0 would keep both factors at zero
+        check_fields(self)
         if self.targets not in _ROLES_BY_MODE:
             raise ConfigError(f"targets must be one of {tuple(_ROLES_BY_MODE)}")
 
@@ -80,7 +81,7 @@ def attach(ck: Checkpoint, cfg: LoraConfig) -> dict:
     for name in target_names(ck, cfg):
         d, k = ck.params[name].shape
         adapters[name] = LoraAdapter(
-            A=gen.normal(0.0, cfg.init_std, size=(cfg.rank, k)),
+            A=gen.normal(0.0, _INIT_STD, size=(cfg.rank, k)),
             B=np.zeros((d, cfg.rank)),
             rank=cfg.rank, alpha=cfg.alpha,
         )

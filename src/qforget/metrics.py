@@ -26,8 +26,8 @@ from .model import greedy_decode_batch, token_log_probs_batch
 
 @dataclass(frozen=True)
 class MetricProtocol:
-    k_percent: float          # min-k% fraction
-    prefix_len: int | None    # None: per-sentence ceil(len/2)
+    k_percent: float    # min-k% fraction
+    prefix_len: int     # words of each forget sentence that prompt its continuation
 
     def __post_init__(self):
         check_fields(self)
@@ -63,24 +63,18 @@ def rouge_l_f1(candidate, reference) -> float:
     return 2.0 * p * r / (p + r)
 
 
-def _prefix_length(n_tokens: int, protocol: MetricProtocol) -> int:
-    if protocol.prefix_len is not None:
-        return protocol.prefix_len
-    return (n_tokens + 1) // 2  # ceil(n/2)
-
-
 def vermem(ck: Checkpoint, records, tok: Tokenizer, protocol: MetricProtocol) -> float:
     """Mean ROUGE-L F1 (x100) of greedy continuations against true suffixes.
 
-    Each sentence is split at its prefix length; the model is prompted with
-    bos + prefix and generates exactly the suffix length. Every generated
-    sentence is corpus.SENTENCE_WORDS tokens long and a configured
-    prefix_len is below that, so every suffix is nonempty.
+    Each sentence is split after its first protocol.prefix_len tokens; the
+    model is prompted with bos + prefix and generates exactly the suffix
+    length. Every generated sentence is corpus.SENTENCE_WORDS tokens long
+    and a configured prefix_len is below that, so every suffix is nonempty.
     """
     prompts, suffixes = [], []
+    l = protocol.prefix_len
     for rec in records:
         ids = tok.encode(rec.sentence)
-        l = _prefix_length(len(ids), protocol)
         prompts.append([tok.bos_id] + ids[:l])
         suffixes.append(ids[l:])
     return _continuation_rouge(ck, prompts, suffixes)

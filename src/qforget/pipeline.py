@@ -100,7 +100,7 @@ class ExperimentConfig:
             check_split_sizes(*(cfg.corpus[n] for n in ("n_forget", "n_retain", "n_holdout")))
             if cfg.model_config(vocab_size=1).context_len < MAX_FRAME:
                 raise ConfigError(f"context_len must hold a framed corpus text ({MAX_FRAME})")
-            if (cfg.protocol().prefix_len or 0) >= SENTENCE_WORDS:
+            if cfg.protocol().prefix_len >= SENTENCE_WORDS:
                 raise ConfigError(f"prefix_len must be below the sentence length {SENTENCE_WORDS}")
             plan_keys(cfg)
         except TypeError as exc:
@@ -217,7 +217,8 @@ def _plan(config: str, fingerprint: str) -> dict:
         return entries[rel][0]
 
     corpus = put("corpus.jsonl", cfg.seed, cfg.corpus)
-    target = put("target.json", corpus, cfg.model, cfg.pretrain)
+    # the target's gate scores vermem, which reads prefix_len
+    target = put("target.json", corpus, cfg.model, cfg.pretrain, cfg.metrics["prefix_len"])
     retrain = put("retrain.json", corpus, cfg.model, cfg.pretrain)
     baseline = put("eval/retrain_aucs.json", retrain, cfg.metrics["k_percent"])
     specs = specs_by_precision(cfg)
@@ -360,8 +361,6 @@ def stage_unlearn(cfg: ExperimentConfig, out: Path, split: CorpusSplit,
         final = result.merged()
         save_checkpoint(final, path)
         write_rows(path.parent / "log.jsonl", result.log)
-        for stale in ("adapters.json", "adapters.bin"):  # the pre-manifest lora format
-            remove(path.parent / stale)
         return final
     return _cached(cfg, out, run_path(cfg, run), load_checkpoint, make)
 

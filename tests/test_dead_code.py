@@ -1,5 +1,6 @@
 """Every public function and method of src/qforget, and every defaulted
-parameter of one, is reached from src/qforget.
+parameter of one, is reached from src/qforget; every config field, and
+every null a field may hold, is reached from a workload.
 
 A top-level function, or a public method of a top-level class, that no other
 package code names is reached only by tests, and should be deleted, unless
@@ -9,14 +10,25 @@ reference for an idempotent re-quantization). Likewise a parameter with a
 default that no package call passes, by keyword or by position, should be
 deleted unless it is listed here, and so should the default of one that
 every package call passes. A name that a module imports and never reads
-is likewise dead, unless its import line is marked `# noqa`.
+is likewise dead, unless its import line is marked `# noqa`. A config
+field that no workload (configs/default.json or bench/workload.json) sets
+should be a constant, unless it is listed here, and a null that no filled-in
+spec or run of a workload holds should not be allowed.
 """
 
 import ast
+import json
 from collections import Counter
+from dataclasses import asdict
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "qforget"
+from qforget.checkpoint import FIELD_KINDS, NULLABLE
+from qforget.pipeline import ExperimentConfig
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "qforget"
+WORKLOADS = {"configs/default.json": lambda doc: doc,
+             "bench/workload.json": lambda doc: doc["experiment"]}
 
 # oracle -> why tests keep it although the package never calls it
 ORACLES = {
@@ -38,6 +50,12 @@ PARAMETER_ORACLES = {
 # function(parameter=) -> why it keeps its default although every package call passes it
 ALWAYS_PASSED = {
     "stream_texts(duplication=)": "bench/workloads.py calls it without one",
+}
+
+# config field -> why it has a kind although no workload sets it
+UNSET_FIELDS = {
+    "vocab_size": "ModelConfig takes it from the corpus tokenizer",
+    "alpha_ratio": "the kind of each sweep.alpha_ratios value",
 }
 
 
@@ -145,3 +163,33 @@ def test_every_imported_name_is_read():
     unread = [f"{path.name}:{name}" for path in sorted(PACKAGE.glob("*.py"))
               for name in _unread_imports(path.read_text())]
     assert unread == []
+
+
+def _keys(doc) -> set:
+    """Every object key anywhere in the JSON value `doc`."""
+    if isinstance(doc, dict):
+        return set(doc).union(*map(_keys, doc.values()))
+    if isinstance(doc, list):
+        return set().union(*map(_keys, doc))
+    return set()
+
+
+def _workloads() -> dict:
+    """Workload file -> its experiment config as JSON."""
+    return {rel: pick(json.loads((ROOT / rel).read_text())) for rel, pick in WORKLOADS.items()}
+
+
+def test_every_config_field_is_set_by_a_workload():
+    keys = set().union(*map(_keys, _workloads().values()))
+    assert sorted(set(FIELD_KINDS) - keys) == sorted(UNSET_FIELDS)
+
+
+def test_every_nullable_field_is_null_in_a_workload():
+    nulls = set()
+    for raw in _workloads().values():
+        cfg = ExperimentConfig.from_dict(raw)
+        filled = [section for section in vars(cfg).values() if isinstance(section, dict)]
+        filled += [asdict(spec) for spec in cfg.quant_specs()]
+        filled += [asdict(cfg.unlearn_config(run)) for run in cfg.runs]
+        nulls |= {name for values in filled for name, value in values.items() if value is None}
+    assert sorted(set(NULLABLE) - nulls) == []

@@ -194,7 +194,7 @@ class TestPrivleak:
         auc_holdout = membership_aucs(ck, self.split, self.tok, 20.0)["privleak_holdout"]
         cell = evaluate_checkpoint(ck, self.split, self.tok,
                                    {"privleak": 0.0, "privleak_holdout": auc_holdout},
-                                   MetricProtocol(k_percent=20.0, prefix_len=None))
+                                   MetricProtocol(k_percent=20.0, prefix_len=5))
         assert cell["privleak"] is None
         assert cell["privleak_holdout"] == 0.0
 
