@@ -351,17 +351,24 @@ def vsum(a: Var) -> Var:
 
 
 def kl_divergence_rows(p_ref: np.ndarray, log_q: Var) -> Var:
-    """Mean over rows of KL(p_ref || q) given log q. p_ref is a frozen
-    row-stochastic array; gradients flow to log_q only."""
+    """Mean over rows of KL(p_ref || q) given log q. p_ref is a frozen array
+    whose rows are strictly positive and sum to 1, and log_q is a
+    log_softmax_rows output; gradients flow to log_q only.
+
+    A row's value is sum(p d) + log1p(sum(p expm1(-d))), d = log p - log q.
+    The second term is log sum(q), zero in exact arithmetic; it cancels the
+    rounding of both rows' log-normalizers, so a KL near 0 keeps its
+    relative precision instead of taking the rounding of sums of order 1.
+    """
     p = np.asarray(p_ref, dtype=np.float64)
     if p.shape != log_q.value.shape:
         raise ContractError(f"kl: shape mismatch {p.shape} vs {log_q.value.shape}")
     row_sums = p.sum(axis=1)
-    if np.any(np.abs(row_sums - 1.0) > 1e-9) or np.any(p < 0):
-        raise ContractError("kl: p_ref rows must be nonnegative and sum to 1")
+    if np.any(np.abs(row_sums - 1.0) > 1e-9) or not np.all(p > 0):
+        raise ContractError("kl: p_ref rows must be positive and sum to 1")
     m = p.shape[0]
-    plogp = np.where(p > 0, p * np.log(np.where(p > 0, p, 1.0)), 0.0)
-    val = (plogp - p * log_q.value).sum() / m
+    d = np.log(p) - log_q.value
+    val = ((p * d).sum(axis=1) + np.log1p((p * np.expm1(-d)).sum(axis=1))).sum() / m
 
     def bwd(g):
         log_q.grad += (-float(g) / m) * p

@@ -73,9 +73,28 @@ class TestKLDivergence:
         np.testing.assert_allclose(float(loss.value), 0.0, atol=1e-15)
 
     def test_closed_form(self):
-        loss = kl_divergence_rows(np.array([[1.0, 0.0]]),
+        # 0.25 log(0.25 / 0.5) + 0.75 log(0.75 / 0.5) = 0.75 log 3 - log 2
+        loss = kl_divergence_rows(np.array([[0.25, 0.75]]),
                                   Var(np.log(np.array([[0.5, 0.5]]))))
-        np.testing.assert_allclose(float(loss.value), math.log(2), rtol=1e-15)
+        np.testing.assert_allclose(float(loss.value), 0.75 * math.log(3) - math.log(2),
+                                   rtol=1e-15)
+
+    def test_small_kl_keeps_its_relative_precision(self):
+        # q = softmax(z + delta e_j) against p = softmax(z) has the exact KL
+        # log1p(p_j expm1(delta)) - delta p_j, about 1e-11 at delta 1e-4:
+        # the value must not take the rounding of the rows' normalizers
+        rng = np.random.default_rng(20)
+        for delta in (1e-4, 1e-2):
+            for _ in range(50):
+                z = rng.normal(0, 2, (1, 203))
+                j = rng.integers(203)
+                shifted = z.copy()
+                shifted[0, j] += delta
+                step = shifted[0, j] - z[0, j]  # delta as the float sum holds it
+                p = softmax_rows(Var(z)).value
+                exact = math.log1p(p[0, j] * math.expm1(step)) - step * p[0, j]
+                got = float(kl_divergence_rows(p, log_softmax_rows(Var(shifted))).value)
+                assert abs(got - exact) <= 1e-9 * exact
 
     def test_gibbs_inequality(self):
         rng = np.random.default_rng(2)
@@ -89,6 +108,8 @@ class TestKLDivergence:
     def test_non_stochastic_reference(self):
         with pytest.raises(ContractError):
             kl_divergence_rows(np.array([[0.7, 0.7]]), Var(np.zeros((1, 2))))
+        with pytest.raises(ContractError):  # a zero entry drops q's mass there
+            kl_divergence_rows(np.array([[1.0, 0.0]]), Var(np.log(np.array([[0.5, 0.5]]))))
 
 
 class TestLogSigmoid:
