@@ -25,6 +25,7 @@ _ROLES_BY_MODE = {
     "mlp_only": MLP_ROLES,
     "attn_only": ATTN_ROLES,
 }
+
 # the std of A's gaussian draws; nonzero, or both factors would stay at zero
 _INIT_STD = 0.02
 

@@ -5,7 +5,7 @@ their recorders, and the recorders' command line (`main`).
 Floats agree to a relative tolerance of 1e-9, which admits reordered sums
 and catches any change to a formula. An absolute floor of 1e-12 covers the
 values that are zero up to rounding, such as a KL term at the reference
-model (about 1e-16), whose rounding-level moves are large relative to
+model (about 1e-31), whose rounding-level moves are large relative to
 themselves. Strings, counts, keys and list lengths agree exactly.
 """
 
