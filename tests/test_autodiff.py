@@ -61,6 +61,16 @@ class TestCrossEntropy:
         targets = rng.integers(0, 9, 20)
         assert float(cross_entropy(Var(logits), targets).value) >= 0.0
 
+    def test_target_log_probs_backward_is_cross_entropys(self):
+        # weighted by -1/m, target_log_probs' backward is cross_entropy's bit
+        # for bit: both take the one form g (softmax - onehot)
+        rng = np.random.default_rng(21)
+        z, targets = rng.normal(0, 3, (5, 11)), [0, 4, 10, 4, 7]
+        ce, tlp = Var(z.copy()), Var(z.copy())
+        cross_entropy(ce, targets).backward()
+        vsum(mul(target_log_probs(tlp, targets), Var(np.full(5, -1 / 5)))).backward()
+        assert np.array_equal(ce.grad, tlp.grad)
+
     def test_out_of_range_target(self):
         with pytest.raises(IndexError):
             cross_entropy(Var(np.zeros((2, 4))), [1, 4])

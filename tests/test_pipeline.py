@@ -798,6 +798,8 @@ class TestCli:
         pytest.param("metrics", {"prefix_len": 9}, id="prefix_len=9"),
         pytest.param("metrics", {"prefix_len": "4"}, id="prefix_len='4'"),
         pytest.param("metrics", {"prefix_len": -3}, id="prefix_len=-3"),
+        # a prefix length is a count, never null
+        pytest.param("metrics", {"k_percent": 20.0, "prefix_len": None}, id="prefix_len=None"),
         # the other fields of these sections take their defaults, not MINI's
         pytest.param("pretrain", {"gate_vermem": "60"}, id="gate_vermem='60'"),
         pytest.param("pretrain", {"gate_utility": True}, id="gate_utility=True"),
@@ -809,10 +811,14 @@ class TestCli:
         pytest.param("runs", [dict(MINI["runs"][0], seed=-2)], id="run_seed=-2"),
         pytest.param("runs", [dict(MINI["runs"][1], lora=dict(MINI["runs"][1]["lora"], seed=-1))],
                      id="lora_seed=-1"),
-        # init_std is a constant of the lora module, no config field
+        # init_std is a constant of the lora module, no config field: a lora
+        # object that names it holds an unknown key, whatever its value
         pytest.param("runs", [dict(MINI["runs"][1],
-                                   lora=dict(MINI["runs"][1]["lora"], init_std=0.02))],
-                     id="lora_init_std"),
+                                   lora=dict(MINI["runs"][1]["lora"], init_std=-1.0))],
+                     id="init_std=-1"),
+        pytest.param("runs", [dict(MINI["runs"][1],
+                                   lora=dict(MINI["runs"][1]["lora"], init_std=0.0))],
+                     id="init_std=0"),
         # an int that no float can hold
         pytest.param("pretrain", {"lr": 10 ** 400}, id="lr=10**400"),
     ])
@@ -1113,6 +1119,23 @@ class TestCli:
         per_row = load_checkpoint(tmp_path / "target_int4")
         assert (grouped.provenance, per_row.provenance) == ("target:int4_g16", "target:int4")
         assert not np.array_equal(grouped.params["lm_head"], per_row.params["lm_head"])
+
+    def test_quantize_takes_a_stored_lora_run(self, run_dir, tmp_path):
+        # the pipeline stores a lora run merged, so quantize reads it like
+        # any other checkpoint
+        from qforget.checkpoint import load_checkpoint
+        from qforget.quantizer import quantize_model
+        stem = tmp_path / "model"
+        for suffix in (".json", ".bin"):
+            stem.with_suffix(suffix).write_bytes(
+                (run_dir / "runs" / "GA_GDR_lora" / f"model{suffix}").read_bytes())
+        assert cli_main(["--config", str(write_config(tmp_path)), "--out", str(tmp_path),
+                         "quantize", str(stem), "4"]) == 0
+        got = load_checkpoint(tmp_path / "model_int4")
+        want = quantize_model(load_checkpoint(stem), QuantSpec(4))
+        assert got.provenance == want.provenance == "unlearn:GA_GDR:lora:merged:int4"
+        assert got.params.keys() == want.params.keys()
+        assert all(np.array_equal(got.params[k], want.params[k]) for k in want.params)
 
     @pytest.mark.parametrize("args", [["four"], ["4", "sixteen"]], ids=["bits", "group"])
     def test_quantize_non_integer_arguments_exit_2(self, tmp_path, capsys, args):
